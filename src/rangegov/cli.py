@@ -21,7 +21,6 @@ import glob
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 from . import formats, reports, synth
@@ -165,9 +164,7 @@ def _cmd_backtest(args) -> int:
         paths.extend(hits if hits else [pattern])
     if not paths:
         raise MissingSeriesError("no panel files matched")
-    # each worker owns one panel; assembly below is ordered, not racy
-    with ThreadPoolExecutor(max_workers=min(8, len(paths))) as pool:
-        panels = list(pool.map(formats.load_panel, paths))
+    panels = [formats.load_panel(path) for path in paths]
     panels.sort(key=lambda p: p.instrument)
     summary = synth.backtest(panels, cfg)
     formats.write_report(args.out, _stamped(summary, args))

@@ -115,9 +115,6 @@ class Config:
     # ingest
     merge_top_exchanges: int = 3
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def replace(self, **overrides) -> "Config":
         bad = set(overrides) - {f.name for f in dataclasses.fields(self)}
         if bad:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import Config, DEFAULTS
-from .cost import funding_bias_duration, funding_spike
+from .cost import funding_bias_duration
 from .liquidity import depth_extremes_trend, shelf_migration
 from .model import (
     BAR_SECONDS,
@@ -24,25 +24,15 @@ from .model import (
     RangeDefinition,
     bar_index,
     d12,
-    funding_by_bar,
     latest_book_at,
-    oi_by_bar,
     parse_iso,
 )
 from .positioning import ROTATION, boundary_cluster_share, classify_oi_event
-from .structure import realized_volatility, resolve_range, wick_series
+from .structure import PanelSeries, derive, ols_slope
 
 CONFIRMED = "confirmed"
 FALSIFIED = "falsified"
 NOT_EVALUABLE = "not-evaluable"
-
-DISPLAY_NAMES = {
-    "H1": "compression-before-expansion",
-    "H2": "alignment-gated-expansion",
-    "H3": "spike-reversion",
-    "H4": "cascade-recoil",
-}
-
 
 @dataclass(frozen=True)
 class Signal:
@@ -69,20 +59,6 @@ def _not_evaluable(name: str, window: tuple, notes, signals=(), condition=False,
                              NOT_EVALUABLE, tuple(notes), evidence or {})
 
 
-def _ols_slope(values) -> Optional[float]:
-    pts = [(i, v) for i, v in enumerate(values)
-           if v is not None and not (isinstance(v, float) and math.isnan(v))]
-    if len(pts) < 2:
-        return None
-    x = np.array([p[0] for p in pts], dtype=float)
-    y = np.array([p[1] for p in pts], dtype=float)
-    vx = x - x.mean()
-    var = (vx * vx).sum()
-    if var == 0:
-        return None
-    return float((vx * (y - y.mean())).sum() / var)
-
-
 def _beyond(close: Decimal, rng: RangeDefinition) -> int:
     """+1 above the range, -1 below, 0 inside (boundaries count as inside)."""
     if close > rng.upper:
@@ -94,12 +70,12 @@ def _beyond(close: Decimal, rng: RangeDefinition) -> int:
 
 # ------------------------------------------------------------------------ H1
 
-def evaluate_h1(panel: Panel, rng: Optional[RangeDefinition],
-                cfg: Config = DEFAULTS) -> HypothesisVerdict:
+def evaluate_h1(series: PanelSeries) -> HypothesisVerdict:
     """Persistent one-sided funding with elevated OI inside an intact range
     precedes expansion: compression signals should be present, and sustained
     expansion despite the bias falsifies."""
     name = "H1"
+    panel, rng, cfg = series.panel, series.range, series.cfg
     n = len(panel.candles)
     tail = (max(n - 1, 0), max(n - 1, 0))
     if rng is None:
@@ -108,14 +84,12 @@ def evaluate_h1(panel: Panel, rng: Optional[RangeDefinition],
         return _not_evaluable(name, tail, ["fewer than %d funding settlements"
                                            % cfg.funding_bias_min_periods])
     baseline_bars = cfg.oi_baseline_days * cfg.bars_per_day
-    oi_records = oi_by_bar(panel)
+    oi_records = series.oi_by_bar
     if n < baseline_bars or oi_records[n - baseline_bars] is None:
         return _not_evaluable(name, tail, ["OI history shorter than the %d-day baseline"
                                            % cfg.oi_baseline_days])
 
-    rates = [f.rate_8h for f in panel.funding]
-    durations = funding_bias_duration(rates)
-    duration = durations[-1]
+    duration = funding_bias_duration([f.rate_8h for f in panel.funding])[-1]
     bias_ok = duration >= cfg.funding_bias_min_periods
 
     oi_vals = np.array([float(r.oi_usd) for r in oi_records[n - baseline_bars:]])
@@ -141,16 +115,14 @@ def evaluate_h1(panel: Panel, rng: Optional[RangeDefinition],
     window = (start, n - 1)
 
     # signal 1: realized volatility drifting down across the condition window
-    rv = realized_volatility(panel.candles, cfg.realized_vol_window)
-    vol_slope = _ols_slope(rv[start:])
+    vol_slope = ols_slope(series.realized_vol[start:])
     s1 = Signal("volatility_slope", None if vol_slope is None else vol_slope < 0,
                 vol_slope, "< 0")
     if vol_slope is None:
         notes.append("volatility history too short for a slope")
 
     # signal 2: recent wick-to-body above its prior baseline
-    ups, downs = wick_series(panel.candles)
-    combined = ups + downs
+    combined = series.wick_up + series.wick_down
     recent = combined[n - cfg.wick_recent_window:]
     prior = combined[n - cfg.wick_recent_window - cfg.wick_baseline_window:
                      n - cfg.wick_recent_window]
@@ -237,12 +209,13 @@ def find_breakout_candidates(panel: Panel, rng: RangeDefinition) -> list:
     return out
 
 
-def evaluate_h2(panel: Panel, rng: Optional[RangeDefinition],
-                breakout_bar: Optional[int], side: Optional[str] = None,
-                cfg: Config = DEFAULTS) -> HypothesisVerdict:
+def evaluate_h2(series: PanelSeries, breakout_bar: Optional[int],
+                side: Optional[str]) -> HypothesisVerdict:
     """Funding moderation plus shelf migration, thinning boundary depth and OI
-    rotation at a breakout bar predicts the break sustains."""
+    rotation at a breakout bar ("up" or "down" `side`, as found by
+    `find_breakout_candidates`) predicts the break sustains."""
     name = "H2"
+    panel, rng, cfg = series.panel, series.range, series.cfg
     n = len(panel.candles)
     tail = (max(n - 1, 0), max(n - 1, 0))
     if rng is None:
@@ -251,20 +224,11 @@ def evaluate_h2(panel: Panel, rng: Optional[RangeDefinition],
         return _not_evaluable(name, tail, ["no breakout candidate bar"])
     if not 0 < breakout_bar < n:
         raise ValueError("breakout bar out of panel")
-    if side is None:
-        s = _beyond(panel.candles[breakout_bar].close, rng)
-        if s == 0:
-            return _not_evaluable(name, tail,
-                                  ["bar %d does not close beyond a boundary" % breakout_bar])
-        side = "up" if s > 0 else "down"
     window = (max(0, breakout_bar - cfg.h2_premoderation_bars),
               min(n - 1, breakout_bar + cfg.h2_sustain_closes))
     notes = []
 
-    funding = funding_by_bar(panel)
-    pre = [funding[i] for i in range(max(0, breakout_bar - cfg.h2_premoderation_bars),
-                                     breakout_bar)]
-    known = [f for f in pre if f is not None]
+    known = [f for f in series.funding_by_bar[window[0]:breakout_bar] if f is not None]
     if not known:
         return _not_evaluable(name, window, ["no funding coverage before the break"])
     moderation = d12(cfg.h2_funding_moderation_abs)
@@ -297,9 +261,7 @@ def evaluate_h2(panel: Panel, rng: Optional[RangeDefinition],
         notes.append("fewer than 2 book snapshots before the break")
 
     # signal 3: OI rotating rather than collapsing into the break
-    oi_records = oi_by_bar(panel)
-    window_oi = oi_records[max(0, breakout_bar - cfg.h2_premoderation_bars):
-                           breakout_bar + 1]
+    window_oi = series.oi_by_bar[window[0]:breakout_bar + 1]
     if any(r is None for r in window_oi) or len(window_oi) < 2:
         s3 = Signal("oi_rotation", None, None, "label == rotation")
         notes.append("OI missing around the break")
@@ -358,20 +320,19 @@ def _annotation_rows(panel: Panel, key: str) -> list:
     return out
 
 
-def evaluate_h3(panel: Panel, rng: Optional[RangeDefinition],
-                cfg: Config = DEFAULTS) -> HypothesisVerdict:
+def evaluate_h3(series: PanelSeries) -> HypothesisVerdict:
     """A funding spike without structural shift reverts to the range midpoint
     within 2-4 bars."""
     name = "H3"
+    panel, rng, cfg = series.panel, series.range, series.cfg
     n = len(panel.candles)
     tail = (max(n - 1, 0), max(n - 1, 0))
     if rng is None:
         return _not_evaluable(name, tail, ["no established range"])
-    rates = [f.rate_8h for f in panel.funding]
-    flags = funding_spike(rates, cfg)
-    spike_idx = [i for i, f in enumerate(flags) if f]
+    spike_idx = [i for i, f in enumerate(series.funding_spikes) if f]
     if not spike_idx:
-        why = "no funding spike detected" if len(rates) > cfg.funding_spike_lookback \
+        why = "no funding spike detected" \
+            if len(panel.funding) > cfg.funding_spike_lookback \
             else "funding history shorter than the spike lookback"
         return _not_evaluable(name, tail, [why])
     sp = spike_idx[-1]
@@ -392,8 +353,7 @@ def evaluate_h3(panel: Panel, rng: Optional[RangeDefinition],
                 ["structural shift after the spike (2 consecutive closes outside)"],
                 evidence={"spike_bar": s, "shift_at": j})
 
-    rv = realized_volatility(panel.candles, cfg.realized_vol_window)
-    sigma = rv[s] if s < len(rv) else float("nan")
+    sigma = series.realized_vol[s]
     if math.isnan(sigma):
         return _not_evaluable(name, window,
                               ["volatility history too short at the spike bar"],
@@ -481,11 +441,11 @@ def evaluate_h3(panel: Panel, rng: Optional[RangeDefinition],
 
 # ------------------------------------------------------------------------ H4
 
-def evaluate_h4(panel: Panel, rng: Optional[RangeDefinition],
-                cfg: Config = DEFAULTS) -> HypothesisVerdict:
+def evaluate_h4(series: PanelSeries) -> HypothesisVerdict:
     """Clustered liquidations police the boundaries: taps into the cluster
     zone recoil more often than not."""
     name = "H4"
+    panel, rng, cfg = series.panel, series.range, series.cfg
     n = len(panel.candles)
     tail = (max(n - 1, 0), max(n - 1, 0))
     if rng is None:
@@ -501,8 +461,8 @@ def evaluate_h4(panel: Panel, rng: Optional[RangeDefinition],
                                % (share, cfg.boundary_cluster_min_share)],
                               signals=(s_cluster,))
 
-    funding = funding_by_bar(panel)
-    oi_records = oi_by_bar(panel)
+    funding = series.funding_by_bar
+    oi_records = series.oi_by_bar
     taps = []
     for i, c in enumerate(panel.candles):
         for side, extreme, boundary in (("up", c.high, rng.upper),
@@ -511,9 +471,7 @@ def evaluate_h4(panel: Panel, rng: Optional[RangeDefinition],
             if beyond <= 0:
                 continue
             excursion = float(beyond)
-            closes = [float(c.close)]
-            if i + 1 < n:
-                closes.append(float(panel.candles[i + 1].close))
+            closes = series.close[i:i + 2].tolist()
             ext = float(extreme)
             if side == "up":
                 retrace = max(ext - cl for cl in closes)
@@ -573,27 +531,28 @@ def evaluate_h4(panel: Panel, rng: Optional[RangeDefinition],
 # ------------------------------------------------------------------- driver
 
 def evaluate_all(panel: Panel, cfg: Config = DEFAULTS,
-                 only: Optional[Sequence[str]] = None) -> dict:
-    """Resolve the panel's range and run the requested evaluators.
+                 only: Optional[Sequence[str]] = None,
+                 series: Optional[PanelSeries] = None) -> dict:
+    """Run the requested evaluators over `series`, else `derive(panel, cfg)`.
 
     H2 is evaluated at the most recent breakout candidate when one exists.
     """
-    resolved = resolve_range(panel.candles, cfg)
-    rng = resolved[0] if resolved else None
+    series = derive(panel, cfg) if series is None else series.check(panel, cfg)
+    rng = series.range
     wanted = set(only) if only else {"H1", "H2", "H3", "H4"}
     out = {}
     if "H1" in wanted:
-        out["H1"] = evaluate_h1(panel, rng, cfg)
+        out["H1"] = evaluate_h1(series)
     if "H2" in wanted:
         candidate = None
         if rng is not None:
             candidates = find_breakout_candidates(panel, rng)
             if candidates:
                 candidate = candidates[-1]
-        out["H2"] = evaluate_h2(panel, rng, candidate[0] if candidate else None,
-                                candidate[1] if candidate else None, cfg)
+        out["H2"] = evaluate_h2(series, candidate[0] if candidate else None,
+                                candidate[1] if candidate else None)
     if "H3" in wanted:
-        out["H3"] = evaluate_h3(panel, rng, cfg)
+        out["H3"] = evaluate_h3(series)
     if "H4" in wanted:
-        out["H4"] = evaluate_h4(panel, rng, cfg)
+        out["H4"] = evaluate_h4(series)
     return out

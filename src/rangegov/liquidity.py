@@ -10,6 +10,7 @@ import numpy as np
 
 from .config import Config, DEFAULTS
 from .model import BookSnapshot, RangeDefinition, d12
+from .structure import ols_slope
 
 
 @dataclass(frozen=True)
@@ -104,19 +105,15 @@ def depth_extremes_trend(snapshots: Sequence[BookSnapshot], rng: RangeDefinition
     """OLS slope of the near-boundary depth over the trailing snapshots
     (at most depth_trend_snapshots). None when fewer than 2 snapshots."""
     tail = list(snapshots)[-cfg.depth_trend_snapshots:]
-    if len(tail) < 2:
-        return {"lower_slope": None, "upper_slope": None, "total_slope": None,
-                "snapshots": len(tail)}
-    rows = [depth_at_extremes(s, rng, cfg) for s in tail]
-    x = np.arange(len(rows), dtype=float)
+    return extremes_slopes([depth_at_extremes(s, rng, cfg) for s in tail])
 
-    def slope(key: str) -> float:
-        y = np.array([r[key] for r in rows])
-        vx = x - x.mean()
-        return float((vx * (y - y.mean())).sum() / (vx * vx).sum())
 
-    return {"lower_slope": slope("lower_usd"), "upper_slope": slope("upper_usd"),
-            "total_slope": slope("total_usd"), "snapshots": len(rows)}
+def extremes_slopes(rows: Sequence[dict]) -> dict:
+    """OLS slopes over a run of `depth_at_extremes` rows, oldest first. None
+    when fewer than 2 rows."""
+    out = {side + "_slope": ols_slope([r[side + "_usd"] for r in rows])
+           for side in ("lower", "upper", "total")}
+    return dict(out, snapshots=len(rows))
 
 
 def fill_slippage(snapshot: BookSnapshot, side: str,

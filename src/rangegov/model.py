@@ -26,16 +26,20 @@ def d12(value) -> Decimal:
     """Coerce to Decimal at 12 fractional digits.
 
     Floats go through repr() so 0.0005 means the literal 0.0005, not its
-    binary expansion.
+    binary expansion. NaN and infinities are rejected.
     """
     try:
         if isinstance(value, Decimal):
-            return value.quantize(_Q12)
-        if isinstance(value, float):
-            return Decimal(repr(value)).quantize(_Q12)
-        return Decimal(value).quantize(_Q12)
+            out = value.quantize(_Q12)
+        elif isinstance(value, float):
+            out = Decimal(repr(value)).quantize(_Q12)
+        else:
+            out = Decimal(value).quantize(_Q12)
     except (InvalidOperation, TypeError) as exc:
         raise DataError(f"not a fixed-point number: {value!r}") from exc
+    if out.is_nan():
+        raise DataError(f"not a fixed-point number: {value!r}")
+    return out
 
 
 def fmt_dec(value: Decimal) -> str:
@@ -383,11 +387,3 @@ def latest_book_at(panel: Panel, time: int) -> Optional[BookSnapshot]:
         else:
             break
     return best
-
-
-def books_between(panel: Panel, start: int, end: int) -> list:
-    return [b for b in panel.books if start <= b.time <= end]
-
-
-def liquidations_between(panel: Panel, start: int, end: int) -> list:
-    return [e for e in panel.liquidations if start <= e.time <= end]

@@ -8,7 +8,7 @@ they are never treated as new findings by consumers comparing runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from decimal import Decimal
 from typing import Optional, Sequence
@@ -52,22 +52,28 @@ def _grid_deviation(ts: int, grid: int) -> int:
     return min(rem, grid - rem)
 
 
-def check_timestamps(times: Sequence[int], grid_seconds: int,
-                     tolerance_s: int = 30, label: str = "series") -> list:
-    """Flag timestamps further than the tolerance from their grid."""
-    out = []
-    for t in times:
-        dev = _grid_deviation(t, grid_seconds)
-        if dev > tolerance_s:
-            out.append(QualityFlag(
-                "timestamp_alignment", f"{label}@{iso(t)}", FLAG,
-                f"{dev}s off the {grid_seconds}s grid; resampled"))
-    return out
-
-
 def snap_to_grid(ts: int, grid_seconds: int) -> int:
     rem = ts % grid_seconds
     return ts - rem if rem <= grid_seconds - rem else ts + (grid_seconds - rem)
+
+
+def _snap_records(records: Sequence, key: str, grid_of, label: str,
+                  report: QualityReport, cfg: Config) -> list:
+    """Records with their `key` timestamp snapped to the `grid_of(record)`
+    grid when further off it than the tolerance (inclusive), each flagged."""
+    out = []
+    for r in records:
+        ts = getattr(r, key)
+        grid = grid_of(r)
+        dev = _grid_deviation(ts, grid)
+        if dev > cfg.timestamp_tolerance_s:
+            snapped = snap_to_grid(ts, grid)
+            report.flags.append(QualityFlag(
+                "timestamp_alignment", f"{label}@{iso(ts)}", FLAG,
+                f"{dev}s off the {grid}s grid; resampled to {iso(snapped)}"))
+            r = replace(r, **{key: snapped})
+        out.append(r)
+    return out
 
 
 def check_price_consistency(closes_by_exchange: dict, times: Sequence[int],
@@ -292,38 +298,18 @@ def run_pipeline(panel: Panel, cfg: Config = DEFAULTS):
                if f"funding@{iso(r.settle_time)}" not in rejected_times]
 
     report.checks_run += 1
-    funding2 = []
-    for r in funding:
-        grid = r.source_interval_hours * 3600
-        dev = _grid_deviation(r.settle_time, grid)
-        if dev > cfg.timestamp_tolerance_s:
-            snapped = snap_to_grid(r.settle_time, grid)
-            report.flags.append(QualityFlag(
-                "timestamp_alignment", f"funding@{iso(r.settle_time)}", FLAG,
-                f"{dev}s off the {grid}s grid; resampled to {iso(snapped)}"))
-            r = type(r)(snapped, r.rate_8h, r.source_interval_hours,
-                        r.exchange_count, r.mark_price, r.index_price)
-        funding2.append(r)
+    funding2 = _snap_records(funding, "settle_time",
+                             lambda r: r.source_interval_hours * 3600,
+                             "funding", report, cfg)
     funding2.sort(key=lambda r: r.settle_time)
 
     report.checks_run += 1
     books, book_flags = check_book_integrity(panel.books, cfg)
     report.flags.extend(book_flags)
-    books2 = []
-    seen_times = set()
-    for snap in books:
-        dev = _grid_deviation(snap.time, 3600)
-        if dev > cfg.timestamp_tolerance_s:
-            snapped = snap_to_grid(snap.time, 3600)
-            report.flags.append(QualityFlag(
-                "timestamp_alignment", f"book@{iso(snap.time)}", FLAG,
-                f"{dev}s off the 3600s grid; resampled to {iso(snapped)}"))
-            snap = type(snap)(snapped, snap.bids, snap.asks)
-        if snap.time in seen_times:
-            continue
-        seen_times.add(snap.time)
-        books2.append(snap)
-    books2.sort(key=lambda s: s.time)
+    first_at: dict = {}
+    for snap in _snap_records(books, "time", lambda s: 3600, "book", report, cfg):
+        first_at.setdefault(snap.time, snap)
+    books2 = sorted(first_at.values(), key=lambda s: s.time)
 
     report.checks_run += 1
     report.flags.extend(check_wash_trading(candles, cfg))

@@ -10,15 +10,10 @@ import numpy as np
 
 from .config import Config, DEFAULTS
 from .errors import InsufficientInputsError
-from .hypotheses import CONFIRMED, FALSIFIED, _ols_slope
-from .model import Panel, RangeDefinition, d12, funding_by_bar, oi_by_bar
+from .hypotheses import CONFIRMED, FALSIFIED
+from .model import Panel, RangeDefinition, d12
 from .positioning import COLLAPSE, ROTATION, classify_oi_event
-from .structure import (
-    absorption_footprints,
-    realized_volatility,
-    resolve_range,
-    wick_series,
-)
+from .structure import PanelSeries, absorption_footprints, derive, ols_slope
 
 ACCUMULATION = "accumulation"
 DISTRIBUTION = "distribution"
@@ -45,41 +40,42 @@ class TriggerMatrix:
     expansion_probability_band: str   # baseline | elevated
 
 
-def _oi_event_for(panel: Panel, start: int, cfg: Config):
-    records = oi_by_bar(panel)[start:]
+def _oi_event_for(series: PanelSeries, start: int):
+    records = series.oi_by_bar[start:]
     if any(r is None for r in records) or len(records) < 2 or \
             float(records[0].oi_usd) == 0:
         return None
     values = [float(r.oi_usd) for r in records]
     shares = [float(r.long_share) if r.long_share is not None else None
               for r in records]
-    return classify_oi_event(values, shares, cfg)
+    return classify_oi_event(values, shares, series.cfg)
 
 
-def classify_regime(panel: Panel, cfg: Config = DEFAULTS) -> RegimeLabel:
-    """Accumulation / distribution / trending over the trailing 20 bars.
+def classify_regime(panel: Panel, cfg: Config = DEFAULTS,
+                    series: Optional[PanelSeries] = None) -> RegimeLabel:
+    """Accumulation / distribution / trending over the trailing 20 bars of
+    `series`, else of `derive(panel, cfg)`.
 
     Precedence when several fire: trending > distribution > accumulation.
     """
+    series = derive(panel, cfg) if series is None else series.check(panel, cfg)
     n = len(panel.candles)
     w = cfg.regime_window
     if n < w:
         return RegimeLabel(UNCLASSIFIED, (("window", float(n), False),))
     bars = panel.candles[n - w:]
-    closes = np.array([float(c.close) for c in bars])
-    highs = np.array([float(c.high) for c in bars])
-    lows = np.array([float(c.low) for c in bars])
-    volumes = np.array([float(c.volume) for c in bars])
+    closes = series.close[n - w:]
+    highs = series.high[n - w:]
+    lows = series.low[n - w:]
     evidence = []
 
     # shared measurements
-    rv = realized_volatility(panel.candles, cfg.realized_vol_window)[n - w:]
-    vol_slope = _ols_slope(list(rv))
-    volume_slope = _ols_slope(list(volumes))
-    oi_records = oi_by_bar(panel)[n - w:]
+    vol_slope = ols_slope(list(series.realized_vol[n - w:]))
+    volume_slope = ols_slope(list(series.volume[n - w:]))
+    oi_records = series.oi_by_bar[n - w:]
     oi_vals = [float(r.oi_usd) if r is not None else None for r in oi_records]
-    oi_slope = _ols_slope(oi_vals)
-    close_slope = _ols_slope(list(closes))
+    oi_slope = ols_slope(oi_vals)
+    close_slope = ols_slope(list(closes))
     half = w // 2
 
     # trending: directional closes plus rotating OI
@@ -89,7 +85,7 @@ def classify_regime(panel: Panel, cfg: Config = DEFAULTS) -> RegimeLabel:
         if len(moves) else 0.0
     dir_met = directional >= cfg.trend_directional_frac
     evidence.append(("directional_close_share", directional, dir_met))
-    event = _oi_event_for(panel, n - w, cfg)
+    event = _oi_event_for(series, n - w)
     rotation_met = event is not None and event.label == ROTATION
     evidence.append(("oi_rotation", None if event is None else event.oi_change_frac,
                      rotation_met))
@@ -101,7 +97,7 @@ def classify_regime(panel: Panel, cfg: Config = DEFAULTS) -> RegimeLabel:
     evidence.append(("new_window_highs", float(highs[half:].max()), new_highs))
     volume_down = volume_slope is not None and volume_slope < 0
     evidence.append(("volume_slope", volume_slope, volume_down))
-    ups, _ = wick_series(bars)
+    ups = series.wick_up[n - w:]
     recent_ups = ups[w - cfg.wick_recent_window:]
     wick_rising = bool(np.any(~np.isnan(recent_ups)) and np.any(~np.isnan(ups))
                        and np.nanmean(recent_ups) > np.nanmean(ups))
@@ -120,9 +116,8 @@ def classify_regime(panel: Panel, cfg: Config = DEFAULTS) -> RegimeLabel:
     width_prior = float((highs[:half] - lows[:half]).mean())
     contracting = width_recent < width_prior
     evidence.append(("bar_width_contraction", width_recent, contracting))
-    resolved = resolve_range(panel.candles, cfg)
-    if resolved:
-        lo, hi = float(resolved[0].lower), float(resolved[0].upper)
+    if series.range is not None:
+        lo, hi = float(series.range.lower), float(series.range.upper)
     else:
         lo, hi = float(lows.min()), float(highs.max())
     third = lo + (hi - lo) / 3.0
@@ -162,9 +157,8 @@ def build_trigger_matrix(states: dict, cfg: Config = DEFAULTS) -> TriggerMatrix:
     return TriggerMatrix(entries, conviction, band)
 
 
-def assemble_trigger_states(panel: Panel, rng: Optional[RangeDefinition],
-                            cfg: Config = DEFAULTS) -> dict:
-    """Read the panel into trigger-matrix states.
+def assemble_trigger_states(series: PanelSeries) -> dict:
+    """Read the panel's derived series into trigger-matrix states.
 
     funding: moderated toward neutral = aligned, elevated = divergent.
     shelf_migration: depth relocated beyond a boundary = aligned, clustered
@@ -175,6 +169,7 @@ def assemble_trigger_states(panel: Panel, rng: Optional[RangeDefinition],
     from .liquidity import shelf_migration
     from .positioning import boundary_cluster_share
 
+    panel, rng, cfg = series.panel, series.range, series.cfg
     states: dict = {}
     if panel.funding:
         mag = classify_magnitude(panel.funding[-1].rate_8h, cfg)
@@ -190,7 +185,7 @@ def assemble_trigger_states(panel: Panel, rng: Optional[RangeDefinition],
     else:
         states["shelf_migration"] = None
 
-    event = _oi_event_for(panel, max(0, len(panel.candles) - cfg.regime_window), cfg)
+    event = _oi_event_for(series, max(0, len(panel.candles) - cfg.regime_window))
     if event is None:
         states["oi_rotation"] = None
     else:
@@ -198,8 +193,7 @@ def assemble_trigger_states(panel: Panel, rng: Optional[RangeDefinition],
             DIVERGENT if event.label == COLLAPSE else NEUTRAL
 
     n = len(panel.candles)
-    rv = realized_volatility(panel.candles, cfg.realized_vol_window)
-    slope = _ols_slope(list(rv[max(0, n - cfg.regime_window):]))
+    slope = ols_slope(list(series.realized_vol[max(0, n - cfg.regime_window):]))
     states["volatility_compression"] = None if slope is None else \
         (ALIGNED if slope < 0 else NEUTRAL)
 
@@ -335,8 +329,8 @@ def narrative_filter(panel: Panel, event_time: int, cfg: Config = DEFAULTS) -> d
                    open_interest=[r for r in panel.open_interest
                                   if r.time <= panel.candles[idx - 1].close_time])
     changes = []
-    rb = resolve_range(before.candles, cfg)
-    ra = resolve_range(panel.candles, cfg)
+    sb, sa = derive(before, cfg), derive(panel, cfg)
+    rb, ra = sb.resolved, sa.resolved
     tol = float(cfg.range_touch_tolerance)
     if (rb is None) != (ra is None):
         changes.append("range resolution changed")
@@ -345,8 +339,8 @@ def narrative_filter(panel: Panel, event_time: int, cfg: Config = DEFAULTS) -> d
                            ("upper", rb[0].upper, ra[0].upper)):
             if b > 0 and abs(float(a - b)) / float(b) > tol:
                 changes.append("range %s boundary moved" % name)
-    oi_before = oi_by_bar(before)[-1] if before.open_interest else None
-    oi_after = oi_by_bar(panel)[-1] if panel.open_interest else None
+    oi_before = sb.oi_by_bar[-1] if before.open_interest else None
+    oi_after = sa.oi_by_bar[-1] if panel.open_interest else None
     if oi_before is not None and oi_after is not None and oi_before.oi_usd > 0:
         shift = abs(float(oi_after.oi_usd - oi_before.oi_usd)) / float(oi_before.oi_usd)
         if shift > cfg.oi_collapse_decline:

@@ -12,22 +12,22 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import Config, DEFAULTS
-from .cost import build_funding_state, classify_magnitude, funding_bias_duration, funding_spike
+from .cost import build_funding_state, classify_magnitude, funding_bias_duration
 from .errors import InsufficientInputsError
 from .hypotheses import evaluate_all
 from .ingestion import annualize_funding, basis_spread
 from .liquidity import (
     book_imbalance,
     depth_at_extremes,
-    depth_extremes_trend,
     depth_percentiles,
+    extremes_slopes,
     fill_slippage,
     impact_pairs,
     market_impact_coefficient,
     shelf_migration,
     spread,
 )
-from .model import Panel, RangeDefinition, bar_index, fmt_dec, iso, oi_by_bar
+from .model import Panel, bar_index, fmt_dec, iso
 from .positioning import (
     boundary_cluster_share,
     concentration_gini,
@@ -45,13 +45,12 @@ from .regime import (
     recommend_action,
 )
 from .structure import (
+    PanelSeries,
     absorption_footprints,
-    map_swings,
+    derive,
+    ols_slope,
     range_persistence,
-    realized_volatility,
-    resolve_range,
     volume_nodes,
-    wick_series,
 )
 
 FAMILIES = ("structural", "cost", "positioning", "liquidity")
@@ -97,29 +96,26 @@ def _range_block(resolved) -> Optional[dict]:
 
 # ---------------------------------------------------------------- families
 
-def structural_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
+def structural_report(series: PanelSeries) -> dict:
+    panel, cfg = series.panel, series.cfg
     candles = panel.candles
-    swings = map_swings(candles, cfg.swing_lookback)
-    resolved = resolve_range(candles, cfg)
-    rv = realized_volatility(candles, cfg.realized_vol_window)
-    wick_up, wick_down = wick_series(candles)
     profile = volume_nodes(candles, cfg=cfg) if candles else None
     footprints = absorption_footprints(candles, cfg=cfg)
     per_bar = [{
         "time": iso(c.open_time),
         "close": fmt_dec(c.close),
-        "realized_vol": _float(rv[i]),
-        "upper_wick_pct": _float(wick_up[i]),
-        "lower_wick_pct": _float(wick_down[i]),
+        "realized_vol": _float(series.realized_vol[i]),
+        "upper_wick_pct": _float(series.wick_up[i]),
+        "lower_wick_pct": _float(series.wick_down[i]),
     } for i, c in enumerate(candles)]
     doc = {
         "kind": "structural",
         "cadence": "weekly assessment",
         "instrument": panel.instrument,
         "bars": len(candles),
-        "range": _range_block(resolved),
+        "range": _range_block(series.resolved),
         "swings": [{"bar": s.index, "kind": s.kind, "price": fmt_dec(s.price),
-                    "time": iso(s.time)} for s in swings],
+                    "time": iso(s.time)} for s in series.swings],
         "per_bar": per_bar,
         "volume_profile": None if profile is None else {
             "bin_edges": [_float(e) for e in profile.bin_edges],
@@ -131,16 +127,16 @@ def structural_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
                         "size_usd": _float(a.size_usd), "proxy": a.proxy}
                        for a in footprints],
     }
-    if resolved is not None:
-        doc["persistence_bars"] = range_persistence(candles, resolved[0])
+    if series.range is not None:
+        doc["persistence_bars"] = range_persistence(candles, series.range)
     return doc
 
 
-def cost_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
+def cost_report(series: PanelSeries) -> dict:
+    panel, cfg = series.panel, series.cfg
     records = panel.funding
     rates = [r.rate_8h for r in records]
     durations = funding_bias_duration(rates)
-    spikes = funding_spike(rates, cfg)
     state = build_funding_state(records, cfg)
     rows = []
     for i, rec in enumerate(records):
@@ -156,19 +152,15 @@ def cost_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
             "annualized_pct": _float(annualize_funding(rec.rate_8h)),
             "run_length": durations[i],
             "magnitude": classify_magnitude(rec.rate_8h, cfg),
-            "spike": spikes[i],
+            "spike": series.funding_spikes[i],
             "basis": basis,
         })
     # Rising vs moderating: sign of the |rate| slope over the short window.
     direction = "neutral"
     if state is not None and state.magnitude_class != "neutral":
         window = cfg.cumulative_short_days * cfg.settlements_per_day
-        tail = [abs(float(r)) for r in rates[-window:]]
-        if len(tail) >= 2:
-            x = np.arange(len(tail), dtype=float)
-            vx = x - x.mean()
-            slope = float((vx * (np.array(tail) - np.mean(tail))).sum()
-                          / (vx * vx).sum())
+        slope = ols_slope([abs(float(r)) for r in rates[-window:]])
+        if slope is not None:
             direction = "rising" if slope > 0 else "moderating"
     return {
         "kind": "cost",
@@ -190,16 +182,15 @@ def cost_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
     }
 
 
-def positioning_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
-    resolved = resolve_range(panel.candles, cfg)
-    rv = realized_volatility(panel.candles, cfg.realized_vol_window)
+def positioning_report(series: PanelSeries) -> dict:
+    panel, cfg = series.panel, series.cfg
     records = panel.open_interest
     oi_vals = [float(r.oi_usd) for r in records]
     vols = []
     for r in records:
         # records land at bar closes; t-1 falls inside the owning bar
         i = bar_index(panel, r.time - 1)
-        vols.append(float(rv[i]) if i is not None else float("nan"))
+        vols.append(float(series.realized_vol[i]) if i is not None else float("nan"))
     rotation = oi_rotation(oi_vals, vols) if records else []
     per_record = [{
         "time": iso(r.time),
@@ -210,9 +201,9 @@ def positioning_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
 
     density = liquidation_density(panel.liquidations, cfg=cfg)
     cluster = None
-    if resolved is not None and panel.liquidations:
+    if series.range is not None and panel.liquidations:
         share, clustered = boundary_cluster_share(panel.liquidations,
-                                                  resolved[0], cfg)
+                                                  series.range, cfg)
         cluster = {"share": share, "clustered": clustered}
 
     latest = records[-1] if records else None
@@ -235,7 +226,7 @@ def positioning_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
         "kind": "positioning",
         "cadence": "weekly deep-dive",
         "instrument": panel.instrument,
-        "range": _range_block(resolved),
+        "range": _range_block(series.resolved),
         "per_record": per_record,
         "liquidation_density": {
             "prices": [_float(p) for p in density.prices],
@@ -251,8 +242,8 @@ def positioning_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
     }
 
 
-def liquidity_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
-    resolved = resolve_range(panel.candles, cfg)
+def liquidity_report(series: PanelSeries) -> dict:
+    panel, cfg = series.panel, series.cfg
     books = panel.books
     latest = books[-1] if books else None
     doc = {
@@ -260,7 +251,7 @@ def liquidity_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
         "cadence": "daily updates",
         "instrument": panel.instrument,
         "snapshots": len(books),
-        "range": _range_block(resolved),
+        "range": _range_block(series.resolved),
         "latest": None,
         "extremes_trend": None,
         "impact": None,
@@ -287,8 +278,8 @@ def liquidity_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
                          "partial": sell.partial},
             },
         }
-        if resolved is not None:
-            rng = resolved[0]
+        rng = series.range
+        if rng is not None:
             mig = shelf_migration(latest, rng, cfg)
             block["shelf_migration"] = {
                 "ask_above_share": mig.ask_above_share,
@@ -296,15 +287,13 @@ def liquidity_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
                 "signal_up": mig.signal_up, "signal_down": mig.signal_down,
             }
             block["depth_at_extremes"] = _jsonable(depth_at_extremes(latest, rng, cfg))
-            doc["extremes_trend"] = _jsonable(depth_extremes_trend(books, rng, cfg))
             tail = books[-cfg.depth_trend_snapshots:]
-            doc["extremes_series"] = [
-                dict(_jsonable(depth_at_extremes(s, rng, cfg)), time=iso(s.time))
-                for s in tail]
+            rows = [depth_at_extremes(s, rng, cfg) for s in tail]
+            doc["extremes_trend"] = _jsonable(extremes_slopes(rows))
+            doc["extremes_series"] = [dict(_jsonable(row), time=iso(s.time))
+                                      for row, s in zip(rows, tail)]
         doc["latest"] = block
-    closes = [c.close for c in panel.candles]
-    volumes = [c.volume for c in panel.candles]
-    fit = market_impact_coefficient(impact_pairs(closes, volumes), cfg)
+    fit = market_impact_coefficient(impact_pairs(series.close, series.volume), cfg)
     if fit is not None:
         slope, r2 = fit
         doc["impact"] = {"slope": slope, "r_squared": r2}
@@ -325,10 +314,11 @@ def metrics_report(panel: Panel, cfg: Config = DEFAULTS,
     for f in wanted:
         if f not in _BUILDERS:
             raise ValueError("unknown metric family: %s" % f)
+    series = derive(panel, cfg)
     return {
         "kind": "metrics",
         "instrument": panel.instrument,
-        "families": {f: _BUILDERS[f](panel, cfg) for f in wanted},
+        "families": {f: _BUILDERS[f](series) for f in wanted},
     }
 
 
@@ -350,31 +340,30 @@ def verdict_to_dict(v) -> dict:
 
 def hypotheses_report(panel: Panel, cfg: Config = DEFAULTS,
                       only: Optional[Sequence[str]] = None) -> dict:
-    verdicts = evaluate_all(panel, cfg, only=only)
-    resolved = resolve_range(panel.candles, cfg)
+    series = derive(panel, cfg)
+    verdicts = evaluate_all(panel, cfg, only=only, series=series)
     return {
         "kind": "hypotheses",
         "instrument": panel.instrument,
-        "range": _range_block(resolved),
+        "range": _range_block(series.resolved),
         "verdicts": {name: verdict_to_dict(v)
                      for name, v in sorted(verdicts.items())},
     }
 
 
 def regime_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
-    regime = classify_regime(panel, cfg)
-    resolved = resolve_range(panel.candles, cfg)
-    rng = resolved[0] if resolved else None
-    states = assemble_trigger_states(panel, rng, cfg)
+    series = derive(panel, cfg)
+    regime = classify_regime(panel, cfg, series=series)
+    states = assemble_trigger_states(series)
     matrix = build_trigger_matrix(states, cfg)
-    verdicts = evaluate_all(panel, cfg)
+    verdicts = evaluate_all(panel, cfg, series=series)
     state = build_funding_state(panel.funding, cfg)
     position = range_position(panel.candles[-1].close if panel.candles else None,
-                              rng, cfg)
+                              series.range, cfg)
     action = recommend_action(regime, position, state, verdicts, cfg)
-    rv = realized_volatility(panel.candles, cfg.realized_vol_window)
     try:
-        platform = _jsonable(advise_platform_parameters(list(rv), cfg))
+        platform = _jsonable(advise_platform_parameters(list(series.realized_vol),
+                                                        cfg))
     except InsufficientInputsError:
         platform = None   # panel shorter than the volatility window
     return {
@@ -385,7 +374,7 @@ def regime_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
                    "cadence": "weekly assessment",
                    "evidence": [{"criterion": c, "value": _float(v), "met": m}
                                 for c, v, m in regime.evidence]},
-        "range": _range_block(resolved),
+        "range": _range_block(series.resolved),
         "trigger_matrix": {
             "entries": [{"name": n, "state": s} for n, s in matrix.entries],
             "conviction": matrix.conviction,

@@ -1,5 +1,6 @@
 """Structural metrics: swing mapping, range construction, volatility,
-wick geometry, volume distribution, absorption, persistence."""
+wick geometry, volume distribution, absorption, persistence, and the
+per-panel series every report and evaluator reads (`derive`)."""
 from __future__ import annotations
 
 import math
@@ -11,8 +12,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import Config, DEFAULTS
+from .cost import funding_spike
 from .errors import DataError
-from .model import Candle4H, RangeDefinition, d12
+from .model import Candle4H, Panel, RangeDefinition, d12, funding_by_bar, oi_by_bar
 
 
 @dataclass(frozen=True)
@@ -117,14 +119,15 @@ def derive_range(candles: Sequence[Candle4H], swings: Sequence[SwingPoint],
                            touch_count_lower=downs, touch_count_upper=ups)
 
 
-def resolve_range(candles: Sequence[Candle4H], cfg: Config = DEFAULTS):
+def resolve_range(candles: Sequence[Candle4H], swings: Sequence[SwingPoint],
+                  cfg: Config = DEFAULTS):
     """Most recent anchor where a range derives, walking back from the end.
 
+    `swings` are the candles' `map_swings` at `cfg.swing_lookback`.
     Evaluation tails (taps, breakouts) legitimately distort trailing swing
     extremes, so the established structure is the latest one that validates.
     Returns (range, anchor_index) or None.
     """
-    swings = map_swings(candles, cfg.swing_lookback)
     for end in range(len(candles) - 1, 2 * cfg.swing_lookback, -1):
         rng = derive_range(candles, swings, cfg, end=end)
         if rng is not None:
@@ -145,6 +148,22 @@ def realized_volatility(candles: Sequence[Candle4H], window: int = 20) -> np.nda
     stds = sliding_window_view(rets, window).std(axis=1, ddof=1)
     out[window:] = stds
     return out
+
+
+def ols_slope(values) -> Optional[float]:
+    """OLS slope of the values against their index, skipping None and NaN;
+    None with fewer than 2 points left."""
+    pts = [(i, v) for i, v in enumerate(values)
+           if v is not None and not (isinstance(v, float) and math.isnan(v))]
+    if len(pts) < 2:
+        return None
+    x = np.array([p[0] for p in pts], dtype=float)
+    y = np.array([p[1] for p in pts], dtype=float)
+    vx = x - x.mean()
+    var = (vx * vx).sum()
+    if var == 0:
+        return None
+    return float((vx * (y - y.mean())).sum() / var)
 
 
 def wick_to_body(candle: Candle4H):
@@ -241,3 +260,65 @@ def range_persistence(candles: Sequence[Candle4H], rng: RangeDefinition) -> int:
         else:
             break
     return count
+
+
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class PanelSeries:
+    """Everything the reports derive from one panel under one config.
+
+    Built only by `derive`, once per panel per report; the panel must not be
+    mutated after that. Arrays are read-only and per-bar lists are tuples.
+    """
+    panel: Panel
+    cfg: Config
+    close: np.ndarray          # float per bar
+    high: np.ndarray
+    low: np.ndarray
+    volume: np.ndarray
+    realized_vol: np.ndarray   # realized_volatility at cfg.realized_vol_window
+    wick_up: np.ndarray        # wick_series, NaN at dojis
+    wick_down: np.ndarray
+    swings: tuple              # map_swings at cfg.swing_lookback
+    resolved: Optional[tuple]  # resolve_range: (range, anchor bar) or None
+    funding_by_bar: tuple      # as-of funding record per bar, None before coverage
+    oi_by_bar: tuple           # as-of open-interest record per bar
+    funding_spikes: tuple      # funding_spike flag per settlement
+
+    @property
+    def range(self) -> Optional[RangeDefinition]:
+        return self.resolved[0] if self.resolved else None
+
+    def check(self, panel: Panel, cfg: Config) -> "PanelSeries":
+        """Self, when derived from this very panel under an equal config."""
+        if self.panel is not panel or self.cfg != cfg:
+            raise ValueError("series was derived from another panel or config")
+        return self
+
+
+def derive(panel: Panel, cfg: Config = DEFAULTS) -> PanelSeries:
+    """Compute the panel's derived series once for every consumer."""
+    candles = panel.candles
+    swings = map_swings(candles, cfg.swing_lookback)
+    wick_up, wick_down = wick_series(candles)
+    return PanelSeries(
+        panel=panel,
+        cfg=cfg,
+        close=_frozen([float(c.close) for c in candles]),
+        high=_frozen([float(c.high) for c in candles]),
+        low=_frozen([float(c.low) for c in candles]),
+        volume=_frozen([float(c.volume) for c in candles]),
+        realized_vol=_frozen(realized_volatility(candles, cfg.realized_vol_window)),
+        wick_up=_frozen(wick_up),
+        wick_down=_frozen(wick_down),
+        swings=tuple(swings),
+        resolved=resolve_range(candles, swings, cfg),
+        funding_by_bar=tuple(funding_by_bar(panel)),
+        oi_by_bar=tuple(oi_by_bar(panel)),
+        funding_spikes=tuple(funding_spike([f.rate_8h for f in panel.funding], cfg)),
+    )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .model import (
     iso,
     validate_panel,
 )
+from .structure import derive
 
 START_TIME = 1_700_006_400          # on both the 4H and 8H grids
 HALF_WIDTH = 0.03                   # scripted range half-width
@@ -502,8 +503,9 @@ def backtest(panels: Sequence[Panel], cfg: Config = DEFAULTS) -> dict:
     mismatches = []
     hit_rates = []
     for panel in panels:
-        verdicts = evaluate_all(panel, cfg)
-        regime = classify_regime(panel, cfg)
+        series = derive(panel, cfg)
+        verdicts = evaluate_all(panel, cfg, series=series)
+        regime = classify_regime(panel, cfg, series=series)
         row = {"instrument": panel.instrument, "regime": regime.label,
                "verdicts": {h: v.outcome for h, v in verdicts.items()}}
         for h, v in verdicts.items():

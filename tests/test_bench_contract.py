@@ -1,0 +1,48 @@
+"""The benchmark's view of the package still matches the package.
+
+bench/tracer.py times each function named in its SPANS, and counts calls of
+`model.d12`, by rebinding those names in every rangegov namespace; it counts
+the panels analysed by the first argument of its ANALYSIS entry points. A
+rename or a changed signature would otherwise only show in traced bench runs.
+"""
+import importlib
+import importlib.util
+import inspect
+import os
+
+from rangegov.config import DEFAULTS
+
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "bench", "tracer.py")
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _function(qualname: str):
+    layer, name = qualname.split(".")
+    mod = importlib.import_module("rangegov." + layer)
+    return mod, getattr(mod, name, None)
+
+
+def test_every_traced_name_is_a_module_level_function():
+    tracer = _tracer()
+    names = ["%s.%s" % (layer, fn) for layer, fns in tracer.SPANS.items()
+             for fn in fns] + ["model.d12"]
+    for qualname in names:
+        mod, fn = _function(qualname)
+        assert inspect.isfunction(fn), qualname
+        assert fn.__module__ == mod.__name__, qualname
+
+
+def test_analysis_entry_points_take_the_panel_first():
+    for qualname in _tracer().ANALYSIS:
+        _, fn = _function(qualname)
+        params = list(inspect.signature(fn).parameters.values())
+        assert params[0].name == "panel", qualname
+        assert params[0].default is inspect.Parameter.empty, qualname
+        assert params[1].name == "cfg" and params[1].default is DEFAULTS, qualname

@@ -66,6 +66,22 @@ def test_malformed_panel_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["validate", "metrics", "regime"])
+def test_nan_price_is_a_schema_error(panel_file, tmp_path, capsys, command):
+    with open(panel_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["candles"][5]["high"] = "NaN"
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--panel", str(path)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out.json")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "bad decimal 'NaN'" in err
+    assert "Traceback" not in err
+
+
 def test_missing_panel_file(tmp_path, capsys):
     assert main(["validate", "--panel", str(tmp_path / "nope.json")]) == 4
     capsys.readouterr()

@@ -9,7 +9,8 @@ from rangegov.hypotheses import (
     evaluate_h4,
     find_breakout_candidates,
 )
-from rangegov.model import BAR_SECONDS, Candle4H, Panel, RangeDefinition, d12
+from rangegov.model import BAR_SECONDS, Candle4H, Panel, d12
+from rangegov.structure import derive
 from rangegov.synth import scale_panel
 
 from conftest import SCENARIO_NAMES
@@ -140,15 +141,15 @@ def test_h1_not_evaluable_without_funding(scenario_panels):
     src, _ = scenario_panels["h1-confirm"]
     panel = Panel(src.instrument, src.candles, [], src.open_interest,
                   src.books, src.liquidations, {})
-    v = evaluate_h1(panel, _resolved(src), DEFAULTS)
+    v = evaluate_h1(_series(panel))
     assert v.outcome == NOT_EVALUABLE
 
 
 def test_h2_not_evaluable_without_breakout(scenario_panels):
     src, _ = scenario_panels["h1-confirm"]   # ranging panel, closes inside
-    rng = _resolved(src)
-    assert find_breakout_candidates(src, rng) == []
-    v = evaluate_h2(src, rng, None, None, DEFAULTS)
+    series = _series(src)
+    assert find_breakout_candidates(src, series.range) == []
+    v = evaluate_h2(series, None, None)
     assert v.outcome == NOT_EVALUABLE
 
 
@@ -159,7 +160,7 @@ def test_h3_not_evaluable_without_spike():
     funding = [FundingRecord(T0 + k * 28800, d12(0.0001), 8)
                for k in range(1, len(src_candles) // 2)]
     panel = Panel("FLAT", src_candles, funding, [], [], [], {})
-    v = evaluate_h3(panel, _resolved(panel), DEFAULTS)
+    v = evaluate_h3(_series(panel))
     assert v.outcome == NOT_EVALUABLE
 
 
@@ -167,17 +168,16 @@ def test_h4_not_evaluable_without_liquidations(scenario_panels):
     src, _ = scenario_panels["h4-confirm"]
     panel = Panel(src.instrument, src.candles, src.funding,
                   src.open_interest, src.books, [], {})
-    v = evaluate_h4(panel, _resolved(src), DEFAULTS)
+    v = evaluate_h4(_series(panel))
     assert v.outcome == NOT_EVALUABLE
 
 
 # --- helpers -------------------------------------------------------------------
 
-def _resolved(panel) -> RangeDefinition:
-    from rangegov.structure import resolve_range
-    resolved = resolve_range(panel.candles, DEFAULTS)
-    assert resolved is not None
-    return resolved[0]
+def _series(panel):
+    series = derive(panel, DEFAULTS)
+    assert series.range is not None
+    return series
 
 
 def _oscillating_candles(n=60, lo=100.0, hi=103.0):

@@ -20,8 +20,10 @@ def test_d12_quantizes_and_accepts_floats():
     assert d12(0.0005) == Decimal("0.0005")
     assert d12("1.5") == Decimal("1.5")
     assert str(d12(Decimal("2"))) == "2.000000000000"
-    with pytest.raises(DataError):
-        d12("not-a-number")
+    for bad in ("not-a-number", "NaN", "-NaN", "sNaN", float("nan"),
+                Decimal("NaN"), "Infinity"):
+        with pytest.raises(DataError):
+            d12(bad)
 
 
 def test_fmt_dec_is_plain_and_minimal():

@@ -6,7 +6,7 @@ from rangegov.model import (
 )
 from rangegov.quality import (
     FLAG, INTERPOLATED, REJECT, check_book_integrity, check_funding_bounds,
-    check_oi_sanity, check_price_consistency, check_timestamps,
+    check_oi_sanity, check_price_consistency,
     check_volume, check_wash_trading, fill_gaps, run_pipeline, snap_to_grid,
 )
 
@@ -21,12 +21,16 @@ def candle(open_time, close="100", volume="10", o=None, h=None, lo=None):
 
 
 def test_timestamp_tolerance_band():
-    grid = 3600
-    assert check_timestamps([T0 + 29], grid) == []
-    assert check_timestamps([T0 + 30], grid) == []
-    flags = check_timestamps([T0 + 31], grid, label="book")
+    # 29 s and 30 s off the hour stay put; only 31 s is snapped and flagged
+    panel = clean_panel()
+    panel.books = [book(T0 + 3600 + 29), book(T0 + 2 * 3600 + 30),
+                   book(T0 + 3 * 3600 + 31)]
+    cleaned, report = run_pipeline(panel)
+    flags = [f for f in report.flags if f.check == "timestamp_alignment"]
     assert len(flags) == 1 and flags[0].severity == FLAG
-    assert "book@" in flags[0].location
+    assert flags[0].location == "book@" + iso(T0 + 3 * 3600 + 31)
+    assert [b.time for b in cleaned.books] == [T0 + 3600 + 29, T0 + 2 * 3600 + 30,
+                                               T0 + 3 * 3600]
 
 
 def test_snap_to_grid_rounds_to_nearest():

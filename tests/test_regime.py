@@ -122,9 +122,8 @@ def test_matrix_rejects_unknown_state():
 
 def test_assemble_states_covers_all_five(scenario_panels):
     panel, _ = scenario_panels["h4-confirm"]
-    from rangegov.structure import resolve_range
-    rng = resolve_range(panel.candles, DEFAULTS)[0]
-    states = assemble_trigger_states(panel, rng, DEFAULTS)
+    from rangegov.structure import derive
+    states = assemble_trigger_states(derive(panel, DEFAULTS))
     assert set(states) == {"funding", "shelf_migration", "oi_rotation",
                            "volatility_compression", "liquidation_cluster"}
     evaluated = [v for v in states.values() if v is not None]

@@ -24,6 +24,7 @@ from rangegov.reports import (
     structural_report,
 )
 from rangegov.schemas import REPORT_SCHEMAS
+from rangegov.structure import derive
 
 _BUILDERS = {
     "structural": structural_report,
@@ -41,7 +42,7 @@ def rich_panel(scenario_panels):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_family_report_matches_schema(family, rich_panel):
-    doc = _BUILDERS[family](rich_panel, DEFAULTS)
+    doc = _BUILDERS[family](derive(rich_panel, DEFAULTS))
     jsonschema.validate(doc, REPORT_SCHEMAS[family])
     assert doc["kind"] == family
 
@@ -75,7 +76,7 @@ def test_reports_serialize_deterministically(rich_panel):
 
 
 def test_cost_report_convention_and_direction(rich_panel):
-    doc = cost_report(rich_panel, DEFAULTS)
+    doc = cost_report(derive(rich_panel, DEFAULTS))
     assert doc["cumulative_convention"] == \
         "simple sum of per-period rates, non-compounding"
     assert doc["direction"] in ("rising", "moderating", "neutral")
@@ -84,14 +85,14 @@ def test_cost_report_convention_and_direction(rich_panel):
 
 
 def test_density_grid_integrates_to_one(rich_panel):
-    doc = positioning_report(rich_panel, DEFAULTS)
+    doc = positioning_report(derive(rich_panel, DEFAULTS))
     block = doc["liquidation_density"]
     area = float(np.trapezoid(block["density"], block["prices"]))
     assert abs(area - 1.0) < 1e-3
 
 
 def test_boundary_cluster_present_on_cascade(rich_panel):
-    doc = positioning_report(rich_panel, DEFAULTS)
+    doc = positioning_report(derive(rich_panel, DEFAULTS))
     cluster = doc["boundary_cluster"]
     assert cluster is not None
     assert 0.0 <= cluster["share"] <= 1.0
@@ -99,7 +100,7 @@ def test_boundary_cluster_present_on_cascade(rich_panel):
 
 
 def test_extremes_series_respects_snapshot_cap(rich_panel):
-    doc = liquidity_report(rich_panel, DEFAULTS)
+    doc = liquidity_report(derive(rich_panel, DEFAULTS))
     series = doc.get("extremes_series")
     assert series
     assert len(series) <= DEFAULTS.depth_trend_snapshots
@@ -127,7 +128,7 @@ def test_plots_render_deterministically(rich_panel):
 
 def test_density_peak_lands_on_scripted_cluster(scenario_panels):
     panel, gt = scenario_panels["h4-confirm"]
-    doc = positioning_report(panel, DEFAULTS)
+    doc = positioning_report(derive(panel, DEFAULTS))
     svg, _ = render_plot(doc, "density")
     m = re.search(r'data-peak-price="([^"]+)"', svg)
     assert m, "peak marker missing"
@@ -153,6 +154,6 @@ def test_plot_missing_series(rich_panel):
 
 
 def test_plot_rejects_wrong_family(rich_panel):
-    doc = cost_report(rich_panel, DEFAULTS)
+    doc = cost_report(derive(rich_panel, DEFAULTS))
     with pytest.raises(SchemaError):
         render_plot(doc, "range")

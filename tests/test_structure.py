@@ -8,8 +8,8 @@ from rangegov.config import DEFAULTS
 from rangegov.errors import DataError
 from rangegov.model import BAR_SECONDS, Candle4H, RangeDefinition, d12
 from rangegov.structure import (
-    absorption_footprints, derive_range, map_swings, range_persistence,
-    realized_volatility, resolve_range, volume_nodes, wick_to_body,
+    absorption_footprints, derive, derive_range, map_swings, range_persistence,
+    realized_volatility, resolve_range, volume_nodes, wick_series, wick_to_body,
 )
 
 T0 = 1609459200
@@ -138,7 +138,7 @@ def test_resolve_range_sees_through_unconfirmed_tail():
         c = last * (1.05 + 0.01 * k)
         candles.append(bar(40 + k, repr(last), repr(c * 1.001), repr(last * 0.999), repr(c)))
         last = c
-    resolved = resolve_range(candles)
+    resolved = resolve_range(candles, map_swings(candles, DEFAULTS.swing_lookback))
     assert resolved is not None
     rng, _ = resolved
     assert float(rng.upper) == pytest.approx(104.0, abs=0.5)
@@ -159,7 +159,7 @@ def test_resolve_range_walks_past_confirmed_distorting_swing():
         candles.append(bar(40 + k, repr(prev), repr(float(high)),
                            repr(float(min(prev, c))), repr(float(c))))
         prev = float(c)
-    resolved = resolve_range(candles)
+    resolved = resolve_range(candles, map_swings(candles, DEFAULTS.swing_lookback))
     assert resolved is not None
     rng, anchor = resolved
     assert anchor < 50
@@ -281,3 +281,54 @@ def test_range_persistence_counts_trailing_inside():
     assert range_persistence(bars_from_closes([102.0, 105.0]), rng) == 0
     # boundary close counts as inside
     assert range_persistence(bars_from_closes([104.0]), rng) == 1
+
+
+# --- derived series --------------------------------------------------------------
+
+def test_derive_holds_what_each_function_computes(scenario_panels):
+    from rangegov.cost import funding_spike
+    from rangegov.model import funding_by_bar, oi_by_bar
+    panel, _ = scenario_panels["h4-confirm"]
+    cfg = DEFAULTS
+    series = derive(panel, cfg)
+    assert series.panel is panel and series.cfg is cfg
+    assert list(series.swings) == map_swings(panel.candles, cfg.swing_lookback)
+    assert series.resolved == resolve_range(panel.candles, series.swings, cfg)
+    assert series.range == series.resolved[0]
+    np.testing.assert_array_equal(
+        series.realized_vol, realized_volatility(panel.candles, cfg.realized_vol_window))
+    ups, downs = wick_series(panel.candles)
+    np.testing.assert_array_equal(series.wick_up, ups)
+    np.testing.assert_array_equal(series.wick_down, downs)
+    assert list(series.close) == [float(c.close) for c in panel.candles]
+    assert list(series.volume) == [float(c.volume) for c in panel.candles]
+    assert list(series.funding_by_bar) == funding_by_bar(panel)
+    assert list(series.oi_by_bar) == oi_by_bar(panel)
+    assert list(series.funding_spikes) == funding_spike(
+        [f.rate_8h for f in panel.funding], cfg)
+
+
+def test_derived_series_is_frozen(scenario_panels):
+    import dataclasses
+    series = derive(scenario_panels["h1-confirm"][0], DEFAULTS)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        series.resolved = None
+    with pytest.raises(ValueError):
+        series.close[0] = 1.0
+
+
+def test_series_from_another_panel_or_config_is_refused(scenario_panels):
+    import dataclasses
+    from rangegov.hypotheses import evaluate_all
+    from rangegov.regime import classify_regime
+    panel, _ = scenario_panels["h1-confirm"]
+    series = derive(panel, DEFAULTS)
+    twin = dataclasses.replace(panel)        # equal contents, another object
+    with pytest.raises(ValueError):
+        evaluate_all(scenario_panels["h4-confirm"][0], DEFAULTS, series=series)
+    with pytest.raises(ValueError):
+        evaluate_all(twin, DEFAULTS, series=series)
+    with pytest.raises(ValueError):
+        classify_regime(panel, DEFAULTS.replace(swing_lookback=4), series=series)
+    assert classify_regime(panel, DEFAULTS, series=series) == \
+        classify_regime(panel, DEFAULTS)
