@@ -23,8 +23,8 @@ import os
 import sys
 from datetime import datetime, timezone
 
-from . import formats, reports, synth
-from .config import Config, from_env
+from . import formats
+from .config import FAMILIES, Config, from_env
 from .errors import (
     DataError,
     InsufficientInputsError,
@@ -112,6 +112,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    from . import reports
     cfg = _resolve_config(args)
     panel = formats.load_panel(args.panel)
     families = [args.family] if args.family else None
@@ -122,6 +123,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_hypotheses(args) -> int:
+    from . import reports
     cfg = _resolve_config(args)
     panel = formats.load_panel(args.panel)
     only = ["H%s" % args.h] if args.h else None
@@ -136,6 +138,7 @@ def _cmd_hypotheses(args) -> int:
 
 
 def _cmd_regime(args) -> int:
+    from . import reports
     cfg = _resolve_config(args)
     panel = formats.load_panel(args.panel)
     doc = reports.regime_report(panel, cfg)
@@ -146,6 +149,7 @@ def _cmd_regime(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from . import synth
     cfg = _resolve_config(args)
     scenario = synth.load_scenario(args.scenario)
     if args.seed is not None:
@@ -157,6 +161,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_backtest(args) -> int:
+    from . import synth
     cfg = _resolve_config(args)
     paths = []
     for pattern in args.panels:
@@ -228,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="per-bar metric tables by family")
     p.add_argument("--panel", required=True)
-    p.add_argument("--family", choices=reports.FAMILIES)
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--out", required=True)
     _add_config_flags(p)
     _add_stamp(p)

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 from .errors import SchemaError
 
+# the metric families `reports.metrics_report` builds, in report order
+FAMILIES = ("structural", "cost", "positioning", "liquidity")
+
 
 @dataclass(frozen=True)
 class Config:

@@ -67,12 +67,13 @@ def funding_spike(rates: Sequence, cfg: Config = DEFAULTS) -> list:
     return out
 
 
-def build_funding_state(records: Sequence, cfg: Config = DEFAULTS) -> Optional[FundingState]:
+def build_funding_state(records: Sequence, durations: Sequence[int],
+                        cfg: Config = DEFAULTS) -> Optional[FundingState]:
+    """`durations` are the records' `funding_bias_duration` run lengths."""
     if not records:
         return None
     rates = [r.rate_8h for r in records]
     last = rates[-1]
-    durations = funding_bias_duration(rates)
     per_day = cfg.settlements_per_day
 
     def cum(days: int) -> Optional[float]:

@@ -16,6 +16,7 @@ from .config import Config, DEFAULTS
 from .errors import MissingSeriesError, SchemaError
 from .ingestion import RawTick, align_4h, normalize_funding, vwap_merge
 from .model import (
+    CANONICAL_LEVELS,
     BookSnapshot,
     Candle4H,
     FundingRecord,
@@ -35,14 +36,14 @@ SCHEMA_VERSION = "1"
 def _dec(raw: str, where: str) -> Decimal:
     try:
         return d12(Decimal(raw))
-    except (InvalidOperation, ValueError):
+    except (InvalidOperation, ValueError, TypeError):
         raise SchemaError("%s: bad decimal %r" % (where, raw))
 
 
 def _time(raw: str, where: str) -> int:
     try:
         return parse_iso(raw)
-    except ValueError:
+    except (ValueError, AttributeError):   # AttributeError: not a string
         raise SchemaError("%s: bad timestamp %r" % (where, raw))
 
 
@@ -204,20 +205,27 @@ def read_ticks_csv(path: str, exchange_id: str = "") -> list:
 
 # ------------------------------------------------------------ book snapshots
 
-def _levels_str(levels) -> str:
-    return " ".join("%s:%s" % (fmt_dec(p), fmt_dec(s)) for p, s in levels)
+def _levels_str(snap: BookSnapshot, side: str) -> str:
+    text = snap.level_text(side)
+    if text is not None:
+        return text
+    return " ".join("%s:%s" % (fmt_dec(p), fmt_dec(s)) for p, s in getattr(snap, side))
 
 
 def book_to_line(snap: BookSnapshot) -> str:
-    return "|".join([iso(snap.time), _levels_str(snap.bids), _levels_str(snap.asks)])
+    return "|".join([iso(snap.time), _levels_str(snap, "bids"), _levels_str(snap, "asks")])
 
 
 def book_from_line(line: str, where: str = "book") -> BookSnapshot:
+    """A canonical side (`CANONICAL_LEVELS`) stays text until first read; any
+    other side is decoded here, where a malformed one raises SchemaError."""
     parts = line.rstrip("\n").split("|")
     if len(parts) != 3:
         raise SchemaError("%s: want time|bids|asks, got %d fields" % (where, len(parts)))
 
     def levels(chunk: str):
+        if CANONICAL_LEVELS.fullmatch(chunk):
+            return chunk
         out = []
         for pair in chunk.split():
             bits = pair.split(":")
@@ -226,8 +234,7 @@ def book_from_line(line: str, where: str = "book") -> BookSnapshot:
             out.append((_dec(bits[0], where), _dec(bits[1], where)))
         return tuple(out)
 
-    return BookSnapshot(time=_time(parts[0], where),
-                        bids=levels(parts[1]), asks=levels(parts[2]))
+    return BookSnapshot.from_text(_time(parts[0], where), levels(parts[1]), levels(parts[2]))
 
 
 def read_books(path: str) -> list:
@@ -285,6 +292,21 @@ def panel_to_dict(panel: Panel) -> dict:
     }
 
 
+def _records(doc: dict, key: str, build, where: str) -> list:
+    """`build(record)` over the panel's `key` list; a record that is not an
+    object or lacks a field raises SchemaError naming it."""
+    out = []
+    for i, rec in enumerate(doc.get(key, [])):
+        if not isinstance(rec, dict):
+            raise SchemaError("%s: %s[%d] is not an object" % (where, key, i))
+        try:
+            out.append(build(rec))
+        except KeyError as exc:
+            raise SchemaError("%s: %s[%d] missing field %r"
+                              % (where, key, i, exc.args[0])) from None
+    return out
+
+
 def panel_from_dict(doc: dict, where: str = "panel") -> Panel:
     if not isinstance(doc, dict) or doc.get("kind") != "panel":
         raise SchemaError("%s: not a panel document" % where)
@@ -295,21 +317,21 @@ def panel_from_dict(doc: dict, where: str = "panel") -> Panel:
     def dec_or_none(v, w):
         return _dec(v, w) if v is not None else None
 
-    candles = [Candle4H(
+    candles = _records(doc, "candles", lambda c: Candle4H(
         open_time=_time(c["time"], where), open=_dec(c["open"], where),
         high=_dec(c["high"], where), low=_dec(c["low"], where),
         close=_dec(c["close"], where), volume=_dec(c["volume"], where),
         exchange_count=int(c.get("exchange_count", 1)),
         interpolated=bool(c.get("interpolated", False)),
-    ) for c in doc.get("candles", [])]
-    funding = [FundingRecord(
+    ), where)
+    funding = _records(doc, "funding", lambda f: FundingRecord(
         settle_time=_time(f["time"], where), rate_8h=_dec(f["rate_8h"], where),
         source_interval_hours=int(f.get("source_interval_hours", 8)),
         exchange_count=int(f.get("exchange_count", 1)),
         mark_price=dec_or_none(f.get("mark_price"), where),
         index_price=dec_or_none(f.get("index_price"), where),
-    ) for f in doc.get("funding", [])]
-    oi = [OpenInterestRecord(
+    ), where)
+    oi = _records(doc, "open_interest", lambda r: OpenInterestRecord(
         time=_time(r["time"], where), oi_usd=_dec(r["oi_usd"], where),
         long_oi_usd=dec_or_none(r.get("long_oi_usd"), where),
         short_oi_usd=dec_or_none(r.get("short_oi_usd"), where),
@@ -317,12 +339,12 @@ def panel_from_dict(doc: dict, where: str = "panel") -> Panel:
         if r.get("holder_shares") else None,
         leverage_histogram=dict(r["leverage_histogram"])
         if r.get("leverage_histogram") else None,
-    ) for r in doc.get("open_interest", [])]
+    ), where)
     books = [book_from_line(line, where) for line in doc.get("books", [])]
-    liqs = [LiquidationEvent(
+    liqs = _records(doc, "liquidations", lambda e: LiquidationEvent(
         time=_time(e["time"], where), price=_dec(e["price"], where),
         size_usd=_dec(e["size_usd"], where), side=e["side"],
-    ) for e in doc.get("liquidations", [])]
+    ), where)
     return Panel(
         instrument=doc.get("instrument", ""),
         candles=candles, funding=funding, open_interest=oi,

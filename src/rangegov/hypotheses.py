@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import Config, DEFAULTS
-from .cost import funding_bias_duration
 from .liquidity import depth_extremes_trend, shelf_migration
 from .model import (
     BAR_SECONDS,
@@ -89,7 +88,7 @@ def evaluate_h1(series: PanelSeries) -> HypothesisVerdict:
         return _not_evaluable(name, tail, ["OI history shorter than the %d-day baseline"
                                            % cfg.oi_baseline_days])
 
-    duration = funding_bias_duration([f.rate_8h for f in panel.funding])[-1]
+    duration = series.funding_bias[-1]
     bias_ok = duration >= cfg.funding_bias_min_periods
 
     oi_vals = np.array([float(r.oi_usd) for r in oi_records[n - baseline_bars:]])
@@ -265,6 +264,9 @@ def evaluate_h2(series: PanelSeries, breakout_bar: Optional[int],
     if any(r is None for r in window_oi) or len(window_oi) < 2:
         s3 = Signal("oi_rotation", None, None, "label == rotation")
         notes.append("OI missing around the break")
+    elif window_oi[0].oi_usd == 0:
+        s3 = Signal("oi_rotation", None, None, "label == rotation")
+        notes.append("OI zero at the start of the window: change undefined")
     else:
         values = [float(r.oi_usd) for r in window_oi]
         shares = [float(r.long_share) if r.long_share is not None else None

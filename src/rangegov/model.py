@@ -8,6 +8,7 @@ Conventions, fixed across the package:
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
@@ -121,11 +122,58 @@ class OpenInterestRecord:
         return self.long_oi_usd / total
 
 
+# One book side as `fmt_dec` writes it: "price:size" pairs separated by single
+# spaces, each number plain, unsigned, without leading or trailing zeros, with
+# at most 16 integer and 12 fractional digits. Such a number fits the 28-digit
+# context at 12 places, so `d12` cannot fail on it, and `fmt_dec(d12(x)) == x`.
+# ASCII digits only: `Decimal` also reads other scripts' digits, which
+# `fmt_dec` would not write back.
+_CANONICAL_NUMBER = r"(?:0|[1-9][0-9]{0,15})(?:\.[0-9]{0,11}[1-9])?"
+CANONICAL_LEVELS = re.compile(r"(?:{n}:{n}(?: {n}:{n})*)?".format(n=_CANONICAL_NUMBER))
+
+
+class _LevelText:
+    """A `BookSnapshot` side that `from_text` left as text.
+
+    The first read decodes it into ((price, size), ...) through `d12` and
+    stores the tuple on the instance, which shadows this non-data descriptor
+    from then on, as `functools.cached_property` does.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+        self.text_key = "_%s_text" % name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:   # no class-level value, so the dataclass field has no default
+            raise AttributeError(self.name)
+        numbers = [d12(x) for x in obj.__dict__[self.text_key].replace(":", " ").split()]
+        levels = tuple(zip(numbers[::2], numbers[1::2]))
+        obj.__dict__[self.name] = levels
+        return levels
+
+
 @dataclass(frozen=True)
 class BookSnapshot:
     time: int
-    bids: tuple   # ((price, size), ...) best first, descending prices
-    asks: tuple   # ((price, size), ...) best first, ascending prices
+    bids: tuple = _LevelText()   # ((price, size), ...) best first, descending prices
+    asks: tuple = _LevelText()   # ((price, size), ...) best first, ascending prices
+
+    @classmethod
+    def from_text(cls, time: int, bids, asks) -> "BookSnapshot":
+        """A snapshot whose sides are each a levels tuple or a text that
+        matches `CANONICAL_LEVELS`. A text side is decoded on first read, and
+        `level_text` gives it back verbatim."""
+        snap = cls.__new__(cls)
+        state = snap.__dict__
+        state["time"] = time
+        for name, side in (("bids", bids), ("asks", asks)):
+            state["_%s_text" % name if isinstance(side, str) else name] = side
+        return snap
+
+    def level_text(self, side: str) -> Optional[str]:
+        """The canonical text `side` ("bids" or "asks") was built from, else None."""
+        return self.__dict__.get("_%s_text" % side)
 
     @property
     def best_bid(self) -> Decimal:

@@ -11,8 +11,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import Config, DEFAULTS
-from .cost import build_funding_state, classify_magnitude, funding_bias_duration
+from .config import DEFAULTS, FAMILIES, Config
+from .cost import build_funding_state, classify_magnitude
 from .errors import InsufficientInputsError
 from .hypotheses import evaluate_all
 from .ingestion import annualize_funding, basis_spread
@@ -52,8 +52,6 @@ from .structure import (
     range_persistence,
     volume_nodes,
 )
-
-FAMILIES = ("structural", "cost", "positioning", "liquidity")
 
 
 def _jsonable(value):
@@ -136,8 +134,8 @@ def cost_report(series: PanelSeries) -> dict:
     panel, cfg = series.panel, series.cfg
     records = panel.funding
     rates = [r.rate_8h for r in records]
-    durations = funding_bias_duration(rates)
-    state = build_funding_state(records, cfg)
+    durations = series.funding_bias
+    state = build_funding_state(records, durations, cfg)
     rows = []
     for i, rec in enumerate(records):
         basis = None
@@ -357,7 +355,7 @@ def regime_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
     states = assemble_trigger_states(series)
     matrix = build_trigger_matrix(states, cfg)
     verdicts = evaluate_all(panel, cfg, series=series)
-    state = build_funding_state(panel.funding, cfg)
+    state = build_funding_state(panel.funding, series.funding_bias, cfg)
     position = range_position(panel.candles[-1].close if panel.candles else None,
                               series.range, cfg)
     action = recommend_action(regime, position, state, verdicts, cfg)

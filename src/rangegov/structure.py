@@ -12,7 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import Config, DEFAULTS
-from .cost import funding_spike
+from .cost import funding_bias_duration, funding_spike
 from .errors import DataError
 from .model import Candle4H, Panel, RangeDefinition, d12, funding_by_bar, oi_by_bar
 
@@ -289,6 +289,7 @@ class PanelSeries:
     funding_by_bar: tuple      # as-of funding record per bar, None before coverage
     oi_by_bar: tuple           # as-of open-interest record per bar
     funding_spikes: tuple      # funding_spike flag per settlement
+    funding_bias: tuple        # funding_bias_duration run length per settlement
 
     @property
     def range(self) -> Optional[RangeDefinition]:
@@ -306,6 +307,7 @@ def derive(panel: Panel, cfg: Config = DEFAULTS) -> PanelSeries:
     candles = panel.candles
     swings = map_swings(candles, cfg.swing_lookback)
     wick_up, wick_down = wick_series(candles)
+    rates = [f.rate_8h for f in panel.funding]
     return PanelSeries(
         panel=panel,
         cfg=cfg,
@@ -320,5 +322,6 @@ def derive(panel: Panel, cfg: Config = DEFAULTS) -> PanelSeries:
         resolved=resolve_range(candles, swings, cfg),
         funding_by_bar=tuple(funding_by_bar(panel)),
         oi_by_bar=tuple(oi_by_bar(panel)),
-        funding_spikes=tuple(funding_spike([f.rate_8h for f in panel.funding], cfg)),
+        funding_spikes=tuple(funding_spike(rates, cfg)),
+        funding_bias=tuple(funding_bias_duration(rates)),
     )

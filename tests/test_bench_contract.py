@@ -46,3 +46,23 @@ def test_analysis_entry_points_take_the_panel_first():
         assert params[0].name == "panel", qualname
         assert params[0].default is inspect.Parameter.empty, qualname
         assert params[1].name == "cfg" and params[1].default is DEFAULTS, qualname
+
+
+def test_tracer_sees_the_layers_a_command_imports_late(tmp_path, capsys):
+    from conftest import scenario_path
+    from rangegov import cli
+
+    panel = str(tmp_path / "panel.json")
+    assert cli.main(["synth", "--scenario", scenario_path("h1-confirm"), "--out", panel]) == 0
+    tracer = _tracer()
+    rec = tracer.Recorder()
+    uninstall = tracer.install(rec)
+    try:
+        assert cli.main(["metrics", "--panel", panel, "--out", str(tmp_path / "m.json")]) == 0
+    finally:
+        uninstall()
+    spans = rec.summary()["spans"]
+    for name in ("cli.main", "formats.load_panel", "reports.metrics_report",
+                 "reports.structural_report", "structure.resolve_range"):
+        assert spans[name][0] >= 1, name
+    capsys.readouterr()

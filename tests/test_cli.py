@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rangegov
 from rangegov.cli import main
+from rangegov.config import DEFAULTS
 from rangegov.formats import (
     load_panel,
     load_report,
@@ -14,6 +19,7 @@ from rangegov.formats import (
     write_funding_csv,
     write_oi_csv,
 )
+from rangegov.hypotheses import evaluate_all
 from rangegov.model import d12
 
 from conftest import SCENARIO_NAMES, scenario_path
@@ -80,6 +86,61 @@ def test_nan_price_is_a_schema_error(panel_file, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "bad decimal 'NaN'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("series, field", [
+    ("candles", "close"), ("candles", "time"), ("funding", "rate_8h"),
+    ("open_interest", "oi_usd"), ("liquidations", "price"),
+])
+def test_missing_record_field_is_a_schema_error(corpus_dir, tmp_path, capsys,
+                                                series, field):
+    with open(corpus_dir / "h4-confirm.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc[series][1][field]
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--panel", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "%s[1] missing field %r" % (series, field) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value, message", [
+    (None, "bad decimal None"), (["x"], "not an object"),
+])
+def test_null_or_non_object_record_is_a_schema_error(panel_file, tmp_path, capsys,
+                                                     value, message):
+    with open(panel_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if isinstance(value, list):
+        doc["candles"][2] = value
+    else:
+        doc["candles"][2]["close"] = value
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--panel", str(path)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_zero_oi_before_a_break_leaves_h2_not_evaluable(corpus_dir, tmp_path, capsys):
+    source = corpus_dir / "h2-confirm.json"
+    panel = load_panel(str(source))
+    start = evaluate_all(panel, DEFAULTS)["H2"].window[0]
+    close_t = panel.candles[start].close_time
+    k = max(i for i, r in enumerate(panel.open_interest) if r.time <= close_t)
+    doc = json.loads(source.read_text())
+    doc["open_interest"][k]["oi_usd"] = "0"
+    path = tmp_path / "zero-oi.json"
+    path.write_text(json.dumps(doc))
+
+    out = tmp_path / "h.json"
+    assert main(["hypotheses", "--panel", str(path), "--h", "2", "--out", str(out)]) == 0
+    h2 = load_report(str(out))["verdicts"]["H2"]
+    assert h2["outcome"] == "not-evaluable"
+    assert "OI zero at the start of the window: change undefined" in h2["notes"]
+    assert [s["met"] for s in h2["signals"] if s["name"] == "oi_rotation"] == [None]
+    assert main(["regime", "--panel", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
 
 
 def test_missing_panel_file(tmp_path, capsys):
@@ -288,6 +349,31 @@ def test_ingest_rejects_then_allows_flagged(panel_file, tmp_path, capsys):
     assert rc == 0
     assert out.exists()
     capsys.readouterr()
+
+
+def test_ingest_validate_and_plot_never_import_numpy(panel_file, tmp_path, capsys):
+    source = load_panel(panel_file)
+    _write_inputs(tmp_path, source)
+    report = tmp_path / "m.json"
+    assert main(["metrics", "--panel", panel_file, "--out", str(report)]) == 0
+    capsys.readouterr()
+    argvs = [
+        ["ingest", "--manifest", _manifest(tmp_path), "--out", str(tmp_path / "p.json")],
+        ["validate", "--panel", str(tmp_path / "p.json")],
+        ["plot", "--report", str(report), "--kind", "range",
+         "--out", str(tmp_path / "fig.svg")],
+    ]
+    script = ("import json, sys\n"
+              "import rangegov.cli\n"
+              "codes = [rangegov.cli.main(a) for a in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
+    src = os.path.dirname(os.path.dirname(rangegov.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("RG_CONFIG", None)
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0], False]
 
 
 # ------------------------------------------------------------ config layers

@@ -106,13 +106,17 @@ class TestSpike:
         assert base == moved
 
 
+def _state(rates):
+    return build_funding_state(records(rates), funding_bias_duration(rates))
+
+
 class TestFundingState:
     def test_empty_history(self):
-        assert build_funding_state([]) is None
+        assert build_funding_state([], []) is None
 
     def test_composed_fields(self):
         rates = [0.0] * 3 + [0.0008] * 90
-        state = build_funding_state(records(rates))
+        state = _state(rates)
         assert state.bias_sign == "positive"
         assert state.bias_duration == 90
         assert state.magnitude_class == ELEVATED
@@ -121,23 +125,23 @@ class TestFundingState:
         assert state.cumulative_30d == pytest.approx(90 * 0.0008, rel=1e-9)
 
     def test_windows_longer_than_history_are_omitted(self):
-        state = build_funding_state(records([0.0002] * 30))
+        state = _state([0.0002] * 30)
         assert state.cumulative_7d == pytest.approx(21 * 0.0002, rel=1e-9)
         assert state.cumulative_30d is None
 
     def test_negative_bias(self):
-        state = build_funding_state(records([-0.0003, -0.0002]))
+        state = _state([-0.0003, -0.0002])
         assert state.bias_sign == "negative"
         assert state.bias_duration == 2
         assert state.magnitude_class == NORMAL
 
     def test_zero_last_rate_is_neutral(self):
-        state = build_funding_state(records([0.0004, 0.0]))
+        state = _state([0.0004, 0.0])
         assert state.bias_sign == "neutral"
         assert state.bias_duration == 0
 
     def test_duration_at_least_one_when_signed(self):
         for rates in ([0.0001], [0.0005, -0.0005], [-0.001, 0.002, 0.003]):
-            state = build_funding_state(records(rates))
+            state = _state(rates)
             if state.bias_sign != "neutral":
                 assert state.bias_duration >= 1

@@ -1,10 +1,16 @@
+import dataclasses
 import json
 import os
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rangegov.config import DEFAULTS
 from rangegov.errors import MissingSeriesError, SchemaError
 from rangegov.formats import (
+    _dec,
     book_from_line,
     book_to_line,
     dump_json,
@@ -26,6 +32,7 @@ from rangegov.formats import (
 )
 from rangegov.model import (
     BAR_SECONDS,
+    CANONICAL_LEVELS,
     BookSnapshot,
     Candle4H,
     FundingRecord,
@@ -33,8 +40,10 @@ from rangegov.model import (
     OpenInterestRecord,
     Panel,
     d12,
+    fmt_dec,
     iso,
 )
+from rangegov.quality import QualityReport, _snap_records
 
 T0 = 1700006400   # 2023-11-15T00:00:00Z, on the 4H grid
 
@@ -134,6 +143,96 @@ class TestBookLines:
             book_from_line("2023-11-15T00:00:00Z|99:1")
         with pytest.raises(SchemaError):
             book_from_line("2023-11-15T00:00:00Z|99:1:2|101:1")
+
+
+class TestLazyBookLevels:
+    """Canonical book sides stay text until first read; any other side is
+    decoded, or rejected, at load exactly as before."""
+
+    # every number CANONICAL_LEVELS accepts: 0 or up to 16 digits without a
+    # leading zero, then optionally 1-12 fractional digits ending in non-zero
+    NUMBER = st.builds(
+        lambda whole, frac: str(whole) + ("" if frac is None else "." + frac),
+        st.integers(0, 10 ** 16 - 1),
+        st.none() | st.builds(str.__add__, st.text("0123456789", max_size=11),
+                              st.sampled_from("123456789")))
+
+    @given(st.lists(st.tuples(NUMBER, NUMBER), max_size=4))
+    @settings(max_examples=200)
+    def test_canonical_side_decodes_as_the_eager_path(self, pairs):
+        side = " ".join("%s:%s" % pair for pair in pairs)
+        assert CANONICAL_LEVELS.fullmatch(side)
+        line = "2023-11-15T00:00:00Z|%s|%s" % (side, side)
+        snap = book_from_line(line)
+        assert snap.level_text("bids") == side
+        numbers = [x for pair in pairs for x in pair]
+        eager = tuple((_dec(p, "w"), _dec(s, "w"))
+                      for p, s in (pair.split(":") for pair in side.split()))
+        assert snap.bids == eager
+        assert [str(x) for lvl in snap.asks for x in lvl] == \
+            [str(x) for lvl in eager for x in lvl]
+        assert all(fmt_dec(d12(x)) == x for x in numbers)
+        assert book_to_line(snap) == line
+
+    # side text -> (message, or the decoded levels as plain strings)
+    NOT_CANONICAL = [
+        ("100.50:1", ("100.500000000000", "1.000000000000")),
+        ("1e3:1", ("1000.000000000000", "1.000000000000")),
+        ("-1:1", ("-1.000000000000", "1.000000000000")),
+        ("+1:1", ("1.000000000000", "1.000000000000")),
+        (".5:1", ("0.500000000000", "1.000000000000")),
+        ("00:1", ("0E-12", "1.000000000000")),
+        (" 99.5:1", ("99.500000000000", "1.000000000000")),
+        ("0.0000000000001:1", ("0E-12", "1.000000000000")),
+        ("1\u0663:1", ("13.000000000000", "1.000000000000")),
+        ("NaN:1", "bad decimal 'NaN'"),
+        ("sNaN:1", "bad decimal 'sNaN'"),
+        ("Infinity:1", "bad decimal 'Infinity'"),
+        ("1e999:1", "bad decimal '1e999'"),
+        ("1234567890123456789:1", "bad decimal '1234567890123456789'"),
+        ("x:1", "bad decimal 'x'"),
+        ("99.5:", "bad decimal ''"),
+        ("1:2:3", "bad level '1:2:3'"),
+    ]
+
+    @pytest.mark.parametrize("side, expected", NOT_CANONICAL)
+    def test_other_sides_take_the_eager_path(self, side, expected):
+        line = "2023-11-15T00:00:00Z|%s|101:1" % side
+        if isinstance(expected, str):
+            with pytest.raises(SchemaError) as exc:
+                book_from_line(line, "w")
+            assert str(exc.value) == "w: " + expected
+            return
+        snap = book_from_line(line, "w")
+        assert snap.level_text("bids") is None
+        assert snap.level_text("asks") == "101:1"
+        assert tuple(str(x) for x in snap.bids[0]) == expected
+
+    def test_bad_timestamp_is_still_rejected_first(self):
+        with pytest.raises(SchemaError, match="w: bad timestamp 'x'"):
+            book_from_line("x|NaN:1|101:1", "w")
+
+    def test_lazy_snapshot_behaves_as_its_eager_twin(self):
+        line = "2023-11-15T00:00:31Z|99.5:5 99:9|100.5:4 101:11"   # 31 s off the hour
+        eager = BookSnapshot(T0 + 31, ((d12("99.5"), d12(5)), (d12(99), d12(9))),
+                             ((d12("100.5"), d12(4)), (d12(101), d12(11))))
+        lazy = book_from_line(line)
+        assert lazy == eager and hash(lazy) == hash(eager)
+        assert lazy.bids is lazy.bids
+        assert book_to_line(lazy) == line == book_to_line(eager)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lazy.bids = ()
+
+        thawed = pickle.loads(pickle.dumps(book_from_line(line)))
+        assert thawed.level_text("asks") == "100.5:4 101:11"
+        assert thawed == eager
+
+        report = QualityReport()
+        (snapped,) = _snap_records([book_from_line(line)], "time", lambda s: 3600,
+                                   "book", report, DEFAULTS)
+        assert snapped.time == T0
+        assert (snapped.bids, snapped.asks) == (eager.bids, eager.asks)
+        assert [f.check for f in report.flags] == ["timestamp_alignment"]
 
 
 class TestPanelDocument:

@@ -286,7 +286,7 @@ def test_range_persistence_counts_trailing_inside():
 # --- derived series --------------------------------------------------------------
 
 def test_derive_holds_what_each_function_computes(scenario_panels):
-    from rangegov.cost import funding_spike
+    from rangegov.cost import funding_bias_duration, funding_spike
     from rangegov.model import funding_by_bar, oi_by_bar
     panel, _ = scenario_panels["h4-confirm"]
     cfg = DEFAULTS
@@ -304,8 +304,9 @@ def test_derive_holds_what_each_function_computes(scenario_panels):
     assert list(series.volume) == [float(c.volume) for c in panel.candles]
     assert list(series.funding_by_bar) == funding_by_bar(panel)
     assert list(series.oi_by_bar) == oi_by_bar(panel)
-    assert list(series.funding_spikes) == funding_spike(
-        [f.rate_8h for f in panel.funding], cfg)
+    rates = [f.rate_8h for f in panel.funding]
+    assert list(series.funding_spikes) == funding_spike(rates, cfg)
+    assert list(series.funding_bias) == funding_bias_duration(rates)
 
 
 def test_derived_series_is_frozen(scenario_panels):
