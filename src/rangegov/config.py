@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import typing
 from dataclasses import dataclass
 
 from .errors import SchemaError
@@ -119,10 +120,39 @@ class Config:
     merge_top_exchanges: int = 3
 
     def replace(self, **overrides) -> "Config":
-        bad = set(overrides) - {f.name for f in dataclasses.fields(self)}
+        """A copy with `overrides` applied; SchemaError names the first key
+        that is unknown, of the wrong type or below its field's floor."""
+        bad = set(overrides) - set(_FIELD_TYPES)
         if bad:
             raise SchemaError(f"unknown config keys: {sorted(bad)}")
+        for name, value in overrides.items():
+            _check(name, value)
         return dataclasses.replace(self, **overrides)
+
+
+_FIELD_TYPES = typing.get_type_hints(Config)
+
+# Every int field is a window, lookback, count or tolerance: at least 1, except
+# where zero means "none" and where a sample std needs two points.
+_INT_FLOORS = {
+    "timestamp_tolerance_s": 0,
+    "max_interpolation_gap": 0,
+    "funding_spike_lookback": 2,
+    "realized_vol_window": 2,
+}
+
+
+def _check(name: str, value) -> None:
+    """An int field takes an int (not a bool); a float field takes an int or
+    a float that is not NaN."""
+    if _FIELD_TYPES[name] is int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise SchemaError(f"config {name}: want an integer, got {value!r}")
+        floor = _INT_FLOORS.get(name, 1)
+        if value < floor:
+            raise SchemaError(f"config {name}: must be >= {floor}, got {value!r}")
+    elif not isinstance(value, (int, float)) or isinstance(value, bool) or value != value:
+        raise SchemaError(f"config {name}: want a number, got {value!r}")
 
 
 DEFAULTS = Config()

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import Config, DEFAULTS
 from .ingestion import annualize_funding, cumulative_funding
@@ -53,18 +54,24 @@ def classify_magnitude(rate, cfg: Config = DEFAULTS) -> str:
     return NORMAL
 
 
+def trailing_mean_std(values: np.ndarray, look: int) -> tuple:
+    """Mean and sample std of each window of `look` values that ends just
+    before index t, for t from `look` to the end; `look` >= 2."""
+    windows = sliding_window_view(values, look)[:-1]
+    return windows.mean(axis=1), windows.std(axis=1, ddof=1)
+
+
 def funding_spike(rates: Sequence, cfg: Config = DEFAULTS) -> list:
     """Per-settlement spike flags vs the trailing window, which sits strictly
     before the tested value. None until enough history."""
     look = cfg.funding_spike_lookback
     values = np.array([float(d12(r)) for r in rates])
-    out: list = [None] * len(values)
-    for t in range(look, len(values)):
-        window = values[t - look:t]
-        mean = window.mean()
-        std = max(window.std(ddof=1), cfg.funding_spike_sigma_floor)
-        out[t] = bool(abs(values[t] - mean) > cfg.funding_spike_sigma * std)
-    return out
+    if len(values) <= look:
+        return [None] * len(values)
+    mean, std = trailing_mean_std(values, look)
+    std = np.maximum(std, cfg.funding_spike_sigma_floor)
+    flags = np.abs(values[look:] - mean) > cfg.funding_spike_sigma * std
+    return [None] * look + flags.tolist()
 
 
 def build_funding_state(records: Sequence, durations: Sequence[int],

@@ -10,6 +10,7 @@ import csv
 import json
 import os
 from decimal import Decimal, InvalidOperation
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
 from .config import Config, DEFAULTS
@@ -353,8 +354,80 @@ def panel_from_dict(doc: dict, where: str = "panel") -> Panel:
     )
 
 
-def dump_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _is_scalar(value) -> bool:
+    return isinstance(value, (str, int, float)) or value is None
+
+
+def dump_json(doc) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2) + "\\n"`, byte for byte.
+
+    With `indent`, `json.dumps` runs the pure-Python encoder. Here Python
+    walks only the containers that hold containers: every scalar, and every
+    dict, list or tuple whose members are all scalars, is written by the C
+    encoder built for its depth. Errors are those of `json.dumps`: the same
+    TypeError for an unserializable value or key, and ValueError for a
+    circular reference. All parts go to one list, joined once.
+    """
+    parts = []
+    levels = {}   # depth -> (C encoder, first-member indent, separator, closing indent)
+    path = set()  # ids of the containers being walked
+
+    def level(depth: int) -> tuple:
+        got = levels.get(depth)
+        if got is None:
+            indent = "\n" + "  " * (depth + 1)
+            got = levels[depth] = (
+                c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                               None, ": ", "," + indent, True, False, True),
+                indent, "," + indent, "\n" + "  " * depth)
+        return got
+
+    def emit(value, depth: int) -> None:
+        enc, indent, sep, outer = level(depth)
+        if isinstance(value, dict):
+            members = value.values()
+        elif isinstance(value, (list, tuple)):
+            members = value
+        else:
+            parts.append("".join(enc(value, 0)))
+            return
+        if not value:
+            parts.append("[]" if members is value else "{}")
+            return
+        # the exact-type test is the fast one; subclasses (np.float64) take the second
+        if _SCALAR_TYPES.issuperset(map(type, members)) or all(map(_is_scalar, members)):
+            text = "".join(enc(value, 0))
+            parts.extend((text[0], indent, text[1:-1], outer, text[-1]))
+            return
+        if id(value) in path:
+            raise ValueError("Circular reference detected")
+        path.add(id(value))
+        if members is value:
+            parts.append("[")
+            for i, member in enumerate(value):
+                parts.append(sep if i else indent)
+                emit(member, depth + 1)
+            parts.extend((outer, "]"))
+        else:
+            parts.append("{")
+            for i, (key, member) in enumerate(sorted(value.items())):
+                if not _is_scalar(key):
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    "not %s" % key.__class__.__name__)
+                if not isinstance(key, str):
+                    key = "".join(enc(key, 0))
+                parts.append(sep if i else indent)
+                parts.append(encode_basestring_ascii(key) + ": ")
+                emit(member, depth + 1)
+            parts.extend((outer, "}"))
+        path.remove(id(value))
+
+    emit(doc, 0)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def save_panel(path: str, panel: Panel) -> None:

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
+from time import gmtime, strftime
 from typing import Optional, Sequence
 
 from .errors import DataError, SchemaError
@@ -52,7 +53,7 @@ def fmt_dec(value: Decimal) -> str:
 
 
 def iso(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return strftime("%Y-%m-%dT%H:%M:%SZ", gmtime(ts))
 
 
 def parse_iso(text: str) -> int:
@@ -409,11 +410,12 @@ def bar_index(panel: Panel, time: int) -> Optional[int]:
 def _asof_by_bar(panel: Panel, records: Sequence, key) -> list:
     """Latest record at or before each bar close; None before coverage."""
     out = []
+    keys = [key(r) for r in records]
     j = -1
-    n = len(records)
+    n = len(keys)
     for c in panel.candles:
         close_t = c.close_time
-        while j + 1 < n and key(records[j + 1]) <= close_t:
+        while j + 1 < n and keys[j + 1] <= close_t:
             j += 1
         out.append(records[j] if j >= 0 else None)
     return out

@@ -27,7 +27,7 @@ from .liquidity import (
     shelf_migration,
     spread,
 )
-from .model import Panel, bar_index, fmt_dec, iso
+from .model import Panel, bar_index, fmt_dec, iso, validate_record
 from .positioning import (
     boundary_cluster_share,
     concentration_gini,
@@ -240,10 +240,26 @@ def positioning_report(series: PanelSeries) -> dict:
     }
 
 
+def _latest_valid_book(books) -> tuple:
+    """(the latest snapshot `validate_record` accepts, or None; notes naming
+    the snapshots skipped to reach it)."""
+    skipped = []
+    for snap in reversed(books):
+        violations = validate_record(snap)
+        if not violations:
+            return snap, ["book snapshot %s skipped: %s" % pair for pair in skipped]
+        skipped.append((iso(snap.time),
+                        "; ".join("%s %s" % (v.field, v.reason) for v in violations)))
+    if not books:
+        return None, []
+    return None, ["no valid book snapshot among %d; the latest, %s, has: %s"
+                  % ((len(books),) + skipped[0])]
+
+
 def liquidity_report(series: PanelSeries) -> dict:
     panel, cfg = series.panel, series.cfg
     books = panel.books
-    latest = books[-1] if books else None
+    latest, notes = _latest_valid_book(books)
     doc = {
         "kind": "liquidity",
         "cadence": "daily updates",
@@ -291,6 +307,8 @@ def liquidity_report(series: PanelSeries) -> dict:
             doc["extremes_series"] = [dict(_jsonable(row), time=iso(s.time))
                                       for row, s in zip(rows, tail)]
         doc["latest"] = block
+    if notes:
+        doc["notes"] = notes
     fit = market_impact_coefficient(impact_pairs(series.close, series.volume), cfg)
     if fit is not None:
         slope, r2 = fit

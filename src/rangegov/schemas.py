@@ -166,6 +166,7 @@ LIQUIDITY_SCHEMA = {
             "type": ["object", "null"],
             "required": ["slope", "r_squared"],
         },
+        "notes": {"type": "array", "items": {"type": "string"}},
     },
 }
 

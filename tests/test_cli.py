@@ -65,6 +65,40 @@ def test_unknown_config_key(panel_file, tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("item, message", [
+    ("swing_lookback=5.5", "config swing_lookback: want an integer, got 5.5"),
+    ('swing_lookback="x"', "config swing_lookback: want an integer, got 'x'"),
+    ("swing_lookback=true", "config swing_lookback: want an integer, got True"),
+    ("range_window=-3", "config range_window: must be >= 1, got -3"),
+    ("funding_spike_lookback=0", "config funding_spike_lookback: must be >= 2, got 0"),
+    ("funding_spike_lookback=1", "config funding_spike_lookback: must be >= 2, got 1"),
+    ("funding_spike_sigma=NaN", "config funding_spike_sigma: want a number, got nan"),
+    ('funding_spike_sigma="2"', "config funding_spike_sigma: want a number, got '2'"),
+])
+def test_bad_config_value_is_a_schema_error(panel_file, tmp_path, capsys, item, message):
+    out = str(tmp_path / "m.json")
+    assert main(["metrics", "--panel", panel_file, "--set", item, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+    key, _, raw = item.partition("=")
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text('{"%s": %s}' % (key, raw))
+    assert main(["metrics", "--panel", panel_file, "--config", str(cfg_file),
+                 "--out", out]) == 3
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_config_floors_and_int_for_float_are_accepted(panel_file, tmp_path, capsys):
+    out = str(tmp_path / "m.json")
+    assert main(["metrics", "--panel", panel_file, "--set", "funding_spike_lookback=2",
+                 "--set", "timestamp_tolerance_s=0", "--set", "funding_spike_sigma=3",
+                 "--out", out]) == 0
+    capsys.readouterr()
+
+
 def test_malformed_panel_file(tmp_path, capsys):
     p = tmp_path / "junk.json"
     p.write_text("{not json")
@@ -141,6 +175,52 @@ def test_zero_oi_before_a_break_leaves_h2_not_evaluable(corpus_dir, tmp_path, ca
     assert [s["met"] for s in h2["signals"] if s["name"] == "oi_rotation"] == [None]
     assert main(["regime", "--panel", str(path), "--out", str(tmp_path / "r.json")]) == 0
     capsys.readouterr()
+
+
+def _with_last_bids(source, tmp_path, edit, count=1):
+    """The panel at `source` with `edit(bids)` applied to the bid side of its
+    last `count` book snapshots."""
+    doc = json.loads(source.read_text())
+    for i in range(len(doc["books"]) - count, len(doc["books"])):
+        time, bids, asks = doc["books"][i].split("|")
+        doc["books"][i] = "|".join([time, edit(bids), asks])
+    path = tmp_path / "books.json"
+    path.write_text(json.dumps(doc))
+    return path, doc
+
+
+@pytest.mark.parametrize("edit, reason", [
+    pytest.param(lambda bids: "0:1 " + bids,
+                 "bids non-positive price; bids levels not strictly ordered best-first",
+                 id="zero-price"),
+    pytest.param(lambda bids: "", "bids empty", id="empty-side"),
+])
+def test_invalid_latest_book_is_skipped_in_metrics(corpus_dir, tmp_path, capsys,
+                                                   edit, reason):
+    source = corpus_dir / "h2-confirm.json"
+    path, doc = _with_last_bids(source, tmp_path, edit)
+    for command in ("validate", "metrics", "hypotheses", "regime"):
+        out = ["--out", str(tmp_path / (command + ".json"))] if command != "validate" else []
+        expected = main([command, "--panel", str(source)] + out)
+        assert main([command, "--panel", str(path)] + out) == expected, command
+        assert "Traceback" not in capsys.readouterr().err
+    liquidity = load_report(str(tmp_path / "metrics.json"))["families"]["liquidity"]
+    skipped, previous = doc["books"][-1][:20], doc["books"][-2][:20]
+    assert liquidity["latest"]["time"] == previous
+    assert liquidity["notes"] == ["book snapshot %s skipped: %s" % (skipped, reason)]
+
+
+def test_no_valid_book_leaves_latest_null(corpus_dir, tmp_path, capsys):
+    source = corpus_dir / "h2-confirm.json"
+    count = len(json.loads(source.read_text())["books"])
+    path, doc = _with_last_bids(source, tmp_path, lambda bids: "", count)
+    out = tmp_path / "m.json"
+    assert main(["metrics", "--panel", str(path), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    liquidity = load_report(str(out))["families"]["liquidity"]
+    assert liquidity["latest"] is None and liquidity["snapshots"] == count
+    assert liquidity["notes"] == ["no valid book snapshot among %d; the latest, %s, has: "
+                                  "bids empty" % (count, doc["books"][-1][:20])]
 
 
 def test_missing_panel_file(tmp_path, capsys):

@@ -14,6 +14,7 @@ from rangegov.cost import (
     classify_magnitude,
     funding_bias_duration,
     funding_spike,
+    trailing_mean_std,
 )
 from rangegov.model import FundingRecord, SETTLE_SECONDS, d12
 
@@ -104,6 +105,61 @@ class TestSpike:
         base = funding_spike(rates)
         moved = funding_spike([r + shift for r in rates])
         assert base == moved
+
+
+def _loop_spike(rates, cfg=DEFAULTS):
+    """The per-settlement reference: (means, stds, flags) from one numpy
+    reduction per window."""
+    look = cfg.funding_spike_lookback
+    values = np.array([float(d12(r)) for r in rates])
+    means, stds, flags = [], [], [None] * len(values)
+    for t in range(look, len(values)):
+        window = values[t - look:t]
+        means.append(window.mean())
+        stds.append(window.std(ddof=1))
+        std = max(stds[-1], cfg.funding_spike_sigma_floor)
+        flags[t] = bool(abs(values[t] - means[-1]) > cfg.funding_spike_sigma * std)
+    return np.array(means), np.array(stds), flags
+
+
+class TestSpikeMatchesLoop:
+    """`funding_spike` reduces all windows in one pass; its window means and
+    standard deviations must be bit-equal to the per-window loop's."""
+
+    def _check(self, rates, cfg=DEFAULTS):
+        means, stds, flags = _loop_spike(rates, cfg)
+        assert funding_spike(rates, cfg) == flags
+        if len(rates) >= cfg.funding_spike_lookback:
+            values = np.array([float(d12(r)) for r in rates])
+            got_mean, got_std = trailing_mean_std(values, cfg.funding_spike_lookback)
+            assert got_mean.tobytes() == means.tobytes()
+            assert got_std.tobytes() == stds.tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_series(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 400))
+        look = int(rng.integers(2, 60))
+        rates = (rng.normal(0.0, 1e-4, size=n) * rng.choice([1, 10, 100], size=n)).tolist()
+        self._check(rates, DEFAULTS.replace(funding_spike_lookback=look))
+
+    @given(st.lists(st.floats(min_value=-0.03, max_value=0.03), max_size=80),
+           st.integers(min_value=2, max_value=40))
+    @settings(max_examples=60, deadline=None)
+    def test_any_series_and_lookback(self, rates, look):
+        self._check(rates, DEFAULTS.replace(funding_spike_lookback=look))
+
+    def test_constant_series(self):
+        self._check([0.0003] * 90)
+
+    def test_history_shorter_than_lookback(self):
+        self._check([0.0001, -0.0002] * 7)
+        assert funding_spike([]) == []
+
+    def test_lookback_equal_to_length(self):
+        rates = [0.0001 * i for i in range(DEFAULTS.funding_spike_lookback)]
+        self._check(rates)
+        self._check(rates + [0.05])
 
 
 def _state(rates):

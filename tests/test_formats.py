@@ -2,7 +2,9 @@ import dataclasses
 import json
 import os
 import pickle
+from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -351,8 +353,95 @@ class TestManifest:
             load_manifest(mpath)
 
 
+def _reference(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_TEXT = st.text(st.characters(codec=None, exclude_categories=()), max_size=8)
+_FLOATS = st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                                                  -0.0, 1e300, 5e-324]))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS,
+                     _FLOATS.map(np.float64), _TEXT)
+# keys of one dict must sort against each other, as json's sort_keys needs
+_KEY_SETS = (_TEXT, st.one_of(st.integers(), _FLOATS, st.booleans(), _FLOATS.map(np.float64)),
+             st.none())
+
+
+def _containers(children):
+    return st.one_of(st.lists(children, max_size=5),
+                     st.lists(children, max_size=5).map(tuple),
+                     *[st.dictionaries(keys, children, max_size=5) for keys in _KEY_SETS])
+
+
+_DOCS = st.recursive(_SCALARS, _containers, max_leaves=40)
+
+
+def _nest(doc, shells):
+    """`doc` inside one container per entry of `shells`, innermost first."""
+    for kind, key in shells:
+        doc = [doc, key] if kind == "list" else (key, doc) if kind == "tuple" \
+            else {"k" + key: doc, "": key}
+    return doc
+
+
+_DEEP_DOCS = st.builds(_nest, _DOCS, st.lists(
+    st.tuples(st.sampled_from(["list", "tuple", "dict"]), _TEXT), min_size=6, max_size=9))
+
+
+def _outcome(encode, doc):
+    try:
+        return encode(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 class TestDumpJson:
     def test_sorted_keys_and_trailing_newline(self):
         text = dump_json({"b": 1, "a": 2})
         assert text.index('"a"') < text.index('"b"')
         assert text.endswith("\n")
+
+    @given(st.one_of(_DOCS, _DEEP_DOCS))
+    @settings(max_examples=400, deadline=None)
+    def test_bytes_equal_json_dumps(self, doc):
+        assert dump_json(doc) == _reference(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[[[[[[]]]]]]],
+        {"\x00\x1f\u2028é\ud800": ["\t", "\u00ff", "\U0001f600"]},
+        {1.5: 1, 2: 2, True: 3}, {None: [None]}, {"v": [np.float64("nan"), -0.0]},
+    ])
+    def test_edge_documents(self, doc):
+        assert dump_json(doc) == _reference(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"a": Decimal("1.5")},
+        {"a": [1, Decimal("1.5")]},
+        {"a": {"b": [np.bool_(True)]}},
+        [np.int64(3)],
+        {"a": {1, 2}},
+        {"a": 1, 2: "b"},
+        {"a": {"b": 1, 2: "c"}},
+        {(1, 2): 3},
+        {"a": [{(1, 2): 3}]},
+        {"a": [{(1, 2): [3]}]},
+        {"z": [Decimal(1)], "a": {(1,): 0}},
+    ])
+    def test_unserializable_raises_as_json_does(self, doc):
+        expected = _outcome(_reference, doc)
+        assert isinstance(expected, tuple)
+        assert _outcome(dump_json, doc) == expected
+
+    def test_circular_reference_raises_as_json_does(self):
+        loop = {"a": [1]}
+        loop["a"].append(loop)
+        inner = [[1]]
+        inner[0].append(inner)
+        for doc in (loop, {"x": inner}, [inner, 2]):
+            assert _outcome(dump_json, doc) == _outcome(_reference, doc) \
+                == (ValueError, "Circular reference detected")
+
+    def test_shared_container_is_not_a_cycle(self):
+        shared = {"p": [1, 2]}
+        doc = {"a": [shared, shared], "b": shared}
+        assert dump_json(doc) == _reference(doc)

@@ -1,9 +1,11 @@
-"""Cross-commit byte gate: the report bytes of the packaged scenarios.
+"""Cross-commit byte gate: the report and panel bytes of the packaged
+scenarios.
 
 `test_c6` shows that two runs on one commit agree; this module shows that a
 commit still writes the bytes an earlier commit wrote. It pins the sha256 of
 `formats.dump_json` of the metrics, hypotheses and regime reports of each
-packaged scenario, and of the `synth.backtest` summary over all of them.
+packaged scenario, of the `synth.backtest` summary over all of them, and of
+the file `formats.save_panel` writes for each scenario's synth panel.
 
 The digests hold for the numpy build the package is tested with; float
 summation can differ in the last digit on another build. When a change alters
@@ -15,6 +17,8 @@ and say in the change's notes which reports moved and why.
 """
 import hashlib
 import json
+import os
+import tempfile
 
 import pytest
 
@@ -37,53 +41,77 @@ DIGESTS = {
         "0de603454844835a0dcb98075defa7df17107a54a5b7d493239c7d8618022d85",
     "h1-confirm/regime":
         "6db7665b2b184c3fa70429b5db5e16bff870c1dbcfe9a1572287ed8fe57c552c",
+    "h1-confirm/panel":
+        "90e47eb594eef50146dbd4f494c7848996e7335a5833c2a9fee1bc1fb0dc9a5d",
     "h1-falsify/hypotheses":
         "f3c2f1b5f134de01c5daeb751dfd0aaea3adce50ba6ff1fa764b6405c7a84389",
     "h1-falsify/metrics":
         "7d7471efae4026929d48cabf0860b7ee6d455317d01d392daaf6a18c17cf8b84",
     "h1-falsify/regime":
         "4676ee1f47fee856bd6426b77933c052146bb0a35549a6770c052d038cb488dc",
+    "h1-falsify/panel":
+        "e180344605eac1eb36b489995f0b48eddbd1934592d8d60a7db7933d4a527885",
     "h2-confirm/hypotheses":
         "64e2408029bf43f6bc39dcd98184d539b3e53543b6e61f7a83bcf85140a985bf",
     "h2-confirm/metrics":
         "f8072d46ff949d924d26e91d58c5d6b9d4f11cd4e05db14e72d4a17ae59449b5",
     "h2-confirm/regime":
         "60a6bd1ed36eac0fec6556ab19f5f25ceda3782e8d80d589b33190c522240ef0",
+    "h2-confirm/panel":
+        "912c8db0bccab3b562ff65286ca5b3cce602dc021efce530777163c6530e61c9",
     "h2-falsify/hypotheses":
         "bcacc279c4882e05a9f8db9eee6e8e2d846e9b411dd18bbdaf05db88a4a346ca",
     "h2-falsify/metrics":
         "8f1919c9e548188bfff76721f15bf5c2c0bdde18290958caf9817ec2d5f2e52b",
     "h2-falsify/regime":
         "fe1133f576415529397d2cb84e6ff5a3bed5bf7d6ea6711377fcdda6cc517195",
+    "h2-falsify/panel":
+        "1855bfe9ecda573bd83faac7a4db53577432076e495d8164371079427be24f72",
     "h3-confirm/hypotheses":
         "fac53957baa95eb28e7219a712c134d47e8e55d0d22360045aaba4fbcdcac618",
     "h3-confirm/metrics":
         "a6edf2462041bb87e60e0fd8d17bbbe2646cf2dfda23c7fdff588424ef123e8b",
     "h3-confirm/regime":
         "ccb22b4813b47d5424161cc2f4e22cd3a418cbb368126284290bfb89654574ae",
+    "h3-confirm/panel":
+        "8ee5d3748ae720a9a54475bc81c621655650d964ed086eba6b5add2cf5703ddd",
     "h3-falsify/hypotheses":
         "b69c55d298ffb86d6ef2ce2c7007156afe77c6fb9e75bb52e798038c9f831d98",
     "h3-falsify/metrics":
         "6a02c629703b140ffd34e1f322f55652b954ca9834fc3614c85c37d3d52216e7",
     "h3-falsify/regime":
         "23de7d7c2c4c6e4faad65d813c10d44e1b6e234dda33d391ed7aa3d857dc19f3",
+    "h3-falsify/panel":
+        "7a1699d6c61bf78379d648e15524be55858c27ed815bb2b5c6d70f33be0ded24",
     "h4-confirm/hypotheses":
         "169ba18e514b41043154fd7fa4510b05d7d56cd05a6e88a763e6eb5efdbec627",
     "h4-confirm/metrics":
         "0864c60cb04d8600076db6b2ede9c2a0b837b36fb9aafc642ae27a66f4f6d6aa",
     "h4-confirm/regime":
         "552c049b2c6b3d73a1b5c8fe9d298b251651a91c368121972298becbf2c8211f",
+    "h4-confirm/panel":
+        "de9a32aa605c645661c147dbc939bf4f56f295bff6866ac1c61b693d6611b15f",
     "h4-falsify/hypotheses":
         "39dbe33aed6b99ea71bc98d7d8754b192ead61e5aeda98bc4f343dd3b94ded00",
     "h4-falsify/metrics":
         "eea515c754174d6ce834aea835837c57dd306ef907c3277b3cdda1b20a0eb115",
     "h4-falsify/regime":
         "acdf9773f5223b5eefc93f163c5bd675b159a56db1fbcea37ed0e9ad8082a34f",
+    "h4-falsify/panel":
+        "a01ecb6a52787449857d6ac46a1f19bde51b4c9ec8a48a4af972928429043959",
 }
 
 
 def _sha(doc) -> str:
     return hashlib.sha256(formats.dump_json(doc).encode()).hexdigest()
+
+
+def _panel_sha(panel) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "panel.json")
+        formats.save_panel(path, panel)
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
 
 
 def current_digests() -> dict:
@@ -92,6 +120,8 @@ def current_digests() -> dict:
     out = {"%s/%s" % (name, kind): _sha(build(panel))
            for name, panel in zip(SCENARIO_NAMES, panels)
            for kind, build in REPORTS.items()}
+    out.update({"%s/panel" % name: _panel_sha(panel)
+                for name, panel in zip(SCENARIO_NAMES, panels)})
     out["backtest"] = _sha(synth.backtest(panels))
     return out
 
@@ -101,8 +131,16 @@ def digests():
     return current_digests()
 
 
-@pytest.mark.parametrize("key", sorted(DIGESTS))
+PANEL_KEYS = sorted(k for k in DIGESTS if k.endswith("/panel"))
+
+
+@pytest.mark.parametrize("key", sorted(set(DIGESTS) - set(PANEL_KEYS)))
 def test_report_bytes_unchanged(digests, key):
+    assert digests[key] == DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", PANEL_KEYS)
+def test_panel_bytes_unchanged(digests, key):
     assert digests[key] == DIGESTS[key]
 
 

@@ -1,3 +1,4 @@
+from datetime import datetime, timezone
 from decimal import Decimal
 
 import pytest
@@ -6,7 +7,7 @@ from rangegov.errors import DataError
 from rangegov.model import (
     BAR_SECONDS, BookSnapshot, Candle4H, FundingRecord, LiquidationEvent,
     OpenInterestRecord, Panel, RangeDefinition, bar_index, d12, fmt_dec,
-    funding_by_bar, latest_book_at, oi_by_bar, validate_panel, validate_record,
+    funding_by_bar, iso, latest_book_at, oi_by_bar, validate_panel, validate_record,
 )
 
 T0 = 1609459200  # 2021-01-01T00:00:00Z, a 4H grid point
@@ -155,3 +156,34 @@ def test_asof_alignment_uses_latest_at_or_before_bar_close():
     panel.books = [book(T0 + 3600), book(T0 + 2 * BAR_SECONDS)]
     assert latest_book_at(panel, T0 + 3600).time == T0 + 3600
     assert latest_book_at(panel, T0) is None
+
+
+def _datetime_iso(ts):
+    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+@pytest.mark.parametrize("ts", [
+    0, -1, -BAR_SECONDS, -86400 * 365 - 7, 1, T0, 253402286400,   # 9999-12-31T20:00:00Z
+])
+def test_iso_matches_datetime_form(ts):
+    assert iso(ts) == _datetime_iso(ts)
+
+
+def test_iso_over_a_year_of_the_4h_grid():
+    stamps = range(T0, T0 + 366 * 86400, BAR_SECONDS)
+    assert [iso(t) for t in stamps] == [_datetime_iso(t) for t in stamps]
+    assert iso(253402286400) == "9999-12-31T20:00:00Z"
+
+
+def test_asof_walk_on_unsorted_records_is_the_plain_pointer_walk():
+    panel = make_panel(6)
+    times = [T0 + 3 * BAR_SECONDS, T0 + BAR_SECONDS, T0 + 5 * BAR_SECONDS,
+             T0 + 2 * BAR_SECONDS, T0 + 6 * BAR_SECONDS]
+    panel.open_interest = [OpenInterestRecord(t, d12(i + 1)) for i, t in enumerate(times)]
+    expected, j = [], -1
+    for c in panel.candles:
+        while j + 1 < len(times) and times[j + 1] <= c.close_time:
+            j += 1
+        expected.append(panel.open_interest[j] if j >= 0 else None)
+    assert oi_by_bar(panel) == expected
+    assert [r and r.oi_usd for r in expected] == [None, None, 2, 2, 4, 5]
