@@ -1,7 +1,8 @@
 """Threshold configuration.
 
-Every numeric threshold the metric, hypothesis and advisory layers consume
-lives here under a name that states which rule it bounds. Defaults are the
+Every numeric threshold the metric, hypothesis and advisory layers read
+lives here under a name that states which rule it bounds, and nothing else
+does: the 4H grid and its 6 bars a day are fixed in `model`. Defaults are the
 published reference values; overrides come from a JSON file (CLI --config or
 the RG_CONFIG environment variable) with exactly these keys.
 """
@@ -24,7 +25,6 @@ class Config:
     # funding (8H basis, fractions per period)
     funding_elevated_abs: float = 0.0005       # |rate| above this is elevated
     funding_neutral_abs: float = 0.0001        # |rate| below this is neutral
-    funding_periods_per_year: int = 1095       # 3 settlements/day x 365
     settlements_per_day: int = 3
     funding_bias_min_periods: int = 3          # consecutive same-sign settlements
     funding_spike_sigma: float = 2.0
@@ -38,7 +38,6 @@ class Config:
     oi_baseline_days: int = 90                 # moving-average window for "elevated"
     oi_rotation_mix_shift: float = 0.05        # long-share shift, 5 percentage points
     oi_collapse_decline: float = 0.05          # total OI decline beyond this collapses
-    oi_rotation_vol_floor: float = 1e-6
     long_short_extreme_high: float = 2.0       # ratio strictly above -> extreme
     long_short_extreme_low: float = 0.5        # ratio strictly below -> extreme
     gini_risk_threshold: float = 0.7
@@ -64,35 +63,24 @@ class Config:
     h2_funding_moderation_abs: float = 0.0001
     h2_premoderation_bars: int = 3             # bars before breakout checked for moderation
     h2_shelf_migration_share: float = 0.20
-    h2_rotation_window: int = 20               # bars for the rotation/collapse split
     h2_sustain_closes: int = 3                 # post-break closes that must hold
     h3_reversion_max_bars: int = 4
     h3_reversion_sigma: float = 1.0            # corridor width in realized-vol units
-    h3_structural_closes: int = 2              # consecutive closes outside void the setup
     h4_recoil_frac: float = 0.5                # of the boundary excursion, strictly more
     h4_funding_decline_frac: float = 0.20
-    h4_funding_decline_bars: int = 2
     h4_hit_rate_min: float = 0.5               # tap hit rate strictly above -> confirmed
 
     # liquidity
-    depth_pctl_low: float = 0.25
-    depth_pctl_high: float = 0.75
     depth_extreme_band: float = 0.005          # around each boundary, inclusive
     depth_trend_snapshots: int = 20
     slippage_order_usd: float = 1000000.0
     imbalance_depth_levels: int = 20
     imbalance_extreme: float = 0.3             # dominant-side ratio minus 1, strict
     impact_window_bars: int = 6                # 24h of 4H bars
-    impact_band_low: float = 0.0001            # healthy regression-slope band
-    impact_band_high: float = 0.001
     spread_uncertainty: float = 0.001          # spread fraction strictly above flags
 
     # quality
     timestamp_tolerance_s: int = 30
-    price_mad_scale: float = 1.4826
-    price_mad_sigma: float = 2.0
-    price_degenerate_tol: float = 0.001        # fallback when MAD = 0
-    volume_deviation_frac: float = 0.30
     funding_hard_bound: float = 0.0375         # |rate_8h| at or past this rejects
     book_spread_exclusion: float = 0.01
     oi_flow_discrepancy: float = 0.05
@@ -114,7 +102,6 @@ class Config:
     liq_mode_days: int = 90                    # distribution for the liquidation-mode cut
     liq_mode_pctl: float = 0.80                # strictly above -> aggressive
     holding_days: float = 10.0                 # advisory funding-drag horizon
-    bars_per_day: int = 6
 
     # ingest
     merge_top_exchanges: int = 3

@@ -19,6 +19,7 @@ from .config import Config, DEFAULTS
 from .liquidity import depth_extremes_trend, shelf_migration
 from .model import (
     BAR_SECONDS,
+    BARS_PER_DAY,
     Panel,
     RangeDefinition,
     bar_index,
@@ -82,7 +83,7 @@ def evaluate_h1(series: PanelSeries) -> HypothesisVerdict:
     if len(panel.funding) < cfg.funding_bias_min_periods:
         return _not_evaluable(name, tail, ["fewer than %d funding settlements"
                                            % cfg.funding_bias_min_periods])
-    baseline_bars = cfg.oi_baseline_days * cfg.bars_per_day
+    baseline_bars = cfg.oi_baseline_days * BARS_PER_DAY
     oi_records = series.oi_by_bar
     if n < baseline_bars or oi_records[n - baseline_bars] is None:
         return _not_evaluable(name, tail, ["OI history shorter than the %d-day baseline"
@@ -128,11 +129,12 @@ def evaluate_h1(series: PanelSeries) -> HypothesisVerdict:
     recent_mean = float(np.nanmean(recent)) if np.any(~np.isnan(recent)) else None
     prior_mean = float(np.nanmean(prior)) if np.any(~np.isnan(prior)) else None
     if recent_mean is None or prior_mean is None:
-        s2 = Signal("wick_ratio_rise", None, recent_mean, "> prior 20-bar mean")
+        s2 = Signal("wick_ratio_rise", None, recent_mean,
+                    "> prior %d-bar mean" % cfg.wick_baseline_window)
         notes.append("wick ratios unmeasurable (doji-only stretch)")
     else:
         s2 = Signal("wick_ratio_rise", recent_mean > prior_mean, recent_mean,
-                    "> %.6f (prior 20-bar mean)" % prior_mean)
+                    "> %.6f (prior %d-bar mean)" % (prior_mean, cfg.wick_baseline_window))
 
     # signal 3: at least one boundary tap that fails to close beyond,
     # with open interest holding through every tap
@@ -241,14 +243,15 @@ def evaluate_h2(series: PanelSeries, breakout_bar: Optional[int],
 
     # signal 1: resting depth relocated beyond the broken boundary
     snap = latest_book_at(panel, break_close_t)
+    shelf_text = "> %.2f toward the break" % cfg.h2_shelf_migration_share
     if snap is None:
-        s1 = Signal("shelf_migration", None, None, "> 0.20 toward the break")
+        s1 = Signal("shelf_migration", None, None, shelf_text)
         notes.append("no book snapshot at the break")
     else:
         mig = shelf_migration(snap, rng, cfg)
         share = mig.ask_above_share if side == "up" else mig.bid_below_share
         fired = mig.signal_up if side == "up" else mig.signal_down
-        s1 = Signal("shelf_migration", fired, share, "> 0.20 toward the break")
+        s1 = Signal("shelf_migration", fired, share, shelf_text)
 
     # signal 2: depth at the broken boundary trending down
     snaps = [b for b in panel.books if b.time <= break_close_t]

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import Config, DEFAULTS
-from .model import BookSnapshot, RangeDefinition, d12
+from .model import BookSnapshot, RangeDefinition, d12, iso, validate_record
 from .structure import ols_slope
 
 
@@ -34,6 +34,26 @@ class SlippageResult:
     slippage: float           # signed cost: positive = worse than mid
     filled_usd: float
     partial: bool
+
+
+def latest_valid_books(books: Sequence[BookSnapshot], n: int = 1) -> tuple:
+    """(the last `n` snapshots `validate_record` accepts, oldest first; notes
+    naming each snapshot skipped to collect them, newest first)."""
+    kept, skipped = [], []
+    for snap in reversed(books):
+        if len(kept) == n:
+            break
+        violations = validate_record(snap)
+        if not violations:
+            kept.append(snap)
+            continue
+        skipped.append((iso(snap.time),
+                        "; ".join("%s %s" % (v.field, v.reason) for v in violations)))
+    kept.reverse()
+    if books and not kept:
+        return kept, ["no valid book snapshot among %d; the latest, %s, has: %s"
+                      % ((len(books),) + skipped[0])]
+    return kept, ["book snapshot %s skipped: %s" % pair for pair in skipped]
 
 
 def _side_profile(levels, side: str) -> DepthProfile:

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from .errors import DataError, SchemaError
 
 BAR_SECONDS = 14400
+BARS_PER_DAY = 86400 // BAR_SECONDS
 SETTLE_SECONDS = 28800   # one 8H funding period
 ALLOWED_FUNDING_INTERVALS = (4, 8, 12)
 

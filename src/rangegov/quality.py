@@ -76,78 +76,12 @@ def _snap_records(records: Sequence, key: str, grid_of, label: str,
     return out
 
 
-def check_price_consistency(closes_by_exchange: dict, times: Sequence[int],
-                            cfg: Config = DEFAULTS) -> QualityReport:
-    """Cross-venue close deviation vs the per-bar median, scaled-MAD rule.
-
-    `closes_by_exchange` maps venue id to a list aligned with `times`; None
-    marks a venue's missing bar. Bars with fewer than 3 venues are skipped.
-    """
-    report = QualityReport(checks_run=1)
-    skipped = 0
-    sigma = Decimal(repr(cfg.price_mad_sigma))
-    scale = Decimal(repr(cfg.price_mad_scale))
-    degen = Decimal(repr(cfg.price_degenerate_tol))
-    venues = sorted(closes_by_exchange)
-    for i, t in enumerate(times):
-        present = [(v, d12(closes_by_exchange[v][i])) for v in venues
-                   if closes_by_exchange[v][i] is not None]
-        if len(present) < 3:
-            skipped += 1
-            continue
-        values = sorted(p for _, p in present)
-        med = _median_dec(values)
-        mad = _median_dec(sorted(abs(p - med) for p in values))
-        cut = sigma * scale * mad
-        for venue, price in present:
-            dev = abs(price - med)
-            if mad > 0:
-                bad = dev > cut
-                why = f"|{fmt_dec(price)} - median {fmt_dec(med)}| beyond {fmt_dec(cut)}"
-            else:
-                bad = med != 0 and dev / med > degen
-                why = f"degenerate MAD; relative deviation beyond {fmt_dec(degen)}"
-            if bad:
-                report.flags.append(QualityFlag(
-                    "price_consistency", f"{venue}@{iso(t)}", FLAG,
-                    why + "; excluded from merge"))
-    if skipped:
-        report.notes.append(f"price_consistency: {skipped} bars skipped (<3 venues)")
-    return report
-
-
 def _median_dec(sorted_values: list) -> Decimal:
     n = len(sorted_values)
     mid = n // 2
     if n % 2:
         return sorted_values[mid]
     return (sorted_values[mid - 1] + sorted_values[mid]) / 2
-
-
-def check_volume(volumes_by_exchange: dict, times: Sequence[int],
-                 cfg: Config = DEFAULTS) -> QualityReport:
-    """Per-bar venue volume vs the cross-venue median, >30% deviates."""
-    report = QualityReport(checks_run=1)
-    skipped = 0
-    limit = Decimal(repr(cfg.volume_deviation_frac))
-    venues = sorted(volumes_by_exchange)
-    for i, t in enumerate(times):
-        present = [(v, d12(volumes_by_exchange[v][i])) for v in venues
-                   if volumes_by_exchange[v][i] is not None]
-        if len(present) < 3:
-            skipped += 1
-            continue
-        med = _median_dec(sorted(v for _, v in present))
-        if med == 0:
-            continue
-        for venue, vol in present:
-            if abs(vol - med) / med > limit:
-                report.flags.append(QualityFlag(
-                    "volume_consistency", f"{venue}@{iso(t)}", FLAG,
-                    f"volume {fmt_dec(vol)} vs median {fmt_dec(med)}; suspect"))
-    if skipped:
-        report.notes.append(f"volume_consistency: {skipped} bars skipped (<3 venues)")
-    return report
 
 
 def check_funding_bounds(records: Sequence, cfg: Config = DEFAULTS) -> list:
@@ -291,11 +225,9 @@ def run_pipeline(panel: Panel, cfg: Config = DEFAULTS):
     report.flags.extend(gap_flags)
 
     report.checks_run += 1
-    funding_flags = check_funding_bounds(panel.funding, cfg)
-    report.flags.extend(funding_flags)
-    rejected_times = {f.location for f in funding_flags}
-    funding = [r for r in panel.funding
-               if f"funding@{iso(r.settle_time)}" not in rejected_times]
+    report.flags.extend(check_funding_bounds(panel.funding, cfg))
+    bound = d12(cfg.funding_hard_bound)
+    funding = [r for r in panel.funding if abs(r.rate_8h) < bound]
 
     report.checks_run += 1
     funding2 = _snap_records(funding, "settle_time",

@@ -11,7 +11,7 @@ import numpy as np
 from .config import Config, DEFAULTS
 from .errors import InsufficientInputsError
 from .hypotheses import CONFIRMED, FALSIFIED
-from .model import Panel, RangeDefinition, d12
+from .model import BAR_SECONDS, BARS_PER_DAY, Panel, RangeDefinition, d12
 from .positioning import COLLAPSE, ROTATION, classify_oi_event
 from .structure import PanelSeries, absorption_footprints, derive, ols_slope
 
@@ -161,12 +161,13 @@ def assemble_trigger_states(series: PanelSeries) -> dict:
     """Read the panel's derived series into trigger-matrix states.
 
     funding: moderated toward neutral = aligned, elevated = divergent.
-    shelf_migration: depth relocated beyond a boundary = aligned, clustered
-    inside = divergent. oi_rotation: rotation = aligned, collapse = divergent.
+    shelf_migration: depth in the latest valid book snapshot relocated beyond
+    a boundary = aligned, clustered inside = divergent. oi_rotation: rotation
+    = aligned, collapse = divergent.
     volatility_compression and liquidation_cluster round out the matrix.
     """
     from .cost import ELEVATED, NEUTRAL as MAG_NEUTRAL, classify_magnitude
-    from .liquidity import shelf_migration
+    from .liquidity import latest_valid_books, shelf_migration
     from .positioning import boundary_cluster_share
 
     panel, rng, cfg = series.panel, series.range, series.cfg
@@ -178,8 +179,9 @@ def assemble_trigger_states(series: PanelSeries) -> dict:
     else:
         states["funding"] = None
 
-    if panel.books and rng is not None:
-        mig = shelf_migration(panel.books[-1], rng, cfg)
+    latest, _ = latest_valid_books(panel.books)
+    if latest and rng is not None:
+        mig = shelf_migration(latest[0], rng, cfg)
         states["shelf_migration"] = ALIGNED if (mig.signal_up or mig.signal_down) \
             else DIVERGENT
     else:
@@ -293,8 +295,8 @@ def advise_platform_parameters(vol_history: Sequence[float],
     if not vals:
         raise InsufficientInputsError("no volatility history")
     current = vals[-1]
-    short = vals[-(cfg.leverage_vol_days * cfg.bars_per_day):]
-    long = vals[-(cfg.liq_mode_days * cfg.bars_per_day):]
+    short = vals[-(cfg.leverage_vol_days * BARS_PER_DAY):]
+    long = vals[-(cfg.liq_mode_days * BARS_PER_DAY):]
     rank30 = percentile_rank(short, current)
     rank90 = percentile_rank(long, current)
     leverage = cfg.leverage_max - (cfg.leverage_max - cfg.leverage_min) * rank30
@@ -317,7 +319,7 @@ def narrative_filter(panel: Panel, event_time: int, cfg: Config = DEFAULTS) -> d
     """
     idx = None
     for i, c in enumerate(panel.candles):
-        if c.open_time <= event_time < c.open_time + 14400:
+        if c.open_time <= event_time < c.open_time + BAR_SECONDS:
             idx = i
             break
     if idx is None or idx < 2 * cfg.swing_lookback + 1:

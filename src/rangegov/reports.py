@@ -23,11 +23,12 @@ from .liquidity import (
     extremes_slopes,
     fill_slippage,
     impact_pairs,
+    latest_valid_books,
     market_impact_coefficient,
     shelf_migration,
     spread,
 )
-from .model import Panel, bar_index, fmt_dec, iso, validate_record
+from .model import Panel, bar_index, fmt_dec, iso
 from .positioning import (
     boundary_cluster_share,
     concentration_gini,
@@ -240,26 +241,11 @@ def positioning_report(series: PanelSeries) -> dict:
     }
 
 
-def _latest_valid_book(books) -> tuple:
-    """(the latest snapshot `validate_record` accepts, or None; notes naming
-    the snapshots skipped to reach it)."""
-    skipped = []
-    for snap in reversed(books):
-        violations = validate_record(snap)
-        if not violations:
-            return snap, ["book snapshot %s skipped: %s" % pair for pair in skipped]
-        skipped.append((iso(snap.time),
-                        "; ".join("%s %s" % (v.field, v.reason) for v in violations)))
-    if not books:
-        return None, []
-    return None, ["no valid book snapshot among %d; the latest, %s, has: %s"
-                  % ((len(books),) + skipped[0])]
-
-
 def liquidity_report(series: PanelSeries) -> dict:
     panel, cfg = series.panel, series.cfg
     books = panel.books
-    latest, notes = _latest_valid_book(books)
+    tail, notes = latest_valid_books(books, cfg.depth_trend_snapshots)
+    latest = tail[-1] if tail else None
     doc = {
         "kind": "liquidity",
         "cadence": "daily updates",
@@ -300,9 +286,8 @@ def liquidity_report(series: PanelSeries) -> dict:
                 "bid_below_share": mig.bid_below_share,
                 "signal_up": mig.signal_up, "signal_down": mig.signal_down,
             }
-            block["depth_at_extremes"] = _jsonable(depth_at_extremes(latest, rng, cfg))
-            tail = books[-cfg.depth_trend_snapshots:]
             rows = [depth_at_extremes(s, rng, cfg) for s in tail]
+            block["depth_at_extremes"] = _jsonable(rows[-1])
             doc["extremes_trend"] = _jsonable(extremes_slopes(rows))
             doc["extremes_series"] = [dict(_jsonable(row), time=iso(s.time))
                                       for row, s in zip(rows, tail)]

@@ -27,6 +27,7 @@ from .model import (
     LiquidationEvent,
     OpenInterestRecord,
     Panel,
+    SETTLE_SECONDS,
     d12,
     iso,
     validate_panel,
@@ -164,7 +165,7 @@ class _Builder:
             open_time=open_time, open=d12(open_), high=d12(high),
             low=d12(low), close=d12(close), volume=d12(volume)))
 
-        if close_time % 28800 == 0:
+        if close_time % SETTLE_SECONDS == 0:
             mark = index = None
             if mark_basis is not None:
                 index = d12(close)

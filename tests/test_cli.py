@@ -91,6 +91,29 @@ def test_bad_config_value_is_a_schema_error(panel_file, tmp_path, capsys, item, 
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("key", ["h3_structural_closes", "price_mad_sigma", "bars_per_day"])
+def test_removed_config_key_is_a_schema_error(panel_file, tmp_path, capsys, key):
+    out = str(tmp_path / "m.json")
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: 1}))
+    for flags in (["--set", key + "=1"], ["--config", str(cfg_file)]):
+        assert main(["metrics", "--panel", panel_file, "--out", out] + flags) == 3
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+    _write_inputs(tmp_path, load_panel(panel_file))
+    manifest = tmp_path / "manifest.json"
+    _manifest(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["config"] = {key: 1}
+    manifest.write_text(json.dumps(doc))
+    assert main(["ingest", "--manifest", str(manifest), "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_config_floors_and_int_for_float_are_accepted(panel_file, tmp_path, capsys):
     out = str(tmp_path / "m.json")
     assert main(["metrics", "--panel", panel_file, "--set", "funding_spike_lookback=2",
@@ -208,6 +231,20 @@ def test_invalid_latest_book_is_skipped_in_metrics(corpus_dir, tmp_path, capsys,
     skipped, previous = doc["books"][-1][:20], doc["books"][-2][:20]
     assert liquidity["latest"]["time"] == previous
     assert liquidity["notes"] == ["book snapshot %s skipped: %s" % (skipped, reason)]
+
+
+def test_extremes_tail_skips_an_invalid_latest_snapshot(corpus_dir, tmp_path, capsys):
+    source = corpus_dir / "h2-confirm.json"
+    path, doc = _with_last_bids(source, tmp_path, lambda bids: "0:1 " + bids)
+    out = tmp_path / "m.json"
+    assert main(["metrics", "--panel", str(path), "--family", "liquidity",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    liquidity = load_report(str(out))["families"]["liquidity"]
+    accepted = [line[:20] for line in doc["books"][:-1]][-DEFAULTS.depth_trend_snapshots:]
+    assert [row["time"] for row in liquidity["extremes_series"]] == accepted
+    assert accepted[-1] == liquidity["latest"]["time"] == "2023-11-26T08:00:00Z"
+    assert liquidity["extremes_trend"]["snapshots"] == len(accepted)
 
 
 def test_no_valid_book_leaves_latest_null(corpus_dir, tmp_path, capsys):

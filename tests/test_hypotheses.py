@@ -198,3 +198,20 @@ def _oscillating_candles(n=60, lo=100.0, hi=103.0):
                             d12(close), d12(1000)))
         prev = close
     return out
+
+
+def _threshold(verdict, signal):
+    return [s.threshold for s in verdict.signals if s.name == signal]
+
+
+def test_signal_threshold_text_follows_the_config(scenario_panels):
+    h1, h2 = scenario_panels["h1-confirm"][0], scenario_panels["h2-confirm"][0]
+    cfg = DEFAULTS.replace(h2_shelf_migration_share=0.5, wick_baseline_window=10)
+    assert _threshold(evaluate_all(h2, DEFAULTS)["H2"], "shelf_migration") \
+        == ["> 0.20 toward the break"]
+    assert _threshold(evaluate_all(h2, cfg)["H2"], "shelf_migration") \
+        == ["> 0.50 toward the break"]
+    [default] = _threshold(evaluate_all(h1, DEFAULTS)["H1"], "wick_ratio_rise")
+    [override] = _threshold(evaluate_all(h1, cfg)["H1"], "wick_ratio_rise")
+    assert default.endswith("(prior 20-bar mean)")
+    assert override.endswith("(prior 10-bar mean)")

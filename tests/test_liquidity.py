@@ -11,6 +11,7 @@ from rangegov.liquidity import (
     depth_percentiles,
     fill_slippage,
     impact_pairs,
+    latest_valid_books,
     market_impact_coefficient,
     shelf_migration,
     spread,
@@ -32,6 +33,26 @@ def random_book(rng, mid=100.0, levels=20):
     asks = [(mid * (1 + 0.001 * (k + 1)), float(rng.uniform(1, 50)))
             for k in range(levels)]
     return book(bids, asks)
+
+
+class TestLatestValidBooks:
+    def test_tail_skips_invalid_snapshots_and_names_them(self):
+        good = [book([(99, 1)], [(101, 1)], t) for t in (0, 3600, 7200)]
+        bad = book([(0, 1), (99, 1)], [(101, 1)], 5400)
+        books = good[:2] + [bad] + good[2:]
+        tail, notes = latest_valid_books(books, 3)
+        assert tail == good
+        assert notes == ["book snapshot 1970-01-01T01:30:00Z skipped: bids non-positive "
+                         "price; bids levels not strictly ordered best-first"]
+        assert latest_valid_books(books, 1) == (good[2:], [])
+        assert latest_valid_books(books, 5) == (good, notes)
+
+    def test_none_valid(self):
+        bad = book([], [(101, 1)], 0)
+        assert latest_valid_books([bad], 2) == (
+            [], ["no valid book snapshot among 1; the latest, 1970-01-01T00:00:00Z, "
+                 "has: bids empty"])
+        assert latest_valid_books([], 2) == ([], [])
 
 
 class TestDepthPercentiles:

@@ -6,8 +6,7 @@ from rangegov.model import (
 )
 from rangegov.quality import (
     FLAG, INTERPOLATED, REJECT, check_book_integrity, check_funding_bounds,
-    check_oi_sanity, check_price_consistency,
-    check_volume, check_wash_trading, fill_gaps, run_pipeline, snap_to_grid,
+    check_oi_sanity, check_wash_trading, fill_gaps, run_pipeline, snap_to_grid,
 )
 
 T0 = 1609459200
@@ -37,38 +36,6 @@ def test_snap_to_grid_rounds_to_nearest():
     assert snap_to_grid(T0 + 31, 3600) == T0
     assert snap_to_grid(T0 + 3599, 3600) == T0 + 3600
     assert snap_to_grid(T0 + 1800, 3600) == T0  # exact half breaks to the earlier point
-
-
-def test_price_consistency_mad_outlier():
-    closes = {"a": ["100"], "b": ["100.2"], "c": ["100.1"], "d": ["130"]}
-    report = check_price_consistency(closes, [T0])
-    assert len(report.flags) == 1
-    assert report.flags[0].location.startswith("d@")
-
-
-def test_price_consistency_degenerate_mad():
-    closes = {"a": ["100"], "b": ["100"], "c": ["100"], "d": ["130"]}
-    report = check_price_consistency(closes, [T0])
-    assert len(report.flags) == 1
-    assert "degenerate" in report.flags[0].detail
-    # under the 0.1% fallback nothing fires
-    closes = {"a": ["100"], "b": ["100"], "c": ["100"], "d": ["100.05"]}
-    assert check_price_consistency(closes, [T0]).flags == []
-
-
-def test_price_consistency_needs_three_venues():
-    closes = {"a": ["100"], "b": ["130"]}
-    report = check_price_consistency(closes, [T0])
-    assert report.flags == []
-    assert any("skipped" in n for n in report.notes)
-
-
-def test_volume_deviation():
-    vols = {"a": ["100"], "b": ["100"], "c": ["200"]}
-    report = check_volume(vols, [T0])
-    assert len(report.flags) == 1 and report.flags[0].location.startswith("c@")
-    report = check_volume({"a": ["100"], "b": ["125"]}, [T0])
-    assert report.flags == [] and report.notes
 
 
 def test_funding_hard_bound_rejects_inclusive():
@@ -187,3 +154,13 @@ def test_pipeline_reject_on_funding_bound_drops_record():
     # the cleaned panel no longer trips the bound
     _, report2 = run_pipeline(cleaned)
     assert report2.flags == []
+
+
+def test_pipeline_keeps_in_bound_record_sharing_a_settle_time():
+    panel = clean_panel()
+    t = panel.funding[-1].settle_time + 28800
+    kept = FundingRecord(t, d12("0.0001"))
+    panel.funding += [FundingRecord(t, d12("0.05")), kept]
+    cleaned, report = run_pipeline(panel)
+    assert [f.location for f in report.flags] == ["funding@" + iso(t)]
+    assert cleaned.funding == panel.funding[:-2] + [kept]

@@ -6,7 +6,7 @@ from rangegov.config import DEFAULTS
 from rangegov.cost import FundingState
 from rangegov.errors import InsufficientInputsError
 from rangegov.hypotheses import HypothesisVerdict
-from rangegov.model import BAR_SECONDS, Candle4H, Panel, RangeDefinition, d12
+from rangegov.model import BAR_SECONDS, BARS_PER_DAY, Candle4H, Panel, RangeDefinition, d12
 from rangegov.regime import (
     ALIGNED,
     DIVERGENT,
@@ -130,10 +130,25 @@ def test_assemble_states_covers_all_five(scenario_panels):
     assert len(evaluated) >= DEFAULTS.trigger_min_metrics
 
 
+def test_shelf_migration_state_reads_the_latest_valid_snapshot(scenario_panels):
+    from rangegov.model import BookSnapshot
+    from rangegov.structure import derive
+    panel, _ = scenario_panels["h2-confirm"]
+    assert assemble_trigger_states(derive(panel, DEFAULTS))["shelf_migration"] == ALIGNED
+    # an invalid last snapshot (zero-price bid) with every ask inside the range
+    # would read divergent; the state comes from the snapshot before it
+    bad = BookSnapshot(panel.books[-1].time + 3600, ((d12(0), d12(1)),),
+                       ((d12(100), d12(1)),))
+    edited = Panel(panel.instrument, panel.candles, panel.funding,
+                   panel.open_interest, panel.books + [bad], panel.liquidations,
+                   panel.annotations)
+    assert assemble_trigger_states(derive(edited, DEFAULTS))["shelf_migration"] == ALIGNED
+
+
 # --- platform advisory -----------------------------------------------------------
 
 def test_leverage_endpoints():
-    n = DEFAULTS.leverage_vol_days * DEFAULTS.bars_per_day
+    n = DEFAULTS.leverage_vol_days * BARS_PER_DAY
     rising = [0.01 + 0.0001 * i for i in range(n)]
     assert advise_platform_parameters(rising, DEFAULTS)["max_leverage"] \
         == pytest.approx(DEFAULTS.leverage_min)          # current is the max
