@@ -2,9 +2,10 @@
 
 Every numeric threshold the metric, hypothesis and advisory layers read
 lives here under a name that states which rule it bounds, and nothing else
-does: the 4H grid and its 6 bars a day are fixed in `model`. Defaults are the
-published reference values; overrides come from a JSON file (CLI --config or
-the RG_CONFIG environment variable) with exactly these keys.
+does: the 4H grid and its 6 bars a day, and the 8H funding basis and its 3
+settlements a day, are fixed in `model`. Defaults are the published reference
+values; overrides come from a JSON file (CLI --config or the RG_CONFIG
+environment variable) with exactly these keys.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ class Config:
     # funding (8H basis, fractions per period)
     funding_elevated_abs: float = 0.0005       # |rate| above this is elevated
     funding_neutral_abs: float = 0.0001        # |rate| below this is neutral
-    settlements_per_day: int = 3
     funding_bias_min_periods: int = 3          # consecutive same-sign settlements
     funding_spike_sigma: float = 2.0
     funding_spike_lookback: int = 30           # settlements, strictly before t

@@ -9,7 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import Config, DEFAULTS
 from .ingestion import annualize_funding, cumulative_funding
-from .model import d12
+from .model import SETTLEMENTS_PER_DAY, d12
 
 ELEVATED = "elevated"
 NORMAL = "normal"
@@ -81,10 +81,9 @@ def build_funding_state(records: Sequence, durations: Sequence[int],
         return None
     rates = [r.rate_8h for r in records]
     last = rates[-1]
-    per_day = cfg.settlements_per_day
 
     def cum(days: int) -> Optional[float]:
-        window = days * per_day
+        window = days * SETTLEMENTS_PER_DAY
         if window > len(rates):
             return None
         return float(cumulative_funding(rates, window))

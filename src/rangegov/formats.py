@@ -27,6 +27,7 @@ from .model import (
     d12,
     fmt_dec,
     iso,
+    levels_text,
     parse_iso,
 )
 from .quality import run_pipeline
@@ -206,25 +207,19 @@ def read_ticks_csv(path: str, exchange_id: str = "") -> list:
 
 # ------------------------------------------------------------ book snapshots
 
-def _levels_str(snap: BookSnapshot, side: str) -> str:
-    text = snap.level_text(side)
-    if text is not None:
-        return text
-    return " ".join("%s:%s" % (fmt_dec(p), fmt_dec(s)) for p, s in getattr(snap, side))
-
-
 def book_to_line(snap: BookSnapshot) -> str:
-    return "|".join([iso(snap.time), _levels_str(snap, "bids"), _levels_str(snap, "asks")])
+    return "|".join([iso(snap.time), snap.bids, snap.asks])
 
 
 def book_from_line(line: str, where: str = "book") -> BookSnapshot:
-    """A canonical side (`CANONICAL_LEVELS`) stays text until first read; any
-    other side is decoded here, where a malformed one raises SchemaError."""
+    """A canonical side (`CANONICAL_LEVELS`) is held verbatim; any other side
+    is decoded here, where a malformed one raises SchemaError, and held as the
+    `levels_text` of its levels."""
     parts = line.rstrip("\n").split("|")
     if len(parts) != 3:
         raise SchemaError("%s: want time|bids|asks, got %d fields" % (where, len(parts)))
 
-    def levels(chunk: str):
+    def side(chunk: str) -> str:
         if CANONICAL_LEVELS.fullmatch(chunk):
             return chunk
         out = []
@@ -233,9 +228,9 @@ def book_from_line(line: str, where: str = "book") -> BookSnapshot:
             if len(bits) != 2:
                 raise SchemaError("%s: bad level %r" % (where, pair))
             out.append((_dec(bits[0], where), _dec(bits[1], where)))
-        return tuple(out)
+        return levels_text(out)
 
-    return BookSnapshot.from_text(_time(parts[0], where), levels(parts[1]), levels(parts[2]))
+    return BookSnapshot(_time(parts[0], where), side(parts[1]), side(parts[2]))
 
 
 def read_books(path: str) -> list:
@@ -468,6 +463,8 @@ def load_report(path: str) -> dict:
 # ----------------------------------------------------------------- manifest
 
 def load_manifest(path: str) -> dict:
+    """The manifest at `path`. SchemaError names the first field that
+    `ingest_manifest` reads and that is missing or of the wrong type."""
     if not os.path.exists(path):
         raise MissingSeriesError("missing file: %s" % path)
     with open(path, encoding="utf-8") as fh:
@@ -477,19 +474,40 @@ def load_manifest(path: str) -> dict:
             raise SchemaError("%s: %s" % (path, exc))
     if not isinstance(doc, dict):
         raise SchemaError("%s: manifest must be an object" % path)
+
+    def need(ok, field: str, want: str) -> None:
+        if not ok:
+            raise SchemaError("%s: manifest %s must be %s" % (path, field, want))
+
     if not doc.get("instrument"):
         raise SchemaError("%s: manifest needs an instrument" % path)
     exchanges = doc.get("exchanges")
     if not isinstance(exchanges, list) or not exchanges:
         raise SchemaError("%s: manifest needs a nonempty exchange list" % path)
     for i, ex in enumerate(exchanges):
+        need(isinstance(ex, dict), "exchanges[%d]" % i, "an object")
         if not ex.get("name"):
             raise SchemaError("%s: exchange %d needs a name" % (path, i))
         if "candles" not in ex and "ticks" not in ex:
             raise SchemaError("%s: exchange %r needs candles or ticks"
                               % (path, ex["name"]))
-        if "volume_30d" not in ex:
-            raise SchemaError("%s: exchange %r needs volume_30d" % (path, ex["name"]))
+        source = "candles" if "candles" in ex else "ticks"
+        need(ex[source] and isinstance(ex[source], str),
+             "exchanges[%d].%s" % (i, source), "a file path")
+        need(type(ex.get("volume_30d")) in (int, float),
+             "exchanges[%d].volume_30d" % i, "a number")
+    sources = doc.get("funding") or []
+    need(isinstance(sources, list), "funding", "a list")
+    for i, src in enumerate(sources):
+        need(isinstance(src, dict), "funding[%d]" % i, "an object")
+        need(src.get("path") and isinstance(src["path"], str),
+             "funding[%d].path" % i, "a file path")
+        need(type(src.get("interval_hours", 8)) is int,
+             "funding[%d].interval_hours" % i, "an integer")
+    for key in ("open_interest", "books", "liquidations"):
+        need(isinstance(doc.get(key) or "", str), key, "a file path")
+    for key in ("config", "annotations"):
+        need(isinstance(doc.get(key) or {}, dict), key, "an object")
     return doc
 
 
@@ -529,7 +547,7 @@ def ingest_manifest(path: str, cfg: Optional[Config] = None) -> tuple:
     sources = doc.get("funding") or []
     if sources:
         chosen = next((s for s in sources if s.get("authoritative")), sources[0])
-        interval = int(chosen.get("interval_hours", 8))
+        interval = chosen.get("interval_hours", 8)
         rows = read_funding_csv(_rel(base_dir, chosen["path"]))
         funding = [FundingRecord(
             settle_time=t,

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import Config, DEFAULTS
-from .liquidity import depth_extremes_trend, shelf_migration
+from .liquidity import (depth_at_extremes, extremes_slopes, latest_valid_books,
+                        shelf_migration)
 from .model import (
     BAR_SECONDS,
     BARS_PER_DAY,
@@ -24,7 +25,6 @@ from .model import (
     RangeDefinition,
     bar_index,
     d12,
-    latest_book_at,
     parse_iso,
 )
 from .positioning import ROTATION, boundary_cluster_share, classify_oi_event
@@ -66,6 +66,17 @@ def _beyond(close: Decimal, rng: RangeDefinition) -> int:
     if close < rng.lower:
         return -1
     return 0
+
+
+def _first_shift(candles: Sequence, rng: RangeDefinition, start: int,
+                 stop: int) -> Optional[int]:
+    """The first bar i in [start, stop) whose close and the next bar's close
+    are both beyond the same boundary (a structural shift), else None."""
+    for i in range(start, stop):
+        side = _beyond(candles[i].close, rng)
+        if side != 0 and side == _beyond(candles[i + 1].close, rng):
+            return i
+    return None
 
 
 # ------------------------------------------------------------------------ H1
@@ -172,13 +183,7 @@ def evaluate_h1(series: PanelSeries) -> HypothesisVerdict:
                 "tap_bars": taps, "tap_oi_drops": drops}
 
     # falsification: >=2 consecutive closes beyond a boundary on rising volatility
-    expansion = False
-    for i in range(start, n - 1):
-        a = _beyond(panel.candles[i].close, rng)
-        b = _beyond(panel.candles[i + 1].close, rng)
-        if a != 0 and a == b:
-            expansion = True
-            break
+    expansion = _first_shift(panel.candles, rng, start, n - 1) is not None
     if expansion and vol_slope is not None and vol_slope > 0:
         notes.append("sustained expansion despite persistent funding bias")
         return HypothesisVerdict(name, window, True, signals, FALSIFIED,
@@ -241,21 +246,23 @@ def evaluate_h2(series: PanelSeries, breakout_bar: Optional[int],
 
     break_close_t = panel.candles[breakout_bar].close_time
 
+    # signals 1 and 2 read the latest snapshots `validate_record` accepts
+    before = [b for b in panel.books if b.time <= break_close_t]
+    tail, skipped = latest_valid_books(before, cfg.depth_trend_snapshots)
+    notes.extend(skipped if before else ["no book snapshot at the break"])
+
     # signal 1: resting depth relocated beyond the broken boundary
-    snap = latest_book_at(panel, break_close_t)
     shelf_text = "> %.2f toward the break" % cfg.h2_shelf_migration_share
-    if snap is None:
+    if not tail:
         s1 = Signal("shelf_migration", None, None, shelf_text)
-        notes.append("no book snapshot at the break")
     else:
-        mig = shelf_migration(snap, rng, cfg)
+        mig = shelf_migration(tail[-1], rng, cfg)
         share = mig.ask_above_share if side == "up" else mig.bid_below_share
         fired = mig.signal_up if side == "up" else mig.signal_down
         s1 = Signal("shelf_migration", fired, share, shelf_text)
 
     # signal 2: depth at the broken boundary trending down
-    snaps = [b for b in panel.books if b.time <= break_close_t]
-    trend = depth_extremes_trend(snaps, rng, cfg)
+    trend = extremes_slopes([depth_at_extremes(b, rng, cfg) for b in tail])
     slope = trend["upper_slope"] if side == "up" else trend["lower_slope"]
     s2 = Signal("boundary_depth_decline", None if slope is None else slope < 0,
                 slope, "< 0")
@@ -349,14 +356,12 @@ def evaluate_h3(series: PanelSeries) -> HypothesisVerdict:
     notes = []
 
     # structural shift kills the condition: >=2 consecutive closes outside
-    for j in range(s, min(s + cfg.h3_reversion_max_bars, n - 1)):
-        a = _beyond(panel.candles[j].close, rng)
-        b = _beyond(panel.candles[j + 1].close, rng)
-        if a != 0 and a == b:
-            return _not_evaluable(
-                name, window,
-                ["structural shift after the spike (2 consecutive closes outside)"],
-                evidence={"spike_bar": s, "shift_at": j})
+    shift = _first_shift(panel.candles, rng, s, min(s + cfg.h3_reversion_max_bars, n - 1))
+    if shift is not None:
+        return _not_evaluable(
+            name, window,
+            ["structural shift after the spike (2 consecutive closes outside)"],
+            evidence={"spike_bar": s, "shift_at": shift})
 
     sigma = series.realized_vol[s]
     if math.isnan(sigma):

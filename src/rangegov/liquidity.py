@@ -77,8 +77,8 @@ def _side_profile(levels, side: str) -> DepthProfile:
 def depth_percentiles(snapshot: BookSnapshot) -> tuple:
     """Walk each side best-first; quartile prices are the first levels where
     the cumulative share reaches 25% / 75%."""
-    return (_side_profile(snapshot.bids, "bid"),
-            _side_profile(snapshot.asks, "ask"))
+    return (_side_profile(snapshot.bid_levels, "bid"),
+            _side_profile(snapshot.ask_levels, "ask"))
 
 
 def _notional(levels) -> Decimal:
@@ -89,10 +89,10 @@ def shelf_migration(snapshot: BookSnapshot, prior: RangeDefinition,
                     cfg: Config = DEFAULTS) -> ShelfMigration:
     """Notional share of resting depth relocated strictly beyond the prior
     boundaries. The expansion signal is strict: exactly 20% does not fire."""
-    ask_total = _notional(snapshot.asks)
-    bid_total = _notional(snapshot.bids)
-    above = _notional([(p, s) for p, s in snapshot.asks if p > prior.upper])
-    below = _notional([(p, s) for p, s in snapshot.bids if p < prior.lower])
+    ask_total = _notional(snapshot.ask_levels)
+    bid_total = _notional(snapshot.bid_levels)
+    above = _notional([(p, s) for p, s in snapshot.ask_levels if p > prior.upper])
+    below = _notional([(p, s) for p, s in snapshot.bid_levels if p < prior.lower])
     ask_share = above / ask_total if ask_total else Decimal(0)
     bid_share = below / bid_total if bid_total else Decimal(0)
     cut = d12(cfg.h2_shelf_migration_share)
@@ -108,7 +108,7 @@ def depth_at_extremes(snapshot: BookSnapshot, rng: RangeDefinition,
 
     def near(boundary: Decimal) -> Decimal:
         acc = Decimal(0)
-        for levels in (snapshot.bids, snapshot.asks):
+        for levels in (snapshot.bid_levels, snapshot.ask_levels):
             for price, size in levels:
                 if boundary > 0 and abs(price - boundary) / boundary <= band:
                     acc += price * size
@@ -118,14 +118,6 @@ def depth_at_extremes(snapshot: BookSnapshot, rng: RangeDefinition,
     upper = near(rng.upper)
     return {"lower_usd": float(lower), "upper_usd": float(upper),
             "total_usd": float(lower + upper)}
-
-
-def depth_extremes_trend(snapshots: Sequence[BookSnapshot], rng: RangeDefinition,
-                         cfg: Config = DEFAULTS) -> dict:
-    """OLS slope of the near-boundary depth over the trailing snapshots
-    (at most depth_trend_snapshots). None when fewer than 2 snapshots."""
-    tail = list(snapshots)[-cfg.depth_trend_snapshots:]
-    return extremes_slopes([depth_at_extremes(s, rng, cfg) for s in tail])
 
 
 def extremes_slopes(rows: Sequence[dict]) -> dict:
@@ -147,7 +139,7 @@ def fill_slippage(snapshot: BookSnapshot, side: str,
     """
     if side not in ("buy", "sell"):
         raise ValueError("side must be buy or sell")
-    levels = snapshot.asks if side == "buy" else snapshot.bids
+    levels = snapshot.ask_levels if side == "buy" else snapshot.bid_levels
     if not levels:
         raise ValueError("empty book side")
     mid = snapshot.mid
@@ -179,8 +171,8 @@ def book_imbalance(snapshot: BookSnapshot, cfg: Config = DEFAULTS) -> tuple:
     the value but never the flag.
     """
     n = cfg.imbalance_depth_levels
-    bid = sum(s for _, s in snapshot.bids[:n])
-    ask = sum(s for _, s in snapshot.asks[:n])
+    bid = sum(s for _, s in snapshot.bid_levels[:n])
+    ask = sum(s for _, s in snapshot.ask_levels[:n])
     if bid == 0 or ask == 0:
         raise ValueError("one-sided book")
     value = bid / ask - 1

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
+from functools import cached_property
 from time import gmtime, strftime
 from typing import Optional, Sequence
 
@@ -20,6 +21,7 @@ from .errors import DataError, SchemaError
 BAR_SECONDS = 14400
 BARS_PER_DAY = 86400 // BAR_SECONDS
 SETTLE_SECONDS = 28800   # one 8H funding period
+SETTLEMENTS_PER_DAY = 86400 // SETTLE_SECONDS
 ALLOWED_FUNDING_INTERVALS = (4, 8, 12)
 
 _Q12 = Decimal("0.000000000001")
@@ -124,66 +126,50 @@ class OpenInterestRecord:
         return self.long_oi_usd / total
 
 
-# One book side as `fmt_dec` writes it: "price:size" pairs separated by single
-# spaces, each number plain, unsigned, without leading or trailing zeros, with
-# at most 16 integer and 12 fractional digits. Such a number fits the 28-digit
-# context at 12 places, so `d12` cannot fail on it, and `fmt_dec(d12(x)) == x`.
-# ASCII digits only: `Decimal` also reads other scripts' digits, which
-# `fmt_dec` would not write back.
+# A book side as `levels_text` writes non-negative levels: "price:size" pairs
+# separated by single spaces, each number plain, unsigned, without leading or
+# trailing zeros, with at most 16 integer and 12 fractional digits. Such a
+# number fits the 28-digit context at 12 places, so `d12` cannot fail on it,
+# and `fmt_dec(d12(x)) == x`. ASCII digits only: `Decimal` also reads other
+# scripts' digits, which `fmt_dec` would not write back.
 _CANONICAL_NUMBER = r"(?:0|[1-9][0-9]{0,15})(?:\.[0-9]{0,11}[1-9])?"
 CANONICAL_LEVELS = re.compile(r"(?:{n}:{n}(?: {n}:{n})*)?".format(n=_CANONICAL_NUMBER))
 
 
-class _LevelText:
-    """A `BookSnapshot` side that `from_text` left as text.
+def levels_text(levels) -> str:
+    """A book side ((price, size), ...) of `d12` values as a panel line
+    stores it; `BookSnapshot` decodes it back to the same values."""
+    return " ".join("%s:%s" % (fmt_dec(p), fmt_dec(s)) for p, s in levels)
 
-    The first read decodes it into ((price, size), ...) through `d12` and
-    stores the tuple on the instance, which shadows this non-data descriptor
-    from then on, as `functools.cached_property` does.
-    """
 
-    def __set_name__(self, owner, name):
-        self.name = name
-        self.text_key = "_%s_text" % name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:   # no class-level value, so the dataclass field has no default
-            raise AttributeError(self.name)
-        numbers = [d12(x) for x in obj.__dict__[self.text_key].replace(":", " ").split()]
-        levels = tuple(zip(numbers[::2], numbers[1::2]))
-        obj.__dict__[self.name] = levels
-        return levels
+def _levels(text: str) -> tuple:
+    numbers = [d12(x) for x in text.replace(":", " ").split()]
+    return tuple(zip(numbers[::2], numbers[1::2]))
 
 
 @dataclass(frozen=True)
 class BookSnapshot:
+    """Each side is held as `levels_text` writes it and decoded on first read,
+    so copies, `==` and `hash` compare text and decode nothing."""
     time: int
-    bids: tuple = _LevelText()   # ((price, size), ...) best first, descending prices
-    asks: tuple = _LevelText()   # ((price, size), ...) best first, ascending prices
+    bids: str   # best first, descending prices
+    asks: str   # best first, ascending prices
 
-    @classmethod
-    def from_text(cls, time: int, bids, asks) -> "BookSnapshot":
-        """A snapshot whose sides are each a levels tuple or a text that
-        matches `CANONICAL_LEVELS`. A text side is decoded on first read, and
-        `level_text` gives it back verbatim."""
-        snap = cls.__new__(cls)
-        state = snap.__dict__
-        state["time"] = time
-        for name, side in (("bids", bids), ("asks", asks)):
-            state["_%s_text" % name if isinstance(side, str) else name] = side
-        return snap
+    @cached_property
+    def bid_levels(self) -> tuple:
+        return _levels(self.bids)
 
-    def level_text(self, side: str) -> Optional[str]:
-        """The canonical text `side` ("bids" or "asks") was built from, else None."""
-        return self.__dict__.get("_%s_text" % side)
+    @cached_property
+    def ask_levels(self) -> tuple:
+        return _levels(self.asks)
 
     @property
     def best_bid(self) -> Decimal:
-        return self.bids[0][0]
+        return self.bid_levels[0][0]
 
     @property
     def best_ask(self) -> Decimal:
-        return self.asks[0][0]
+        return self.ask_levels[0][0]
 
     @property
     def mid(self) -> Decimal:
@@ -310,11 +296,12 @@ def _validate_book(b: BookSnapshot) -> list:
     out = []
     if not isinstance(b.time, int):
         out.append(Violation("time", "not an integer timestamp"))
-    if not b.bids:
+    bids, asks = b.bid_levels, b.ask_levels
+    if not bids:
         out.append(Violation("bids", "empty"))
-    if not b.asks:
+    if not asks:
         out.append(Violation("asks", "empty"))
-    for side, levels, descending in (("bids", b.bids, True), ("asks", b.asks, False)):
+    for side, levels, descending in (("bids", bids, True), ("asks", asks, False)):
         prices = [lvl[0] for lvl in levels]
         if any(p <= 0 for p in prices):
             out.append(Violation(side, "non-positive price"))
@@ -324,7 +311,7 @@ def _validate_book(b: BookSnapshot) -> list:
             else all(a < b_ for a, b_ in zip(prices, prices[1:]))
         if not ordered:
             out.append(Violation(side, "levels not strictly ordered best-first"))
-    if b.bids and b.asks and b.bids[0][0] >= b.asks[0][0]:
+    if bids and asks and bids[0][0] >= asks[0][0]:
         out.append(Violation("bids", "crossed book: best bid >= best ask"))
     return out
 
@@ -429,12 +416,3 @@ def funding_by_bar(panel: Panel) -> list:
 def oi_by_bar(panel: Panel) -> list:
     return _asof_by_bar(panel, panel.open_interest, lambda r: r.time)
 
-
-def latest_book_at(panel: Panel, time: int) -> Optional[BookSnapshot]:
-    best = None
-    for b in panel.books:
-        if b.time <= time:
-            best = b
-        else:
-            break
-    return best

@@ -11,7 +11,8 @@ import numpy as np
 from .config import Config, DEFAULTS
 from .errors import InsufficientInputsError
 from .hypotheses import CONFIRMED, FALSIFIED
-from .model import BAR_SECONDS, BARS_PER_DAY, Panel, RangeDefinition, d12
+from .model import (BAR_SECONDS, BARS_PER_DAY, SETTLEMENTS_PER_DAY, Panel,
+                    RangeDefinition, d12)
 from .positioning import COLLAPSE, ROTATION, classify_oi_event
 from .structure import PanelSeries, absorption_footprints, derive, ols_slope
 
@@ -231,7 +232,7 @@ def recommend_action(regime: RegimeLabel, position: str, funding_state,
         v = verdicts.get(h)
         return v.outcome if v is not None else None
 
-    drag_periods = int(cfg.holding_days * cfg.settlements_per_day)
+    drag_periods = int(cfg.holding_days * SETTLEMENTS_PER_DAY)
     rate = abs(float(funding_state.annualized_pct)) / (3 * 365 * 100) \
         if funding_state is not None else 0.0
     drag = rate * drag_periods

@@ -28,7 +28,7 @@ from .liquidity import (
     shelf_migration,
     spread,
 )
-from .model import Panel, bar_index, fmt_dec, iso
+from .model import SETTLEMENTS_PER_DAY, Panel, bar_index, fmt_dec, iso
 from .positioning import (
     boundary_cluster_share,
     concentration_gini,
@@ -157,7 +157,7 @@ def cost_report(series: PanelSeries) -> dict:
     # Rising vs moderating: sign of the |rate| slope over the short window.
     direction = "neutral"
     if state is not None and state.magnitude_class != "neutral":
-        window = cfg.cumulative_short_days * cfg.settlements_per_day
+        window = cfg.cumulative_short_days * SETTLEMENTS_PER_DAY
         slope = ols_slope([abs(float(r)) for r in rates[-window:]])
         if slope is not None:
             direction = "rising" if slope > 0 else "moderating"

@@ -30,6 +30,7 @@ from .model import (
     SETTLE_SECONDS,
     d12,
     iso,
+    levels_text,
     validate_panel,
 )
 from .structure import derive
@@ -214,7 +215,7 @@ def _book(time_s: int, mid: float, range_hi: float, zone_mult: float) -> BookSna
             az *= zone_mult
         bids.append((d12(bp), d12(bs)))
         asks.append((d12(ap), d12(az)))
-    return BookSnapshot(time_s, tuple(bids), tuple(asks))
+    return BookSnapshot(time_s, levels_text(bids), levels_text(asks))
 
 
 def _ramp(ov: dict, key: str, fallback: float, j: int, length: int) -> float:
@@ -481,8 +482,8 @@ def scale_panel(panel: Panel, factor: float) -> Panel:
                              None if r.index_price is None else d12(r.index_price * f))
                for r in panel.funding]
     books = [BookSnapshot(s.time,
-                          tuple((d12(p * f), z) for p, z in s.bids),
-                          tuple((d12(p * f), z) for p, z in s.asks))
+                          levels_text((d12(p * f), z) for p, z in s.bid_levels),
+                          levels_text((d12(p * f), z) for p, z in s.ask_levels))
              for s in panel.books]
     liqs = [LiquidationEvent(e.time, d12(e.price * f), e.size_usd, e.side)
             for e in panel.liquidations]

@@ -52,7 +52,7 @@ from rangegov.liquidity import (
     impact_pairs,
     market_impact_coefficient,
 )
-from rangegov.model import BookSnapshot, Candle4H, LiquidationEvent, d12
+from rangegov.model import BookSnapshot, Candle4H, LiquidationEvent, d12, levels_text
 from rangegov.positioning import concentration_gini, liquidation_density
 from rangegov.quality import run_pipeline
 from rangegov.regime import advise_platform_parameters
@@ -308,13 +308,14 @@ def _random_book(rng):
             out.append((d12(px), d12(rng.uniform(0.1, 10))))
         return tuple(out)
     mid = rng.uniform(50, 150)
-    return BookSnapshot(T0, side(mid * 0.999, -1), side(mid * 1.001, +1))
+    return BookSnapshot(T0, levels_text(side(mid * 0.999, -1)),
+                        levels_text(side(mid * 1.001, +1)))
 
 
 def _check_depth(rng):
     snap = _random_book(rng)
     bid_prof, ask_prof = depth_percentiles(snap)
-    for levels, prof in ((snap.bids, bid_prof), (snap.asks, ask_prof)):
+    for levels, prof in ((snap.bid_levels, bid_prof), (snap.ask_levels, ask_prof)):
         total = sum(Fraction(s) for _, s in levels)
         run = Fraction(0)
         p25 = p75 = None
@@ -330,11 +331,11 @@ def _check_depth(rng):
 def _check_slippage(rng):
     snap = _random_book(rng)
     side = rng.choice(["buy", "sell"])
-    levels = snap.asks if side == "buy" else snap.bids
+    levels = snap.ask_levels if side == "buy" else snap.bid_levels
     notional = sum(p * s for p, s in levels)
     order = float(notional) * rng.uniform(0.3, 1.4)
     got = fill_slippage(snap, side, order)
-    mid = (snap.bids[0][0] + snap.asks[0][0]) / 2
+    mid = (snap.bid_levels[0][0] + snap.ask_levels[0][0]) / 2
     remaining = d12(order)
     qty = usd = Decimal(0)
     for p, s in levels:

@@ -91,7 +91,8 @@ def test_bad_config_value_is_a_schema_error(panel_file, tmp_path, capsys, item, 
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("key", ["h3_structural_closes", "price_mad_sigma", "bars_per_day"])
+@pytest.mark.parametrize("key", ["h3_structural_closes", "price_mad_sigma", "bars_per_day",
+                                 "settlements_per_day"])
 def test_removed_config_key_is_a_schema_error(panel_file, tmp_path, capsys, key):
     out = str(tmp_path / "m.json")
     cfg_file = tmp_path / "cfg.json"
@@ -445,6 +446,34 @@ def test_ingest_round_trip(panel_file, tmp_path, capsys):
     assert [c.close for c in panel.candles] == [c.close for c in source.candles]
     assert load_report(str(tmp_path / "q.json"))["passed"] is True
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("edit, field", [
+    pytest.param(lambda d, v=value: d["exchanges"][0].update(volume_30d=v), "volume_30d",
+                 id="volume_30d-%s" % label)
+    for label, value in (("string", "abc"), ("null", None), ("bool", True), ("list", [1]))
+] + [
+    pytest.param(lambda d: d.update(exchanges=[5]), "exchanges[0]", id="exchange-not-object"),
+    pytest.param(lambda d: d.update(funding="funding.csv"), "funding", id="funding-string"),
+    pytest.param(lambda d: d["funding"][0].pop("path"), "path", id="funding-without-path"),
+    pytest.param(lambda d: d["funding"][0].update(interval_hours="x"), "interval_hours",
+                 id="interval-string"),
+    pytest.param(lambda d: d.update(open_interest=5), "open_interest", id="oi-number"),
+    pytest.param(lambda d: d.update(books=["b"]), "books", id="books-list"),
+    pytest.param(lambda d: d.update(config=[1]), "config", id="config-list"),
+])
+def test_malformed_manifest_is_a_schema_error(panel_file, tmp_path, capsys, edit, field):
+    _write_inputs(tmp_path, load_panel(panel_file))
+    manifest = tmp_path / "manifest.json"
+    _manifest(tmp_path)
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "p.json"
+    assert main(["ingest", "--manifest", str(manifest), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_ingest_rejects_then_allows_flagged(panel_file, tmp_path, capsys):

@@ -44,6 +44,7 @@ from rangegov.model import (
     d12,
     fmt_dec,
     iso,
+    levels_text,
 )
 from rangegov.quality import QualityReport, _snap_records
 
@@ -72,8 +73,8 @@ def make_panel(n=12):
                              leverage_histogram={"10": "1000000", "25": "2500000"})
           for i in range(n)]
     books = [BookSnapshot(time=T0 + i * BAR_SECONDS,
-                          bids=((d12(99.5), d12(5)), (d12(99.0), d12(9))),
-                          asks=((d12(100.5), d12(4)), (d12(101.0), d12(11))))
+                          bids=levels_text(((d12(99.5), d12(5)), (d12(99.0), d12(9)))),
+                          asks=levels_text(((d12(100.5), d12(4)), (d12(101.0), d12(11)))))
              for i in range(n)]
     liqs = [LiquidationEvent(time=T0 + 3 * BAR_SECONDS, price=d12(99.2),
                              size_usd=d12(750000), side="long")]
@@ -148,8 +149,9 @@ class TestBookLines:
 
 
 class TestLazyBookLevels:
-    """Canonical book sides stay text until first read; any other side is
-    decoded, or rejected, at load exactly as before."""
+    """Every side is held as text and decoded on first read. A canonical side
+    is held verbatim; any other side is decoded, or rejected, at load exactly
+    as before, then held as the `levels_text` of its levels."""
 
     # every number CANONICAL_LEVELS accepts: 0 or up to 16 digits without a
     # leading zero, then optionally 1-12 fractional digits ending in non-zero
@@ -166,12 +168,13 @@ class TestLazyBookLevels:
         assert CANONICAL_LEVELS.fullmatch(side)
         line = "2023-11-15T00:00:00Z|%s|%s" % (side, side)
         snap = book_from_line(line)
-        assert snap.level_text("bids") == side
+        assert snap.bids == side
         numbers = [x for pair in pairs for x in pair]
         eager = tuple((_dec(p, "w"), _dec(s, "w"))
                       for p, s in (pair.split(":") for pair in side.split()))
-        assert snap.bids == eager
-        assert [str(x) for lvl in snap.asks for x in lvl] == \
+        assert snap.bid_levels == eager
+        assert levels_text(eager) == side
+        assert [str(x) for lvl in snap.ask_levels for x in lvl] == \
             [str(x) for lvl in eager for x in lvl]
         assert all(fmt_dec(d12(x)) == x for x in numbers)
         assert book_to_line(snap) == line
@@ -206,9 +209,9 @@ class TestLazyBookLevels:
             assert str(exc.value) == "w: " + expected
             return
         snap = book_from_line(line, "w")
-        assert snap.level_text("bids") is None
-        assert snap.level_text("asks") == "101:1"
-        assert tuple(str(x) for x in snap.bids[0]) == expected
+        assert snap.bids == levels_text(snap.bid_levels)
+        assert snap.asks == "101:1"
+        assert tuple(str(x) for x in snap.bid_levels[0]) == expected
 
     def test_bad_timestamp_is_still_rejected_first(self):
         with pytest.raises(SchemaError, match="w: bad timestamp 'x'"):
@@ -216,24 +219,30 @@ class TestLazyBookLevels:
 
     def test_lazy_snapshot_behaves_as_its_eager_twin(self):
         line = "2023-11-15T00:00:31Z|99.5:5 99:9|100.5:4 101:11"   # 31 s off the hour
-        eager = BookSnapshot(T0 + 31, ((d12("99.5"), d12(5)), (d12(99), d12(9))),
-                             ((d12("100.5"), d12(4)), (d12(101), d12(11))))
+        eager = BookSnapshot(T0 + 31,
+                             levels_text(((d12("99.5"), d12(5)), (d12(99), d12(9)))),
+                             levels_text(((d12("100.5"), d12(4)), (d12(101), d12(11)))))
         lazy = book_from_line(line)
         assert lazy == eager and hash(lazy) == hash(eager)
-        assert lazy.bids is lazy.bids
+        assert "bid_levels" not in lazy.__dict__   # == and hash decode nothing
+        assert lazy.bid_levels is lazy.bid_levels
+        assert lazy.bid_levels == eager.bid_levels
         assert book_to_line(lazy) == line == book_to_line(eager)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            lazy.bids = ()
+            lazy.bids = ""
 
         thawed = pickle.loads(pickle.dumps(book_from_line(line)))
-        assert thawed.level_text("asks") == "100.5:4 101:11"
-        assert thawed == eager
+        assert thawed.asks == "100.5:4 101:11"
+        assert thawed == eager and thawed.ask_levels == eager.ask_levels
 
         report = QualityReport()
         (snapped,) = _snap_records([book_from_line(line)], "time", lambda s: 3600,
                                    "book", report, DEFAULTS)
         assert snapped.time == T0
+        assert "bid_levels" not in snapped.__dict__   # the copy carries text only
         assert (snapped.bids, snapped.asks) == (eager.bids, eager.asks)
+        assert (snapped.bid_levels, snapped.ask_levels) == \
+            (eager.bid_levels, eager.ask_levels)
         assert [f.check for f in report.flags] == ["timestamp_alignment"]
 
 

@@ -9,7 +9,8 @@ from rangegov.hypotheses import (
     evaluate_h4,
     find_breakout_candidates,
 )
-from rangegov.model import BAR_SECONDS, Candle4H, Panel, d12
+from rangegov.formats import panel_from_dict, panel_to_dict
+from rangegov.model import BAR_SECONDS, Candle4H, Panel, d12, iso
 from rangegov.structure import derive
 from rangegov.synth import scale_panel
 
@@ -86,6 +87,26 @@ def test_h2_evidence_carries_breakout_bar_and_side(scenario_panels):
         assert v.outcome == expected
         assert v.evidence["side"] == "up"
         assert v.window[0] <= v.evidence["breakout_bar"] <= v.window[1]
+
+
+def test_h2_skips_a_rejected_snapshot_at_the_break(scenario_panels):
+    """A zero-price bid in the snapshot at the break gives the signals of the
+    panel without that snapshot, and a note names the skipped snapshot."""
+    doc = panel_to_dict(scenario_panels["h2-confirm"][0])
+    at = [line[:20] for line in doc["books"]].index("2023-11-25T04:00:00Z")
+    time, bids, asks = doc["books"][at].split("|")
+    rejected = "|".join([time, "0:1 " + bids, asks])
+    edited = panel_from_dict(dict(doc, books=doc["books"][:at] + [rejected]
+                                  + doc["books"][at + 1:]))
+    removed = panel_from_dict(dict(doc, books=doc["books"][:at] + doc["books"][at + 1:]))
+    got = evaluate_all(edited, DEFAULTS)["H2"]
+    want = evaluate_all(removed, DEFAULTS)["H2"]
+    assert iso(edited.candles[got.evidence["breakout_bar"]].close_time) == time
+    assert (got.outcome, got.signals) == (want.outcome, want.signals)
+    assert got.signals[0].measured == pytest.approx(0.92687, abs=1e-5)
+    assert got.signals[1].measured == pytest.approx(-1376.41, abs=1e-2)
+    assert got.notes == ("book snapshot %s skipped: bids non-positive price; bids "
+                         "levels not strictly ordered best-first" % time,) + want.notes
 
 
 def test_h2_falsified_by_failed_sustainment(scenario_panels):

@@ -7,8 +7,8 @@ from rangegov.config import DEFAULTS
 from rangegov.liquidity import (
     book_imbalance,
     depth_at_extremes,
-    depth_extremes_trend,
     depth_percentiles,
+    extremes_slopes,
     fill_slippage,
     impact_pairs,
     latest_valid_books,
@@ -16,14 +16,14 @@ from rangegov.liquidity import (
     shelf_migration,
     spread,
 )
-from rangegov.model import BookSnapshot, RangeDefinition, d12
+from rangegov.model import BookSnapshot, RangeDefinition, d12, levels_text
 
 
 def book(bids, asks, t=0):
     return BookSnapshot(
         time=t,
-        bids=tuple((d12(p), d12(s)) for p, s in bids),
-        asks=tuple((d12(p), d12(s)) for p, s in asks),
+        bids=levels_text((d12(p), d12(s)) for p, s in bids),
+        asks=levels_text((d12(p), d12(s)) for p, s in asks),
     )
 
 
@@ -83,10 +83,10 @@ class TestDepthPercentiles:
         for _ in range(30):
             b = random_book(rng, levels=int(rng.integers(2, 15)))
             bid_prof, _ = depth_percentiles(b)
-            total = sum(float(s) for _, s in b.bids)
+            total = sum(float(s) for _, s in b.bid_levels)
             running = 0.0
             want25 = want75 = None
-            for p, s in b.bids:
+            for p, s in b.bid_levels:
                 running += float(s)
                 share = running / total
                 if want25 is None and share >= 0.25 - 1e-12:
@@ -153,7 +153,7 @@ class TestDepthAtExtremes:
             b = random_book(rng, mid=105.0)
             out = depth_at_extremes(b, self.RANGE)
             want = 0.0
-            for p, s in list(b.bids) + list(b.asks):
+            for p, s in b.bid_levels + b.ask_levels:
                 pf, sf = float(p), float(s)
                 if abs(pf - 100.0) / 100.0 <= 0.005 + 1e-12 \
                         or abs(pf - 110.0) / 110.0 <= 0.005 + 1e-12:
@@ -166,13 +166,13 @@ class TestDepthAtExtremes:
         for k in range(10):
             size = 100 - 8 * k
             snaps.append(book([(100.2, size)], [(109.9, size)], t=k * 3600))
-        trend = depth_extremes_trend(snaps, rng_def)
+        trend = extremes_slopes([depth_at_extremes(s, rng_def) for s in snaps])
         assert trend["lower_slope"] < 0
         assert trend["upper_slope"] < 0
         assert trend["snapshots"] == 10
 
     def test_trend_needs_two_snapshots(self):
-        out = depth_extremes_trend([book([(100, 1)], [(110, 1)])], self.RANGE)
+        out = extremes_slopes([depth_at_extremes(book([(100, 1)], [(110, 1)]), self.RANGE)])
         assert out["total_slope"] is None
 
 

@@ -7,7 +7,7 @@ from rangegov.errors import DataError
 from rangegov.model import (
     BAR_SECONDS, BookSnapshot, Candle4H, FundingRecord, LiquidationEvent,
     OpenInterestRecord, Panel, RangeDefinition, bar_index, d12, fmt_dec,
-    funding_by_bar, iso, latest_book_at, oi_by_bar, validate_panel, validate_record,
+    funding_by_bar, iso, levels_text, oi_by_bar, validate_panel, validate_record,
 )
 
 T0 = 1609459200  # 2021-01-01T00:00:00Z, a 4H grid point
@@ -80,8 +80,8 @@ def test_oi_holder_shares_must_sum_to_one():
 def book(time=T0, bids=(("99", "5"), ("98", "5")), asks=(("101", "5"), ("102", "5"))):
     return BookSnapshot(
         time,
-        tuple((d12(p), d12(s)) for p, s in bids),
-        tuple((d12(p), d12(s)) for p, s in asks),
+        levels_text((d12(p), d12(s)) for p, s in bids),
+        levels_text((d12(p), d12(s)) for p, s in asks),
     )
 
 
@@ -91,7 +91,7 @@ def test_book_validation():
     assert any("crossed" in v.reason for v in validate_record(crossed))
     unordered = book(asks=(("102", "5"), ("101", "5")))
     assert any(v.field == "asks" for v in validate_record(unordered))
-    empty = BookSnapshot(T0, (), ((d12(101), d12(5)),))
+    empty = BookSnapshot(T0, "", levels_text(((d12(101), d12(5)),)))
     assert any(v.field == "bids" for v in validate_record(empty))
 
 
@@ -152,10 +152,6 @@ def test_asof_alignment_uses_latest_at_or_before_bar_close():
     panel.open_interest = [OpenInterestRecord(T0 + 2 * BAR_SECONDS, d12(500))]
     ois = oi_by_bar(panel)
     assert ois[0] is None and ois[1].oi_usd == 500 and ois[2].oi_usd == 500
-
-    panel.books = [book(T0 + 3600), book(T0 + 2 * BAR_SECONDS)]
-    assert latest_book_at(panel, T0 + 3600).time == T0 + 3600
-    assert latest_book_at(panel, T0) is None
 
 
 def _datetime_iso(ts):

@@ -2,7 +2,7 @@ from decimal import Decimal
 
 from rangegov.model import (
     BAR_SECONDS, BookSnapshot, Candle4H, FundingRecord, OpenInterestRecord,
-    Panel, d12, iso,
+    Panel, d12, iso, levels_text,
 )
 from rangegov.quality import (
     FLAG, INTERPOLATED, REJECT, check_book_integrity, check_funding_bounds,
@@ -45,7 +45,8 @@ def test_funding_hard_bound_rejects_inclusive():
 
 
 def book(time, bid="99.9", ask="100.1", size="5"):
-    return BookSnapshot(time, ((d12(bid), d12(size)),), ((d12(ask), d12(size)),))
+    return BookSnapshot(time, levels_text(((d12(bid), d12(size)),)),
+                        levels_text(((d12(ask), d12(size)),)))
 
 
 def test_book_integrity_excludes_wide_and_crossed():

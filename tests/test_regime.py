@@ -131,14 +131,14 @@ def test_assemble_states_covers_all_five(scenario_panels):
 
 
 def test_shelf_migration_state_reads_the_latest_valid_snapshot(scenario_panels):
-    from rangegov.model import BookSnapshot
+    from rangegov.model import BookSnapshot, levels_text
     from rangegov.structure import derive
     panel, _ = scenario_panels["h2-confirm"]
     assert assemble_trigger_states(derive(panel, DEFAULTS))["shelf_migration"] == ALIGNED
     # an invalid last snapshot (zero-price bid) with every ask inside the range
     # would read divergent; the state comes from the snapshot before it
-    bad = BookSnapshot(panel.books[-1].time + 3600, ((d12(0), d12(1)),),
-                       ((d12(100), d12(1)),))
+    bad = BookSnapshot(panel.books[-1].time + 3600, levels_text(((d12(0), d12(1)),)),
+                       levels_text(((d12(100), d12(1)),)))
     edited = Panel(panel.instrument, panel.candles, panel.funding,
                    panel.open_interest, panel.books + [bad], panel.liquidations,
                    panel.annotations)
