@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
@@ -49,37 +50,118 @@ def _time(raw: str, where: str) -> int:
         raise SchemaError("%s: bad timestamp %r" % (where, raw))
 
 
-def _open_csv(path: str):
-    if not os.path.exists(path):
+def _int(raw, where: str) -> int:
+    if type(raw) is int or isinstance(raw, str) and raw.isascii() and raw.isdigit():
+        return int(raw)
+    raise SchemaError("%s: bad integer %r" % (where, raw))
+
+
+def _flag(raw, where: str) -> bool:
+    if isinstance(raw, bool):
+        return raw
+    if isinstance(raw, str) and raw.lower() in ("true", "false"):
+        return raw.lower() == "true"
+    raise SchemaError("%s: bad flag %r" % (where, raw))
+
+
+def _shares(raw, where: str) -> Optional[tuple]:
+    if not isinstance(raw, list):
+        raise SchemaError("%s: bad share list %r" % (where, raw))
+    return tuple(_dec(s, where) for s in raw) or None
+
+
+def _histogram(raw, where: str) -> Optional[dict]:
+    if not isinstance(raw, dict):
+        raise SchemaError("%s: bad leverage histogram %r" % (where, raw))
+    for text in (*raw, *raw.values()):   # bucket leverage -> USD, both decimals
+        _dec(text, where)
+    return dict(raw) or None
+
+
+def _opt(rec: dict, key: str, read, where: str, default=None):
+    """`read(rec[key], where)`, or `default` if the field is absent, null or ""."""
+    raw = rec.get(key)
+    return default if raw is None or raw == "" else read(raw, where)
+
+
+# ------------------------------------------------------------------ records
+# One builder per record, called by its CSV reader and by panel_from_dict.
+
+def _candle(rec: dict, where: str) -> Candle4H:
+    return Candle4H(
+        open_time=_time(rec["time"], where), open=_dec(rec["open"], where),
+        high=_dec(rec["high"], where), low=_dec(rec["low"], where),
+        close=_dec(rec["close"], where), volume=_dec(rec["volume"], where),
+        exchange_count=_opt(rec, "exchange_count", _int, where, 1),
+        interpolated=_opt(rec, "interpolated", _flag, where, False))
+
+
+def _oi(rec: dict, where: str) -> OpenInterestRecord:
+    return OpenInterestRecord(
+        time=_time(rec["time"], where), oi_usd=_dec(rec["oi_usd"], where),
+        long_oi_usd=_opt(rec, "long_oi_usd", _dec, where),
+        short_oi_usd=_opt(rec, "short_oi_usd", _dec, where),
+        holder_shares=_opt(rec, "holder_shares", _shares, where),
+        leverage_histogram=_opt(rec, "leverage_histogram", _histogram, where))
+
+
+def _liquidation(rec: dict, where: str) -> LiquidationEvent:
+    side = rec["side"]
+    if side not in ("long", "short"):
+        raise SchemaError("%s: side must be long or short" % where)
+    return LiquidationEvent(
+        time=_time(rec["time"], where), price=_dec(rec["price"], where),
+        size_usd=_dec(rec["size_usd"], where), side=side)
+
+
+def _records(rows, build, kind=dict) -> list:
+    """`build(record, where)` over `(where, record)` pairs; a record that is
+    not of `kind` or lacks a field raises SchemaError naming it."""
+    out = []
+    for where, rec in rows:
+        if not isinstance(rec, kind):
+            raise SchemaError("%s is not %s"
+                              % (where, "an object" if kind is dict else "a string"))
+        try:
+            out.append(build(rec, where))
+        except KeyError as exc:
+            raise SchemaError("%s missing field %r" % (where, exc.args[0])) from None
+    return out
+
+
+@contextmanager
+def _open(path: str, newline=None):
+    """The text file at `path`. MissingSeriesError unless it is a regular
+    file; SchemaError naming it if it does not decode."""
+    if not os.path.isfile(path):
         raise MissingSeriesError("missing file: %s" % path)
-    return open(path, newline="", encoding="utf-8")
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except (csv.Error, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SchemaError("%s: %s" % (path, exc))
 
 
-def _require(row: dict, cols, where: str):
-    for c in cols:
-        if row.get(c) in (None, ""):
-            raise SchemaError("%s: missing column %r" % (where, c))
+def _read_json(path: str):
+    with _open(path) as fh:
+        return json.load(fh)
 
 
 # ---------------------------------------------------------------- CSV series
 
+def _read_csv(path: str, build) -> list:
+    """`build(record, where)` over the rows of the CSV file at `path`, each
+    record holding its row's nonempty cells, stripped."""
+    with _open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        return _records((("%s row %d" % (path, i),
+                          {k: v.strip() for k, v in zip(header, row) if v})
+                         for i, row in enumerate(filter(None, rows))), build)
+
+
 def read_candles_csv(path: str) -> list:
-    out = []
-    with _open_csv(path) as fh:
-        for i, row in enumerate(csv.DictReader(fh)):
-            where = "%s row %d" % (path, i)
-            _require(row, ("time", "open", "high", "low", "close", "volume"), where)
-            out.append(Candle4H(
-                open_time=_time(row["time"], where),
-                open=_dec(row["open"], where),
-                high=_dec(row["high"], where),
-                low=_dec(row["low"], where),
-                close=_dec(row["close"], where),
-                volume=_dec(row["volume"], where),
-                exchange_count=int(row.get("exchange_count") or 1),
-                interpolated=(row.get("interpolated") or "").lower() == "true",
-            ))
-    return out
+    return _read_csv(path, _candle)
 
 
 def write_candles_csv(path: str, candles) -> None:
@@ -95,20 +177,9 @@ def write_candles_csv(path: str, candles) -> None:
 
 def read_funding_csv(path: str) -> list:
     """Raw settlement rows: (time, per-interval rate, mark, index)."""
-    out = []
-    with _open_csv(path) as fh:
-        for i, row in enumerate(csv.DictReader(fh)):
-            where = "%s row %d" % (path, i)
-            _require(row, ("time", "rate"), where)
-            mark = row.get("mark_price")
-            index = row.get("index_price")
-            out.append((
-                _time(row["time"], where),
-                _dec(row["rate"], where),
-                _dec(mark, where) if mark else None,
-                _dec(index, where) if index else None,
-            ))
-    return out
+    return _read_csv(path, lambda rec, where: (
+        _time(rec["time"], where), _dec(rec["rate"], where),
+        _opt(rec, "mark_price", _dec, where), _opt(rec, "index_price", _dec, where)))
 
 
 def write_funding_csv(path: str, rows, interval_hours: int = 8) -> None:
@@ -123,28 +194,19 @@ def write_funding_csv(path: str, rows, interval_hours: int = 8) -> None:
 
 
 def read_oi_csv(path: str) -> list:
-    out = []
-    with _open_csv(path) as fh:
-        for i, row in enumerate(csv.DictReader(fh)):
-            where = "%s row %d" % (path, i)
-            _require(row, ("time", "oi_usd"), where)
-            long_oi = row.get("long_oi_usd")
-            short_oi = row.get("short_oi_usd")
-            shares = row.get("holder_shares")
-            hist = row.get("leverage_histogram")
-            out.append(OpenInterestRecord(
-                time=_time(row["time"], where),
-                oi_usd=_dec(row["oi_usd"], where),
-                long_oi_usd=_dec(long_oi, where) if long_oi else None,
-                short_oi_usd=_dec(short_oi, where) if short_oi else None,
-                holder_shares=tuple(_dec(s, where) for s in shares.split(";"))
-                if shares else None,
-                leverage_histogram={
-                    k: fv for k, fv in
-                    (pair.split(":") for pair in hist.split(";"))
-                } if hist else None,
-            ))
-    return out
+    def build(rec: dict, where: str) -> OpenInterestRecord:
+        # a CSV row holds its shares as `a;b` and its histogram as `k:v;...`
+        if "holder_shares" in rec:
+            rec["holder_shares"] = rec["holder_shares"].split(";")
+        hist = rec.get("leverage_histogram")
+        if hist:
+            pairs = [pair.split(":") for pair in hist.split(";")]
+            if any(len(pair) != 2 for pair in pairs):
+                raise SchemaError("%s: bad leverage histogram %r" % (where, hist))
+            rec["leverage_histogram"] = dict(pairs)
+        return _oi(rec, where)
+
+    return _read_csv(path, build)
 
 
 def write_oi_csv(path: str, records) -> None:
@@ -165,21 +227,7 @@ def write_oi_csv(path: str, records) -> None:
 
 
 def read_liquidations_csv(path: str) -> list:
-    out = []
-    with _open_csv(path) as fh:
-        for i, row in enumerate(csv.DictReader(fh)):
-            where = "%s row %d" % (path, i)
-            _require(row, ("time", "price", "size_usd", "side"), where)
-            side = row["side"].strip()
-            if side not in ("long", "short"):
-                raise SchemaError("%s: side must be long or short" % where)
-            out.append(LiquidationEvent(
-                time=_time(row["time"], where),
-                price=_dec(row["price"], where),
-                size_usd=_dec(row["size_usd"], where),
-                side=side,
-            ))
-    return out
+    return _read_csv(path, _liquidation)
 
 
 def write_liquidations_csv(path: str, events) -> None:
@@ -191,18 +239,9 @@ def write_liquidations_csv(path: str, events) -> None:
 
 
 def read_ticks_csv(path: str, exchange_id: str = "") -> list:
-    out = []
-    with _open_csv(path) as fh:
-        for i, row in enumerate(csv.DictReader(fh)):
-            where = "%s row %d" % (path, i)
-            _require(row, ("time", "price", "volume"), where)
-            out.append(RawTick(
-                time=_time(row["time"], where),
-                price=_dec(row["price"], where),
-                volume=_dec(row["volume"], where),
-                exchange_id=row.get("exchange_id") or exchange_id,
-            ))
-    return out
+    return _read_csv(path, lambda rec, where: RawTick(
+        time=_time(rec["time"], where), price=_dec(rec["price"], where),
+        volume=_dec(rec["volume"], where), exchange_id=rec.get("exchange_id", exchange_id)))
 
 
 # ------------------------------------------------------------ book snapshots
@@ -234,14 +273,9 @@ def book_from_line(line: str, where: str = "book") -> BookSnapshot:
 
 
 def read_books(path: str) -> list:
-    if not os.path.exists(path):
-        raise MissingSeriesError("missing file: %s" % path)
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            if line.strip():
-                out.append(book_from_line(line, "%s line %d" % (path, i)))
-    return out
+    with _open(path) as fh:
+        return _records((("%s line %d" % (path, i), line)
+                         for i, line in enumerate(fh) if line.strip()), book_from_line, str)
 
 
 def write_books(path: str, snaps) -> None:
@@ -288,19 +322,14 @@ def panel_to_dict(panel: Panel) -> dict:
     }
 
 
-def _records(doc: dict, key: str, build, where: str) -> list:
-    """`build(record)` over the panel's `key` list; a record that is not an
-    object or lacks a field raises SchemaError naming it."""
-    out = []
-    for i, rec in enumerate(doc.get(key, [])):
-        if not isinstance(rec, dict):
-            raise SchemaError("%s: %s[%d] is not an object" % (where, key, i))
-        try:
-            out.append(build(rec))
-        except KeyError as exc:
-            raise SchemaError("%s: %s[%d] missing field %r"
-                              % (where, key, i, exc.args[0])) from None
-    return out
+def _funding(rec: dict, where: str) -> FundingRecord:
+    """A panel funding record, its rate already on the 8H basis."""
+    return FundingRecord(
+        settle_time=_time(rec["time"], where), rate_8h=_dec(rec["rate_8h"], where),
+        source_interval_hours=_opt(rec, "source_interval_hours", _int, where, 8),
+        exchange_count=_opt(rec, "exchange_count", _int, where, 1),
+        mark_price=_opt(rec, "mark_price", _dec, where),
+        index_price=_opt(rec, "index_price", _dec, where))
 
 
 def panel_from_dict(doc: dict, where: str = "panel") -> Panel:
@@ -309,43 +338,25 @@ def panel_from_dict(doc: dict, where: str = "panel") -> Panel:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError("%s: unsupported schema_version %r"
                           % (where, doc.get("schema_version")))
+    annotations = doc.get("annotations") or {}
+    if not isinstance(annotations, dict):
+        raise SchemaError("%s: annotations must be an object" % where)
 
-    def dec_or_none(v, w):
-        return _dec(v, w) if v is not None else None
+    def series(key: str, build, kind=dict) -> list:
+        rows = doc.get(key, [])
+        if not isinstance(rows, list):
+            raise SchemaError("%s: %s must be a list" % (where, key))
+        return _records((("%s: %s[%d]" % (where, key, i), rec)
+                         for i, rec in enumerate(rows)), build, kind)
 
-    candles = _records(doc, "candles", lambda c: Candle4H(
-        open_time=_time(c["time"], where), open=_dec(c["open"], where),
-        high=_dec(c["high"], where), low=_dec(c["low"], where),
-        close=_dec(c["close"], where), volume=_dec(c["volume"], where),
-        exchange_count=int(c.get("exchange_count", 1)),
-        interpolated=bool(c.get("interpolated", False)),
-    ), where)
-    funding = _records(doc, "funding", lambda f: FundingRecord(
-        settle_time=_time(f["time"], where), rate_8h=_dec(f["rate_8h"], where),
-        source_interval_hours=int(f.get("source_interval_hours", 8)),
-        exchange_count=int(f.get("exchange_count", 1)),
-        mark_price=dec_or_none(f.get("mark_price"), where),
-        index_price=dec_or_none(f.get("index_price"), where),
-    ), where)
-    oi = _records(doc, "open_interest", lambda r: OpenInterestRecord(
-        time=_time(r["time"], where), oi_usd=_dec(r["oi_usd"], where),
-        long_oi_usd=dec_or_none(r.get("long_oi_usd"), where),
-        short_oi_usd=dec_or_none(r.get("short_oi_usd"), where),
-        holder_shares=tuple(_dec(s, where) for s in r["holder_shares"])
-        if r.get("holder_shares") else None,
-        leverage_histogram=dict(r["leverage_histogram"])
-        if r.get("leverage_histogram") else None,
-    ), where)
-    books = [book_from_line(line, where) for line in doc.get("books", [])]
-    liqs = _records(doc, "liquidations", lambda e: LiquidationEvent(
-        time=_time(e["time"], where), price=_dec(e["price"], where),
-        size_usd=_dec(e["size_usd"], where), side=e["side"],
-    ), where)
     return Panel(
         instrument=doc.get("instrument", ""),
-        candles=candles, funding=funding, open_interest=oi,
-        books=books, liquidations=liqs,
-        annotations=doc.get("annotations") or {},
+        candles=series("candles", _candle),
+        funding=series("funding", _funding),
+        open_interest=series("open_interest", _oi),
+        books=series("books", book_from_line, str),
+        liquidations=series("liquidations", _liquidation),
+        annotations=annotations,
     )
 
 
@@ -431,14 +442,7 @@ def save_panel(path: str, panel: Panel) -> None:
 
 
 def load_panel(path: str) -> Panel:
-    if not os.path.exists(path):
-        raise MissingSeriesError("missing file: %s" % path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("%s: %s" % (path, exc))
-    return panel_from_dict(doc, path)
+    return panel_from_dict(_read_json(path), path)
 
 
 # ------------------------------------------------------------------ reports
@@ -451,13 +455,7 @@ def write_report(path: str, doc: dict) -> None:
 
 
 def load_report(path: str) -> dict:
-    if not os.path.exists(path):
-        raise MissingSeriesError("missing file: %s" % path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("%s: %s" % (path, exc))
+    return _read_json(path)
 
 
 # ----------------------------------------------------------------- manifest
@@ -465,13 +463,7 @@ def load_report(path: str) -> dict:
 def load_manifest(path: str) -> dict:
     """The manifest at `path`. SchemaError names the first field that
     `ingest_manifest` reads and that is missing or of the wrong type."""
-    if not os.path.exists(path):
-        raise MissingSeriesError("missing file: %s" % path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("%s: %s" % (path, exc))
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError("%s: manifest must be an object" % path)
 

@@ -84,15 +84,18 @@ def _median_dec(sorted_values: list) -> Decimal:
     return (sorted_values[mid - 1] + sorted_values[mid]) / 2
 
 
-def check_funding_bounds(records: Sequence, cfg: Config = DEFAULTS) -> list:
+def check_funding_bounds(records: Sequence, cfg: Config = DEFAULTS):
+    """Drop records at or past the hard bound. Returns (kept, flags)."""
     bound = d12(cfg.funding_hard_bound)
-    out = []
+    kept, flags = [], []
     for r in records:
-        if abs(r.rate_8h) >= bound:
-            out.append(QualityFlag(
-                "funding_bounds", f"funding@{iso(r.settle_time)}", REJECT,
-                f"|{fmt_dec(r.rate_8h)}| at or past hard bound {fmt_dec(bound)}"))
-    return out
+        if abs(r.rate_8h) < bound:
+            kept.append(r)
+            continue
+        flags.append(QualityFlag(
+            "funding_bounds", f"funding@{iso(r.settle_time)}", REJECT,
+            f"|{fmt_dec(r.rate_8h)}| at or past hard bound {fmt_dec(bound)}"))
+    return kept, flags
 
 
 def check_oi_sanity(oi_records: Sequence, liquidations: Sequence,
@@ -120,7 +123,7 @@ def check_oi_sanity(oi_records: Sequence, liquidations: Sequence,
         liq_by_day[key] = liq_by_day.get(key, Decimal(0)) + e.size_usd
 
     days = sorted(last_by_day)
-    limit = Decimal(repr(cfg.oi_flow_discrepancy))
+    limit = d12(cfg.oi_flow_discrepancy)
     for prev, cur in zip(days, days[1:]):
         if cur not in daily_net_flow_usd:
             continue
@@ -138,7 +141,7 @@ def check_oi_sanity(oi_records: Sequence, liquidations: Sequence,
 def check_book_integrity(snapshots: Sequence, cfg: Config = DEFAULTS):
     """Drop crossed or wide-spread snapshots. Returns (kept, flags)."""
     kept, flags = [], []
-    limit = Decimal(repr(cfg.book_spread_exclusion))
+    limit = d12(cfg.book_spread_exclusion)
     for snap in snapshots:
         problems = validate_record(snap)
         if problems:
@@ -160,8 +163,8 @@ def check_wash_trading(candles: Sequence, cfg: Config = DEFAULTS) -> list:
     """Volume spikes with near-zero bodies, vs the trailing median."""
     out = []
     window = cfg.wash_volume_window
-    mult = Decimal(repr(cfg.wash_volume_mult))
-    body_limit = Decimal(repr(cfg.wash_body_frac))
+    mult = d12(cfg.wash_volume_mult)
+    body_limit = d12(cfg.wash_body_frac)
     for i in range(window, len(candles)):
         c = candles[i]
         trailing = sorted(x.volume for x in candles[i - window:i])
@@ -225,9 +228,8 @@ def run_pipeline(panel: Panel, cfg: Config = DEFAULTS):
     report.flags.extend(gap_flags)
 
     report.checks_run += 1
-    report.flags.extend(check_funding_bounds(panel.funding, cfg))
-    bound = d12(cfg.funding_hard_bound)
-    funding = [r for r in panel.funding if abs(r.rate_8h) < bound]
+    funding, funding_flags = check_funding_bounds(panel.funding, cfg)
+    report.flags.extend(funding_flags)
 
     report.checks_run += 1
     funding2 = _snap_records(funding, "settle_time",

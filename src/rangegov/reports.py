@@ -28,7 +28,7 @@ from .liquidity import (
     shelf_migration,
     spread,
 )
-from .model import SETTLEMENTS_PER_DAY, Panel, bar_index, fmt_dec, iso
+from .model import SETTLEMENTS_PER_DAY, Panel, bar_index, d12, fmt_dec, iso
 from .positioning import (
     boundary_cluster_share,
     concentration_gini,
@@ -143,7 +143,7 @@ def cost_report(series: PanelSeries) -> dict:
         if rec.mark_price is not None and rec.index_price is not None \
                 and rec.index_price > 0:
             value, dislocated = basis_spread(rec.mark_price, rec.index_price,
-                                             Decimal(str(cfg.basis_dislocation_abs)))
+                                             d12(cfg.basis_dislocation_abs))
             basis = {"value": _float(value), "dislocated": dislocated}
         rows.append({
             "time": iso(rec.settle_time),

@@ -180,6 +180,58 @@ def test_null_or_non_object_record_is_a_schema_error(panel_file, tmp_path, capsy
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, named", [
+    pytest.param(lambda d, s=series, k=key, v=value: d[s][3].update({k: v}),
+                 "%s[3]" % series, id="%s-%s-%s" % (series, key, label))
+    for series, key, value, label in (
+        ("candles", "exchange_count", "x", "text"),
+        ("candles", "exchange_count", [1], "list"),
+        ("candles", "interpolated", "yes", "text"),
+        ("funding", "source_interval_hours", "x", "text"),
+        ("open_interest", "holder_shares", 5, "number"),
+        ("open_interest", "leverage_histogram", [1], "list"),
+        ("open_interest", "leverage_histogram", {"x": "1"}, "label"),
+        ("liquidations", "side", "sideways", "text"),
+    )
+] + [
+    pytest.param(lambda d: d.update(candles=5), "candles must be a list", id="candles-number"),
+    pytest.param(lambda d: d.update(books=5), "books must be a list", id="books-number"),
+    pytest.param(lambda d: d["books"].__setitem__(3, 5), "books[3] is not a string",
+                 id="book-line-number"),
+    pytest.param(lambda d: d.update(annotations=[1]), "annotations must be an object",
+                 id="annotations-list"),
+])
+def test_malformed_panel_field_is_a_schema_error(panel_file, tmp_path, capsys, edit, named):
+    with open(panel_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate"], ["metrics", "--out", str(tmp_path / "m.json")]):
+        assert main(argv + ["--panel", str(path)]) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert "%s: %s" % (path, named) in err and "Traceback" not in err, err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_directory_path_is_a_missing_file(panel_file, tmp_path, capsys):
+    assert main(["validate", "--panel", str(tmp_path)]) == 4
+    assert "missing file: %s" % tmp_path in capsys.readouterr().err
+
+    _write_inputs(tmp_path, load_panel(panel_file))
+    manifest = tmp_path / "manifest.json"
+    _manifest(tmp_path)
+    (tmp_path / "venue").mkdir()
+    doc = json.loads(manifest.read_text())
+    doc["exchanges"][0]["candles"] = "venue"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "p.json"
+    assert main(["ingest", "--manifest", str(manifest), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "missing file: %s" % (tmp_path / "venue") in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_zero_oi_before_a_break_leaves_h2_not_evaluable(corpus_dir, tmp_path, capsys):
     source = corpus_dir / "h2-confirm.json"
     panel = load_panel(str(source))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import pickle
+import tempfile
 from decimal import Decimal
 
 import numpy as np
@@ -19,6 +20,8 @@ from rangegov.formats import (
     ingest_manifest,
     load_manifest,
     load_panel,
+    panel_from_dict,
+    panel_to_dict,
     read_books,
     read_candles_csv,
     read_funding_csv,
@@ -281,11 +284,50 @@ class TestPanelDocument:
         with pytest.raises(SchemaError):
             load_panel(path)
 
+    def test_text_flags_load_as_their_value(self):
+        doc = panel_to_dict(make_panel(2))
+        doc["candles"][0]["interpolated"] = "false"
+        doc["candles"][1]["interpolated"] = "TRUE"
+        assert [c.interpolated for c in panel_from_dict(doc).candles] == [False, True]
+
     def test_report_writer_injects_schema_version(self, tmp_path):
         path = str(tmp_path / "r.json")
         write_report(path, {"a": 1})
         doc = json.load(open(path))
         assert doc["schema_version"] == "1"
+
+
+_DECIMALS = st.decimals(-10 ** 9, 10 ** 9, places=12).map(d12)
+_TIMES = st.integers(0, 4 * 10 ** 9)
+_DIGITS = st.text("0123456789", min_size=1, max_size=6)
+_CANDLES = st.builds(Candle4H, _TIMES, _DECIMALS, _DECIMALS, _DECIMALS, _DECIMALS, _DECIMALS,
+                     exchange_count=st.integers(0, 50), interpolated=st.booleans())
+_OI = st.builds(OpenInterestRecord, _TIMES, _DECIMALS,
+                long_oi_usd=st.none() | _DECIMALS, short_oi_usd=st.none() | _DECIMALS,
+                holder_shares=st.none() | st.lists(_DECIMALS, min_size=1, max_size=4).map(tuple),
+                leverage_histogram=st.none() | st.dictionaries(_DIGITS, _DIGITS, min_size=1,
+                                                               max_size=4))
+_LIQUIDATIONS = st.builds(LiquidationEvent, _TIMES, _DECIMALS, _DECIMALS,
+                          st.sampled_from(["long", "short"]))
+
+
+@given(st.lists(_CANDLES, max_size=4), st.lists(_OI, max_size=4),
+       st.lists(_LIQUIDATIONS, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_csv_and_panel_decode_alike(candles, oi, liquidations):
+    """Both encodings of the same records decode to those records."""
+    panel = Panel(instrument="X", candles=candles, open_interest=oi,
+                  liquidations=liquidations)
+    loaded = panel_from_dict(json.loads(dump_json(panel_to_dict(panel))))
+    with tempfile.TemporaryDirectory() as root:
+        for write, read, records, got in (
+                (write_candles_csv, read_candles_csv, candles, loaded.candles),
+                (write_oi_csv, read_oi_csv, oi, loaded.open_interest),
+                (write_liquidations_csv, read_liquidations_csv, liquidations,
+                 loaded.liquidations)):
+            path = os.path.join(root, "series.csv")
+            write(path, records)
+            assert read(path) == got == records
 
 
 class TestManifest:

@@ -40,7 +40,8 @@ def test_snap_to_grid_rounds_to_nearest():
 
 def test_funding_hard_bound_rejects_inclusive():
     records = [FundingRecord(T0, d12("0.0375")), FundingRecord(T0, d12("0.03"))]
-    flags = check_funding_bounds(records)
+    kept, flags = check_funding_bounds(records)
+    assert kept == records[1:]
     assert len(flags) == 1 and flags[0].severity == REJECT
 
 
