@@ -9,7 +9,8 @@ Exit codes:
   2   usage error (unknown flag, missing argument)
   3   schema violation (malformed file, bad config key, bad scenario)
   4   missing series or file
-  5   quality rejection (reject-severity flags on ingest/validate)
+  5   quality rejection (reject-severity flags on ingest/validate, or a
+      panel metrics/hypotheses/regime/backtest refuse: see `_load_valid`)
   6   insufficient inputs (trigger matrix starved, empty backtest set)
   40+ hypothesis run with falsified verdicts: 40 + count, capped at 49
 """
@@ -29,8 +30,10 @@ from .errors import (
     DataError,
     InsufficientInputsError,
     MissingSeriesError,
+    QualityError,
     SchemaError,
 )
+from .model import validate_panel
 from .plots import KINDS, render_plot
 
 EXIT_OK = 0
@@ -41,6 +44,15 @@ EXIT_QUALITY = 5
 EXIT_INSUFFICIENT = 6
 EXIT_FALSIFIED_BASE = 40
 EXIT_FALSIFIED_CAP = 49
+
+# how `main` reports each error: the first class the error is an instance of
+_ERRORS = (
+    (SchemaError, "schema", EXIT_SCHEMA),
+    (MissingSeriesError, "missing series", EXIT_MISSING),
+    (QualityError, "quality", EXIT_QUALITY),
+    (InsufficientInputsError, "insufficient inputs", EXIT_INSUFFICIENT),
+    (DataError, "data", EXIT_SCHEMA),
+)
 
 
 def _resolve_config(args) -> Config:
@@ -62,6 +74,17 @@ def _stamped(doc: dict, args) -> dict:
         doc = dict(doc)
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
     return doc
+
+
+def _load_valid(path: str, cfg: Config):
+    """The panel at `path` for an analytic command; QualityError names the
+    first rule of `validate_panel` it breaks, so no report is built on a panel
+    `validate` rejects."""
+    panel = formats.load_panel(path)
+    violations = validate_panel(panel, cfg.funding_hard_bound)
+    if violations:
+        raise QualityError("%s: %s %s" % (path, violations[0].field, violations[0].reason))
+    return panel
 
 
 def _quality_to_dict(report) -> dict:
@@ -114,7 +137,7 @@ def _cmd_validate(args) -> int:
 def _cmd_metrics(args) -> int:
     from . import reports
     cfg = _resolve_config(args)
-    panel = formats.load_panel(args.panel)
+    panel = _load_valid(args.panel, cfg)
     families = [args.family] if args.family else None
     doc = reports.metrics_report(panel, cfg, families)
     formats.write_report(args.out, _stamped(doc, args))
@@ -125,7 +148,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_hypotheses(args) -> int:
     from . import reports
     cfg = _resolve_config(args)
-    panel = formats.load_panel(args.panel)
+    panel = _load_valid(args.panel, cfg)
     only = ["H%s" % args.h] if args.h else None
     doc = reports.hypotheses_report(panel, cfg, only)
     formats.write_report(args.out, _stamped(doc, args))
@@ -140,7 +163,7 @@ def _cmd_hypotheses(args) -> int:
 def _cmd_regime(args) -> int:
     from . import reports
     cfg = _resolve_config(args)
-    panel = formats.load_panel(args.panel)
+    panel = _load_valid(args.panel, cfg)
     doc = reports.regime_report(panel, cfg)
     formats.write_report(args.out, _stamped(doc, args))
     print("wrote %s: %s, conviction %s" % (
@@ -169,7 +192,7 @@ def _cmd_backtest(args) -> int:
         paths.extend(hits if hits else [pattern])
     if not paths:
         raise MissingSeriesError("no panel files matched")
-    panels = [formats.load_panel(path) for path in paths]
+    panels = [_load_valid(path, cfg) for path in paths]
     panels.sort(key=lambda p: p.instrument)
     summary = synth.backtest(panels, cfg)
     formats.write_report(args.out, _stamped(summary, args))
@@ -287,18 +310,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print("error (schema): %s" % exc, file=sys.stderr)
-        return EXIT_SCHEMA
-    except MissingSeriesError as exc:
-        print("error (missing series): %s" % exc, file=sys.stderr)
-        return EXIT_MISSING
-    except InsufficientInputsError as exc:
-        print("error (insufficient inputs): %s" % exc, file=sys.stderr)
-        return EXIT_INSUFFICIENT
     except DataError as exc:
-        print("error (data): %s" % exc, file=sys.stderr)
-        return EXIT_SCHEMA
+        label, code = next((label, code) for kind, label, code in _ERRORS
+                           if isinstance(exc, kind))
+        print("error (%s): %s" % (label, exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

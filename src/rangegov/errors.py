@@ -17,5 +17,9 @@ class GridMismatchError(DataError):
     """Series that must share a timestamp grid do not."""
 
 
+class QualityError(DataError):
+    """A panel breaks a rule of `model.validate_panel`."""
+
+
 class InsufficientInputsError(DataError):
     """Not enough evaluated inputs to produce a result."""

@@ -203,14 +203,13 @@ def evaluate_h1(series: PanelSeries) -> HypothesisVerdict:
 # ------------------------------------------------------------------------ H2
 
 def find_breakout_candidates(panel: Panel, rng: RangeDefinition) -> list:
-    """(bar index, side) for bars whose close first moves beyond a boundary."""
+    """(bar index, side) for bars whose close first moves beyond a boundary.
+    A break needs a prior close, so bar 0 is never one."""
     out = []
-    for i, c in enumerate(panel.candles):
-        side = _beyond(c.close, rng)
-        if side == 0:
-            continue
-        prev_inside = i == 0 or _beyond(panel.candles[i - 1].close, rng) != side
-        if prev_inside:
+    closes = [c.close for c in panel.candles]
+    for i in range(1, len(closes)):
+        side = _beyond(closes[i], rng)
+        if side != 0 and _beyond(closes[i - 1], rng) != side:
             out.append((i, "up" if side > 0 else "down"))
     return out
 

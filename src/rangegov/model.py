@@ -16,6 +16,7 @@ from functools import cached_property
 from time import gmtime, strftime
 from typing import Optional, Sequence
 
+from .config import DEFAULTS
 from .errors import DataError, SchemaError
 
 BAR_SECONDS = 14400
@@ -252,7 +253,8 @@ def _validate_funding(r: FundingRecord, hard_bound: Decimal) -> list:
     if not isinstance(r.settle_time, int):
         out.append(Violation("settle_time", "not an integer timestamp"))
     if abs(r.rate_8h) >= hard_bound:
-        out.append(Violation("rate_8h", f"|rate| at or past hard bound {fmt_dec(hard_bound)}"))
+        out.append(Violation("rate_8h", f"|{fmt_dec(r.rate_8h)}| at or past hard bound "
+                                        f"{fmt_dec(hard_bound)}"))
     if r.source_interval_hours not in ALLOWED_FUNDING_INTERVALS:
         out.append(Violation("source_interval_hours", "must be 4, 8 or 12"))
     for name in ("mark_price", "index_price"):
@@ -329,20 +331,7 @@ def _validate_liquidation(e: LiquidationEvent) -> list:
     return out
 
 
-def _validate_range(r: RangeDefinition) -> list:
-    out = []
-    if r.lower <= 0:
-        out.append(Violation("lower", "must be > 0"))
-    if r.upper <= r.lower:
-        out.append(Violation("upper", "must exceed lower"))
-    if not isinstance(r.established_at, int):
-        out.append(Violation("established_at", "not an integer timestamp"))
-    if r.touch_count_lower < 0 or r.touch_count_upper < 0:
-        out.append(Violation("touch_count_lower", "negative touch count"))
-    return out
-
-
-def validate_record(record, funding_hard_bound: float = 0.0375) -> list:
+def validate_record(record, funding_hard_bound: float = DEFAULTS.funding_hard_bound) -> list:
     """Per-field validation. Returns a list of Violations; empty means valid."""
     if isinstance(record, Candle4H):
         return _validate_candle(record)
@@ -354,35 +343,40 @@ def validate_record(record, funding_hard_bound: float = 0.0375) -> list:
         return _validate_book(record)
     if isinstance(record, LiquidationEvent):
         return _validate_liquidation(record)
-    if isinstance(record, RangeDefinition):
-        return _validate_range(record)
     raise DataError(f"unknown record type: {type(record).__name__}")
 
 
-def validate_panel(panel: Panel) -> list:
-    """Panel-level invariants: contiguity, ordering, span containment."""
-    out = []
+def validate_panel(panel: Panel,
+                   funding_hard_bound: float = DEFAULTS.funding_hard_bound) -> list:
+    """What a panel must satisfy before it is analysed: every candle, funding,
+    open-interest and liquidation record valid, candles contiguous on the 4H
+    grid, and every other series ascending inside the candle span. A book
+    snapshot is not checked here: its readers skip an invalid one."""
     if not panel.candles:
         return [Violation("candles", "empty panel")]
-    for i, c in enumerate(panel.candles):
-        for v in _validate_candle(c):
-            out.append(Violation(f"candles[{i}].{v.field}", v.reason))
+    out = []
     times = [c.open_time for c in panel.candles]
-    if any(b - a != BAR_SECONDS for a, b in zip(times, times[1:])):
-        out.append(Violation("candles", "not contiguous on the 4H grid"))
+    for i, (a, b) in enumerate(zip(times, times[1:]), 1):
+        if b - a != BAR_SECONDS:
+            out.append(Violation(f"candles[{i}].open_time",
+                                 f"not contiguous on the 4H grid: {iso(b)} follows {iso(a)}"))
+            break
+    bound = d12(funding_hard_bound)
     span = (panel.start_time, panel.end_time)
-
-    def check_series(name, records, key):
-        ts = [key(r) for r in records]
+    for name, records, check, key in (
+            ("candles", panel.candles, _validate_candle, None),
+            ("funding", panel.funding, lambda r: _validate_funding(r, bound),
+             lambda r: r.settle_time),
+            ("open_interest", panel.open_interest, _validate_oi, lambda r: r.time),
+            ("books", panel.books, lambda r: (), lambda r: r.time),
+            ("liquidations", panel.liquidations, _validate_liquidation, lambda r: r.time)):
+        for i, r in enumerate(records):
+            out.extend(Violation(f"{name}[{i}].{v.field}", v.reason) for v in check(r))
+        ts = [key(r) for r in records] if key else []
         if any(b < a for a, b in zip(ts, ts[1:])):
             out.append(Violation(name, "timestamps not ascending"))
         if ts and (ts[0] < span[0] or ts[-1] > span[1]):
             out.append(Violation(name, "outside the candle span"))
-
-    check_series("funding", panel.funding, lambda r: r.settle_time)
-    check_series("open_interest", panel.open_interest, lambda r: r.time)
-    check_series("books", panel.books, lambda r: r.time)
-    check_series("liquidations", panel.liquidations, lambda r: r.time)
     return out
 
 

@@ -11,11 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from decimal import Decimal
+from statistics import median
 from typing import Optional, Sequence
 
 from .config import Config, DEFAULTS
+from .errors import SchemaError
 from .model import (
-    BAR_SECONDS, Candle4H, Panel, d12, fmt_dec, iso, validate_record,
+    BAR_SECONDS, BookSnapshot, Candle4H, FundingRecord, Panel, d12, fmt_dec, iso,
+    validate_panel, validate_record,
 )
 
 REJECT = "reject"
@@ -47,11 +50,6 @@ class QualityReport:
         self.notes.extend(other.notes)
 
 
-def _grid_deviation(ts: int, grid: int) -> int:
-    rem = ts % grid
-    return min(rem, grid - rem)
-
-
 def snap_to_grid(ts: int, grid_seconds: int) -> int:
     rem = ts % grid_seconds
     return ts - rem if rem <= grid_seconds - rem else ts + (grid_seconds - rem)
@@ -65,9 +63,9 @@ def _snap_records(records: Sequence, key: str, grid_of, label: str,
     for r in records:
         ts = getattr(r, key)
         grid = grid_of(r)
-        dev = _grid_deviation(ts, grid)
+        snapped = snap_to_grid(ts, grid)
+        dev = abs(snapped - ts)
         if dev > cfg.timestamp_tolerance_s:
-            snapped = snap_to_grid(ts, grid)
             report.flags.append(QualityFlag(
                 "timestamp_alignment", f"{label}@{iso(ts)}", FLAG,
                 f"{dev}s off the {grid}s grid; resampled to {iso(snapped)}"))
@@ -76,25 +74,27 @@ def _snap_records(records: Sequence, key: str, grid_of, label: str,
     return out
 
 
-def _median_dec(sorted_values: list) -> Decimal:
-    n = len(sorted_values)
-    mid = n // 2
-    if n % 2:
-        return sorted_values[mid]
-    return (sorted_values[mid - 1] + sorted_values[mid]) / 2
+# the check, location label, severity and time field of each screened record type
+_SCREENS = {
+    FundingRecord: ("funding_bounds", "funding", REJECT, "settle_time"),
+    BookSnapshot: ("book_integrity", "book", FLAG, "time"),
+}
 
 
-def check_funding_bounds(records: Sequence, cfg: Config = DEFAULTS):
-    """Drop records at or past the hard bound. Returns (kept, flags)."""
-    bound = d12(cfg.funding_hard_bound)
+def screen_records(records: Sequence, cfg: Config = DEFAULTS, also=None):
+    """Drop each funding or book record that `validate_record` rejects, or
+    for which `also(record)` names a reason. Returns (kept, flags), one flag
+    per dropped record: `excluded: <its first reason>`."""
     kept, flags = [], []
     for r in records:
-        if abs(r.rate_8h) < bound:
+        problems = validate_record(r, cfg.funding_hard_bound)
+        reason = problems[0].reason if problems else (also(r) if also else None)
+        if not reason:
             kept.append(r)
             continue
-        flags.append(QualityFlag(
-            "funding_bounds", f"funding@{iso(r.settle_time)}", REJECT,
-            f"|{fmt_dec(r.rate_8h)}| at or past hard bound {fmt_dec(bound)}"))
+        check, label, severity, key = _SCREENS[type(r)]
+        flags.append(QualityFlag(check, f"{label}@{iso(getattr(r, key))}", severity,
+                                 f"excluded: {reason}"))
     return kept, flags
 
 
@@ -139,24 +139,15 @@ def check_oi_sanity(oi_records: Sequence, liquidations: Sequence,
 
 
 def check_book_integrity(snapshots: Sequence, cfg: Config = DEFAULTS):
-    """Drop crossed or wide-spread snapshots. Returns (kept, flags)."""
-    kept, flags = [], []
+    """Drop invalid or wide-spread snapshots. Returns (kept, flags)."""
     limit = d12(cfg.book_spread_exclusion)
-    for snap in snapshots:
-        problems = validate_record(snap)
-        if problems:
-            flags.append(QualityFlag(
-                "book_integrity", f"book@{iso(snap.time)}", FLAG,
-                f"excluded: {problems[0].reason}"))
-            continue
+
+    def wide(snap) -> Optional[str]:
         spread = (snap.best_ask - snap.best_bid) / snap.mid
         if spread > limit:
-            flags.append(QualityFlag(
-                "book_integrity", f"book@{iso(snap.time)}", FLAG,
-                f"excluded: spread {fmt_dec(d12(spread))} beyond {fmt_dec(limit)}"))
-            continue
-        kept.append(snap)
-    return kept, flags
+            return f"spread {fmt_dec(d12(spread))} beyond {fmt_dec(limit)}"
+
+    return screen_records(snapshots, cfg, wide)
 
 
 def check_wash_trading(candles: Sequence, cfg: Config = DEFAULTS) -> list:
@@ -167,8 +158,7 @@ def check_wash_trading(candles: Sequence, cfg: Config = DEFAULTS) -> list:
     body_limit = d12(cfg.wash_body_frac)
     for i in range(window, len(candles)):
         c = candles[i]
-        trailing = sorted(x.volume for x in candles[i - window:i])
-        med = _median_dec(trailing)
+        med = median(x.volume for x in candles[i - window:i])
         if med == 0 or c.open == 0:
             continue
         if c.volume > mult * med and abs(c.close - c.open) / c.open < body_limit:
@@ -180,29 +170,19 @@ def check_wash_trading(candles: Sequence, cfg: Config = DEFAULTS) -> list:
 
 
 def fill_gaps(candles: Sequence, cfg: Config = DEFAULTS):
-    """Linear single-bar interpolation; longer gaps stay open and reject.
+    """Linear interpolation of gaps up to `max_interpolation_gap` bars; any
+    other break in the 4H grid stays for `validate_panel` to reject.
 
     Returns (candles, flags). Interpolated bars carry zero volume and the
     midpoint of the neighboring closes across all four prices.
     """
-    if not candles:
-        return list(candles), []
-    out = [candles[0]]
+    out = list(candles[:1])
     flags = []
-    for nxt in list(candles)[1:]:
+    for nxt in candles[1:]:
         prev = out[-1]
-        missing = (nxt.open_time - prev.open_time) // BAR_SECONDS - 1
-        if missing < 0 or (nxt.open_time - prev.open_time) % BAR_SECONDS:
-            flags.append(QualityFlag(
-                "gap_fill", f"candle@{iso(nxt.open_time)}", REJECT,
-                "candle grid broken (non-4H step)"))
-            out.append(nxt)
-            continue
-        if missing == 0:
-            out.append(nxt)
-            continue
-        if missing <= cfg.max_interpolation_gap:
-            for k in range(1, missing + 1):
+        steps, rem = divmod(nxt.open_time - prev.open_time, BAR_SECONDS)
+        if rem == 0 and 1 < steps <= cfg.max_interpolation_gap + 1:
+            for k in range(1, steps):
                 mid = d12((prev.close + nxt.open) / 2)
                 t = prev.open_time + k * BAR_SECONDS
                 out.append(Candle4H(t, mid, mid, mid, mid, d12(0),
@@ -211,10 +191,6 @@ def fill_gaps(candles: Sequence, cfg: Config = DEFAULTS):
                 flags.append(QualityFlag(
                     "gap_fill", f"candle@{iso(t)}", INTERPOLATED,
                     f"single-bar gap filled at {fmt_dec(mid)}"))
-        else:
-            flags.append(QualityFlag(
-                "gap_fill", f"candle@{iso(prev.open_time + BAR_SECONDS)}", REJECT,
-                f"{missing}-bar gap left open (only single bars interpolate)"))
         out.append(nxt)
     return out, flags
 
@@ -228,7 +204,7 @@ def run_pipeline(panel: Panel, cfg: Config = DEFAULTS):
     report.flags.extend(gap_flags)
 
     report.checks_run += 1
-    funding, funding_flags = check_funding_bounds(panel.funding, cfg)
+    funding, funding_flags = screen_records(panel.funding, cfg)
     report.flags.extend(funding_flags)
 
     report.checks_run += 1
@@ -248,10 +224,12 @@ def run_pipeline(panel: Panel, cfg: Config = DEFAULTS):
     report.checks_run += 1
     report.flags.extend(check_wash_trading(candles, cfg))
 
-    flows = panel.annotations.get("daily_net_flow_usd")
-    flow_map = {row[0]: row[1] for row in flows} if flows else None
-    report.extend(check_oi_sanity(panel.open_interest, panel.liquidations,
-                                  flow_map, cfg))
+    try:
+        flows = {day: usd for day, usd in panel.annotations.get("daily_net_flow_usd") or ()}
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("annotations.daily_net_flow_usd must be a list of [day, usd] "
+                          "rows: %s" % exc) from exc
+    report.extend(check_oi_sanity(panel.open_interest, panel.liquidations, flows, cfg))
 
     cleaned = Panel(
         instrument=panel.instrument,
@@ -262,4 +240,7 @@ def run_pipeline(panel: Panel, cfg: Config = DEFAULTS):
         liquidations=list(panel.liquidations),
         annotations=dict(panel.annotations),
     )
+    report.checks_run += 1
+    report.flags.extend(QualityFlag("panel_rules", v.field, REJECT, v.reason)
+                        for v in validate_panel(cleaned, cfg.funding_hard_bound))
     return cleaned, report

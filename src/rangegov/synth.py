@@ -72,11 +72,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
             if length <= 0:
                 raise SchemaError("segment length must be positive")
             segments.append(Segment(template, length, dict(seg.get("overrides", {}))))
+        base_price = float(doc.get("base_price", 100.0))
+        if not 0 < base_price < float("inf"):
+            raise SchemaError(f"base_price must be finite and > 0, got {base_price!r}")
         return Scenario(
             name=str(doc["name"]),
             seed=int(doc["seed"]),
             segments=tuple(segments),
-            base_price=float(doc.get("base_price", 100.0)),
+            base_price=base_price,
             instrument=str(doc.get("instrument", "SYNTH-PERP")),
             ground_truth=dict(doc.get("ground_truth", {})),
         )
@@ -462,9 +465,11 @@ def generate(scenario: Scenario, cfg: Config = DEFAULTS):
                   funding=b.funding, open_interest=b.oi_records,
                   books=b.books, liquidations=b.liqs,
                   annotations=annotations)
-    violations = validate_panel(panel)
+    violations = validate_panel(panel, cfg.funding_hard_bound)
     if violations:
-        raise RuntimeError(f"generator produced an invalid panel: {violations[:3]}")
+        v = violations[0]
+        raise SchemaError(f"scenario {scenario.name!r} generates an invalid panel: "
+                          f"{v.field} {v.reason}")
     return panel, gt
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -239,7 +240,7 @@ def test_zero_oi_before_a_break_leaves_h2_not_evaluable(corpus_dir, tmp_path, ca
     close_t = panel.candles[start].close_time
     k = max(i for i, r in enumerate(panel.open_interest) if r.time <= close_t)
     doc = json.loads(source.read_text())
-    doc["open_interest"][k]["oi_usd"] = "0"
+    doc["open_interest"][k].update(oi_usd="0", long_oi_usd="0", short_oi_usd="0")
     path = tmp_path / "zero-oi.json"
     path.write_text(json.dumps(doc))
 
@@ -348,6 +349,97 @@ def test_validate_rejects_hot_funding(panel_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _swap(seq, i, j):
+    seq[i], seq[j] = seq[j], seq[i]
+
+
+def _empty_every_series(doc):
+    for key in ("candles", "funding", "open_interest", "books", "liquidations"):
+        doc[key] = []
+
+
+CONTIGUITY = "not contiguous on the 4H grid: "
+
+
+@pytest.mark.parametrize("source, edit, field, reason", [
+    pytest.param("h2-confirm", lambda d: d["candles"].reverse(), "candles[1].open_time",
+                 CONTIGUITY, id="candles-reversed"),
+    pytest.param("h4-confirm", lambda d: _swap(d["candles"], 3, 4), "candles[3].open_time",
+                 CONTIGUITY, id="candles-swapped"),
+    pytest.param("h4-confirm", lambda d: d["candles"].insert(4, d["candles"][3]),
+                 "candles[4].open_time", CONTIGUITY, id="candle-duplicated"),
+    pytest.param("h4-confirm", lambda d: d["candles"].__delitem__(slice(5, 8)),
+                 "candles[5].open_time", CONTIGUITY, id="three-bar-gap"),
+    pytest.param("h4-confirm", lambda d: d["funding"][3].update(rate_8h="0.05"),
+                 "funding[3].rate_8h", "|0.05| at or past hard bound 0.0375", id="hot-funding"),
+    pytest.param("h4-confirm", lambda d: d["funding"][3].update(source_interval_hours=0),
+                 "funding[3].source_interval_hours", "must be 4, 8 or 12", id="zero-interval"),
+    pytest.param("h4-confirm", lambda d: d["candles"][3].update(low="200"),
+                 "candles[3].low", "exceeds min(open, close)", id="low-above-high"),
+    pytest.param("h4-confirm", lambda d: d["open_interest"][3].update(oi_usd="-5"),
+                 "open_interest[3].oi_usd", "negative", id="negative-oi"),
+    pytest.param("h4-confirm", lambda d: d["open_interest"][3].update(oi_usd="0"),
+                 "open_interest[3].oi_usd", "long + short does not reconcile with total",
+                 id="zero-oi-with-legs"),
+    pytest.param("h4-confirm", lambda d: d["liquidations"][3].update(size_usd="0"),
+                 "liquidations[3].size_usd", "must be > 0", id="zero-liquidation"),
+    pytest.param("h4-confirm", lambda d: d["open_interest"].reverse(), "open_interest",
+                 "timestamps not ascending", id="oi-reversed"),
+    pytest.param("h4-confirm", _empty_every_series, "candles", "empty panel",
+                 id="every-series-empty"),
+])
+def test_every_command_refuses_a_panel_validate_rejects(corpus_dir, tmp_path, capsys,
+                                                        source, edit, field, reason):
+    doc = json.loads((corpus_dir / (source + ".json")).read_text())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--panel", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert reason in captured.out and "Traceback" not in captured.err
+    out = str(tmp_path / "out.json")
+    for argv in (["metrics", "--panel"], ["hypotheses", "--panel"], ["regime", "--panel"],
+                 ["backtest", "--panels"]):
+        assert main(argv + [str(path), "--out", out]) == 5, argv[0]
+        err = capsys.readouterr().err
+        assert "error (quality): %s: %s %s" % (path, field, reason) in err, err
+        assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_break_at_bar_zero_is_not_a_breakout(panel_file, tmp_path, capsys):
+    doc = json.loads(pathlib.Path(panel_file).read_text(encoding="utf-8"))
+    doc["candles"][0].update(close="103.5", high="104")
+    path = tmp_path / "bar0.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "h.json")
+    assert main(["validate", "--panel", str(path)]) == 0
+    assert main(["hypotheses", "--panel", str(path), "--h", "2", "--out", out]) == 0
+    h2 = load_report(out)["verdicts"]["H2"]
+    assert h2["outcome"] == "not-evaluable" and "no breakout candidate bar" in h2["notes"]
+    assert main(["regime", "--panel", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flows", [5, [[1]]], ids=["number", "short-row"])
+def test_malformed_daily_net_flow_is_a_schema_error(panel_file, tmp_path, capsys, flows):
+    doc = json.loads(pathlib.Path(panel_file).read_text(encoding="utf-8"))
+    doc["annotations"]["daily_net_flow_usd"] = flows
+    path = tmp_path / "flows.json"
+    path.write_text(json.dumps(doc))
+    _write_inputs(tmp_path, load_panel(panel_file))
+    manifest = json.loads(pathlib.Path(_manifest(tmp_path)).read_text(encoding="utf-8"))
+    manifest["annotations"] = {"daily_net_flow_usd": flows}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "p.json"
+    for argv in (["validate", "--panel", str(path)],
+                 ["ingest", "--manifest", str(tmp_path / "manifest.json"), "--out", str(out)]):
+        assert main(argv) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert "annotations.daily_net_flow_usd" in err and "Traceback" not in err, err
+    assert not out.exists()
+
+
 def test_hypotheses_exit_encodes_falsified_count(corpus_dir, tmp_path, capsys):
     rc = main(["hypotheses", "--panel", str(corpus_dir / "h4-falsify.json"),
                "--h", "4", "--out", str(tmp_path / "h.json")])
@@ -408,6 +500,19 @@ def test_synth_reruns_byte_identical(tmp_path, capsys):
     assert main(["synth", "--scenario", src, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("base_price", [0, -100, float("nan"), float("inf")])
+def test_synth_rejects_a_base_price_that_is_not_positive(tmp_path, capsys, base_price):
+    doc = json.loads(pathlib.Path(scenario_path("h4-confirm")).read_text(encoding="utf-8"))
+    doc["base_price"] = base_price
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "p.json"
+    assert main(["synth", "--scenario", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "base_price must be finite and > 0" in err and "Traceback" not in err, err
+    assert not out.exists()
 
 
 def test_synth_seed_override_changes_noise(tmp_path, capsys):

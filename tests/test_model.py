@@ -6,7 +6,7 @@ import pytest
 from rangegov.errors import DataError
 from rangegov.model import (
     BAR_SECONDS, BookSnapshot, Candle4H, FundingRecord, LiquidationEvent,
-    OpenInterestRecord, Panel, RangeDefinition, bar_index, d12, fmt_dec,
+    OpenInterestRecord, Panel, bar_index, d12, fmt_dec,
     funding_by_bar, iso, levels_text, oi_by_bar, validate_panel, validate_record,
 )
 
@@ -99,10 +99,6 @@ def test_liquidation_and_range_validation():
     assert validate_record(LiquidationEvent(T0, d12(100), d12(5000), "long")) == []
     bad_side = LiquidationEvent(T0, d12(100), d12(5000), "buy")
     assert any(v.field == "side" for v in validate_record(bad_side))
-    rng = RangeDefinition(d12(100), d12(110), T0, 2, 2)
-    assert validate_record(rng) == []
-    inverted = RangeDefinition(d12(110), d12(100), T0)
-    assert any(v.field == "upper" for v in validate_record(inverted))
 
 
 def test_validate_record_rejects_unknown_types():

@@ -5,8 +5,8 @@ from rangegov.model import (
     Panel, d12, iso, levels_text,
 )
 from rangegov.quality import (
-    FLAG, INTERPOLATED, REJECT, check_book_integrity, check_funding_bounds,
-    check_oi_sanity, check_wash_trading, fill_gaps, run_pipeline, snap_to_grid,
+    FLAG, INTERPOLATED, REJECT, check_book_integrity, check_oi_sanity,
+    check_wash_trading, fill_gaps, run_pipeline, screen_records, snap_to_grid,
 )
 
 T0 = 1609459200
@@ -40,7 +40,7 @@ def test_snap_to_grid_rounds_to_nearest():
 
 def test_funding_hard_bound_rejects_inclusive():
     records = [FundingRecord(T0, d12("0.0375")), FundingRecord(T0, d12("0.03"))]
-    kept, flags = check_funding_bounds(records)
+    kept, flags = screen_records(records)
     assert kept == records[1:]
     assert len(flags) == 1 and flags[0].severity == REJECT
 
@@ -89,7 +89,9 @@ def test_fill_gaps_leaves_long_gaps_open():
     b = candle(T0 + 3 * BAR_SECONDS)
     filled, flags = fill_gaps([a, b])
     assert len(filled) == 2
-    assert len(flags) == 1 and flags[0].severity == REJECT
+    assert not any(f.severity == INTERPOLATED for f in flags)
+    _, report = run_pipeline(Panel("TEST-PERP", [a, b]))
+    assert [(f.check, f.severity) for f in report.flags] == [("panel_rules", REJECT)]
 
 
 def test_oi_sanity_needs_flow_series():

@@ -1,5 +1,7 @@
 """Scenario generator and batch backtest behaviour."""
 
+import dataclasses
+
 import pytest
 
 from rangegov.config import DEFAULTS
@@ -138,6 +140,12 @@ def test_load_scenario_rejects_nonpositive_length():
 def test_generate_rejects_empty_scenario():
     with pytest.raises(SchemaError):
         generate(Scenario(name="void", seed=1, segments=()))
+
+
+def test_generate_names_the_first_violation():
+    scenario = dataclasses.replace(load_builtin_scenario("h4-confirm"), base_price=-100.0)
+    with pytest.raises(SchemaError, match=r"invalid panel: candles\[0\]\.open must be > 0"):
+        generate(scenario)
 
 
 def test_unknown_builtin_name():
