@@ -125,7 +125,7 @@ def _cmd_validate(args) -> int:
     cfg = _resolve_config(args)
     panel = formats.load_panel(args.panel)
     from .quality import run_pipeline
-    _, qreport = run_pipeline(panel, cfg)
+    _, qreport = run_pipeline(panel, cfg, judge_input=True)
     doc = _stamped(_quality_to_dict(qreport), args)
     if args.out:
         formats.write_report(args.out, doc)

@@ -8,6 +8,7 @@ Conventions, fixed across the package:
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -127,13 +128,13 @@ class OpenInterestRecord:
         return self.long_oi_usd / total
 
 
-# A book side as `levels_text` writes non-negative levels: "price:size" pairs
-# separated by single spaces, each number plain, unsigned, without leading or
-# trailing zeros, with at most 16 integer and 12 fractional digits. Such a
-# number fits the 28-digit context at 12 places, so `d12` cannot fail on it,
-# and `fmt_dec(d12(x)) == x`. ASCII digits only: `Decimal` also reads other
-# scripts' digits, which `fmt_dec` would not write back.
-_CANONICAL_NUMBER = r"(?:0|[1-9][0-9]{0,15})(?:\.[0-9]{0,11}[1-9])?"
+# A book side as `levels_text` writes it: "price:size" pairs separated by
+# single spaces, each number plain, with an optional `-` sign (`-0` included),
+# without leading or trailing zeros, with at most 16 integer and 12 fractional
+# digits. Such a number fits the 28-digit context at 12 places, so `d12`
+# cannot fail on it, and `fmt_dec(d12(x)) == x`. ASCII digits only: `Decimal`
+# also reads other scripts' digits, which `fmt_dec` would not write back.
+_CANONICAL_NUMBER = r"-?(?:0|[1-9][0-9]{0,15})(?:\.[0-9]{0,11}[1-9])?"
 CANONICAL_LEVELS = re.compile(r"(?:{n}:{n}(?: {n}:{n})*)?".format(n=_CANONICAL_NUMBER))
 
 
@@ -148,10 +149,16 @@ def _levels(text: str) -> tuple:
     return tuple(zip(numbers[::2], numbers[1::2]))
 
 
+def _best_price(text: str) -> Decimal:
+    """The price of a side's first level, the one number of it decoded."""
+    return d12(text.replace(":", " ").split(None, 1)[0])
+
+
 @dataclass(frozen=True)
 class BookSnapshot:
     """Each side is held as `levels_text` writes it and decoded on first read,
-    so copies, `==` and `hash` compare text and decode nothing."""
+    so copies, `==` and `hash` compare text and decode nothing. The verdict
+    of `validate_record` and the best prices are read from the text and kept."""
     time: int
     bids: str   # best first, descending prices
     asks: str   # best first, ascending prices
@@ -164,17 +171,23 @@ class BookSnapshot:
     def ask_levels(self) -> tuple:
         return _levels(self.asks)
 
-    @property
+    @cached_property
     def best_bid(self) -> Decimal:
-        return self.bid_levels[0][0]
+        return _best_price(self.bids)
 
-    @property
+    @cached_property
     def best_ask(self) -> Decimal:
-        return self.ask_levels[0][0]
+        return _best_price(self.asks)
 
     @property
     def mid(self) -> Decimal:
         return (self.best_bid + self.best_ask) / 2
+
+    @cached_property
+    def violations(self) -> tuple:
+        """What `validate_record` finds wrong with this snapshot, checked on
+        first read: the analytics judge the same latest snapshots many times."""
+        return tuple(_validate_book(self))
 
 
 @dataclass(frozen=True)
@@ -294,26 +307,43 @@ def _validate_oi(r: OpenInterestRecord) -> list:
     return out
 
 
+def _side_faults(text: str, better) -> list:
+    """The faults of a side in `CANONICAL_LEVELS` text, judged on the floats
+    of its numbers. A nonzero number there is at least 1e-12 in size, so its
+    float is above 0 exactly when its decimal is; and float conversion is
+    monotone, so only a float tie needs the decimals to order a pair."""
+    numbers = text.replace(":", " ").split()
+    values = list(map(float, numbers))
+    prices, texts = values[::2], numbers[::2]
+    out = []
+    if prices and min(prices) <= 0:
+        out.append("non-positive price")
+    if prices and min(values[1::2]) <= 0:
+        out.append("non-positive size")
+    if not (all(map(better, prices, prices[1:])) or all(
+            better(a, b) or (a == b and better(Decimal(x), Decimal(y)))
+            for a, b, x, y in zip(prices, prices[1:], texts, texts[1:]))):
+        out.append("levels not strictly ordered best-first")
+    return out
+
+
 def _validate_book(b: BookSnapshot) -> list:
     out = []
     if not isinstance(b.time, int):
         out.append(Violation("time", "not an integer timestamp"))
-    bids, asks = b.bid_levels, b.ask_levels
-    if not bids:
-        out.append(Violation("bids", "empty"))
-    if not asks:
-        out.append(Violation("asks", "empty"))
-    for side, levels, descending in (("bids", bids, True), ("asks", asks, False)):
-        prices = [lvl[0] for lvl in levels]
-        if any(p <= 0 for p in prices):
-            out.append(Violation(side, "non-positive price"))
-        if any(lvl[1] <= 0 for lvl in levels):
-            out.append(Violation(side, "non-positive size"))
-        ordered = all(a > b_ for a, b_ in zip(prices, prices[1:])) if descending \
-            else all(a < b_ for a, b_ in zip(prices, prices[1:]))
-        if not ordered:
-            out.append(Violation(side, "levels not strictly ordered best-first"))
-    if bids and asks and bids[0][0] >= asks[0][0]:
+    sides = []
+    for side, levels, better in (("bids", "bid_levels", operator.gt),
+                                 ("asks", "ask_levels", operator.lt)):
+        text = getattr(b, side)
+        if not CANONICAL_LEVELS.fullmatch(text):
+            # only a snapshot built in code holds such text: judge the
+            # canonical text of its decoded levels instead
+            text = levels_text(getattr(b, levels))
+        sides.append((side, text, better))
+    out.extend(Violation(side, "empty") for side, text, _ in sides if not text)
+    for side, text, better in sides:
+        out.extend(Violation(side, reason) for reason in _side_faults(text, better))
+    if all(text for _, text, _ in sides) and b.best_bid >= b.best_ask:
         out.append(Violation("bids", "crossed book: best bid >= best ask"))
     return out
 
@@ -340,7 +370,7 @@ def validate_record(record, funding_hard_bound: float = DEFAULTS.funding_hard_bo
     if isinstance(record, OpenInterestRecord):
         return _validate_oi(record)
     if isinstance(record, BookSnapshot):
-        return _validate_book(record)
+        return list(record.violations)
     if isinstance(record, LiquidationEvent):
         return _validate_liquidation(record)
     raise DataError(f"unknown record type: {type(record).__name__}")

@@ -195,8 +195,10 @@ def fill_gaps(candles: Sequence, cfg: Config = DEFAULTS):
     return out, flags
 
 
-def run_pipeline(panel: Panel, cfg: Config = DEFAULTS):
-    """Panel-level cleaning. Returns (cleaned_panel, report)."""
+def run_pipeline(panel: Panel, cfg: Config = DEFAULTS, judge_input: bool = False):
+    """Panel-level cleaning. Returns (cleaned_panel, report). The last check,
+    `panel_rules`, judges the cleaned panel, or with `judge_input` the panel
+    as given, which is what `validate` reports on."""
     report = QualityReport()
 
     candles, gap_flags = fill_gaps(panel.candles, cfg)
@@ -242,5 +244,6 @@ def run_pipeline(panel: Panel, cfg: Config = DEFAULTS):
     )
     report.checks_run += 1
     report.flags.extend(QualityFlag("panel_rules", v.field, REJECT, v.reason)
-                        for v in validate_panel(cleaned, cfg.funding_hard_bound))
+                        for v in validate_panel(panel if judge_input else cleaned,
+                                                cfg.funding_hard_bound))
     return cleaned, report

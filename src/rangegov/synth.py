@@ -29,6 +29,7 @@ from .model import (
     Panel,
     SETTLE_SECONDS,
     d12,
+    fmt_dec,
     iso,
     levels_text,
     validate_panel,
@@ -202,23 +203,24 @@ class _Builder:
         self.share = share_now
 
 
+# the size of book level k, and its text, before a near-boundary shelf thins it
+_LEVEL_SIZES = tuple(30.0 * 0.92 ** k for k in range(20))
+_LEVEL_SIZE_TEXT = tuple(fmt_dec(d12(size)) for size in _LEVEL_SIZES)
+
+
 def _book(time_s: int, mid: float, range_hi: float, zone_mult: float) -> BookSnapshot:
-    bids, asks = [], []
     best_bid = mid * 0.9998
     best_ask = mid * 1.0002
-    for k in range(20):
-        bp = best_bid * (1 - 0.0005 * k)
-        ap = best_ask * (1 + 0.0005 * k)
-        bs = 30.0 * 0.92 ** k
-        az = 30.0 * 0.92 ** k
-        # the near-boundary shelf thins out when zone_mult < 1
-        if abs(bp - range_hi) / range_hi <= 0.005:
-            bs *= zone_mult
-        if abs(ap - range_hi) / range_hi <= 0.005:
-            az *= zone_mult
-        bids.append((d12(bp), d12(bs)))
-        asks.append((d12(ap), d12(az)))
-    return BookSnapshot(time_s, levels_text(bids), levels_text(asks))
+    sides = ([], [])
+    for k, (size, size_text) in enumerate(zip(_LEVEL_SIZES, _LEVEL_SIZE_TEXT)):
+        for levels, price in zip(sides, (best_bid * (1 - 0.0005 * k),
+                                         best_ask * (1 + 0.0005 * k))):
+            text = size_text
+            # the near-boundary shelf thins out when zone_mult < 1
+            if abs(price - range_hi) / range_hi <= 0.005:
+                text = fmt_dec(d12(size * zone_mult))
+            levels.append("%s:%s" % (fmt_dec(d12(price)), text))
+    return BookSnapshot(time_s, " ".join(sides[0]), " ".join(sides[1]))
 
 
 def _ramp(ov: dict, key: str, fallback: float, j: int, length: int) -> float:

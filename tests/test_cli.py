@@ -387,6 +387,12 @@ CONTIGUITY = "not contiguous on the 4H grid: "
                  "timestamps not ascending", id="oi-reversed"),
     pytest.param("h4-confirm", _empty_every_series, "candles", "empty panel",
                  id="every-series-empty"),
+    pytest.param("h4-confirm", lambda d: _swap(d["funding"], 3, 4), "funding",
+                 "timestamps not ascending", id="funding-swapped"),
+    pytest.param("h4-confirm", lambda d: _swap(d["books"], 3, 4), "books",
+                 "timestamps not ascending", id="books-swapped"),
+    pytest.param("h4-confirm", lambda d: d["candles"].__delitem__(10), "candles[10].open_time",
+                 CONTIGUITY, id="single-bar-gap"),
 ])
 def test_every_command_refuses_a_panel_validate_rejects(corpus_dir, tmp_path, capsys,
                                                         source, edit, field, reason):
