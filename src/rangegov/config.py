@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import typing
 from dataclasses import dataclass
@@ -127,19 +128,26 @@ _INT_FLOORS = {
     "funding_spike_lookback": 2,
     "realized_vol_window": 2,
 }
+# Float fields with an exclusive floor: a kernel bandwidth divides, and the
+# order the slippage walk fills is read at 12 decimal places (`d12`), where
+# 5e-13 and less round to 0
+_FLOAT_FLOORS = {"kde_bandwidth_frac": 0, "slippage_order_usd": 5e-13}
 
 
 def _check(name: str, value) -> None:
     """An int field takes an int (not a bool); a float field takes an int or
-    a float that is not NaN."""
+    a finite float, above its floor in `_FLOAT_FLOORS`, if any."""
     if _FIELD_TYPES[name] is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise SchemaError(f"config {name}: want an integer, got {value!r}")
         floor = _INT_FLOORS.get(name, 1)
         if value < floor:
             raise SchemaError(f"config {name}: must be >= {floor}, got {value!r}")
-    elif not isinstance(value, (int, float)) or isinstance(value, bool) or value != value:
-        raise SchemaError(f"config {name}: want a number, got {value!r}")
+    elif not isinstance(value, (int, float)) or isinstance(value, bool) \
+            or isinstance(value, float) and not math.isfinite(value):
+        raise SchemaError(f"config {name}: want a finite number, got {value!r}")
+    elif name in _FLOAT_FLOORS and value <= _FLOAT_FLOORS[name]:
+        raise SchemaError(f"config {name}: must be > {_FLOAT_FLOORS[name]}, got {value!r}")
 
 
 DEFAULTS = Config()

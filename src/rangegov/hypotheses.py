@@ -542,26 +542,31 @@ def evaluate_h4(series: PanelSeries) -> HypothesisVerdict:
 def evaluate_all(panel: Panel, cfg: Config = DEFAULTS,
                  only: Optional[Sequence[str]] = None,
                  series: Optional[PanelSeries] = None) -> dict:
-    """Run the requested evaluators over `series`, else `derive(panel, cfg)`.
+    """The verdicts of the requested hypotheses (default: all four), in a new
+    dict on each call, over `series`, else `derive(panel, cfg)`.
 
+    Each evaluator runs at most once per derived series: its verdict is kept
+    in `series.verdicts` under the evaluator function as bound at the call,
+    and every `derive` of the unchanged panel shares that dict, so the
+    hypotheses and regime reports of one panel evaluate it once.
     H2 is evaluated at the most recent breakout candidate when one exists.
     """
     series = derive(panel, cfg) if series is None else series.check(panel, cfg)
-    rng = series.range
-    wanted = set(only) if only else {"H1", "H2", "H3", "H4"}
+    kept = series.verdicts
     out = {}
-    if "H1" in wanted:
-        out["H1"] = evaluate_h1(series)
-    if "H2" in wanted:
-        candidate = None
-        if rng is not None:
-            candidates = find_breakout_candidates(panel, rng)
-            if candidates:
-                candidate = candidates[-1]
-        out["H2"] = evaluate_h2(series, candidate[0] if candidate else None,
-                                candidate[1] if candidate else None)
-    if "H3" in wanted:
-        out["H3"] = evaluate_h3(series)
-    if "H4" in wanted:
-        out["H4"] = evaluate_h4(series)
+    for name, evaluate in (("H1", evaluate_h1), ("H2", evaluate_h2),
+                           ("H3", evaluate_h3), ("H4", evaluate_h4)):
+        if only and name not in only:
+            continue
+        if evaluate not in kept:   # keyed by the function, as `derive` is
+            kept[evaluate] = evaluate(series, *_latest_breakout(series)) \
+                if name == "H2" else evaluate(series)
+        out[name] = kept[evaluate]
     return out
+
+
+def _latest_breakout(series: PanelSeries) -> tuple:
+    """(bar, side) of the most recent breakout candidate, else (None, None)."""
+    candidates = [] if series.range is None else \
+        find_breakout_candidates(series.panel, series.range)
+    return candidates[-1] if candidates else (None, None)

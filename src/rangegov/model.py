@@ -226,6 +226,16 @@ class Panel:
     liquidations: list = field(default_factory=list)
     annotations: dict = field(default_factory=dict)
 
+    # what `structure.derive` computed for this panel; not a field, so `==`,
+    # `repr` and `dataclasses.replace` ignore it, and `__getstate__` leaves it
+    # out of a pickle or a copy, whose records are other objects
+    _derived = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_derived", None)
+        return state
+
     @property
     def start_time(self) -> int:
         return self.candles[0].open_time

@@ -4,6 +4,7 @@ per-panel series every report and evaluator reads (`derive`)."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Optional, Sequence
@@ -272,8 +273,11 @@ def _frozen(values) -> np.ndarray:
 class PanelSeries:
     """Everything the reports derive from one panel under one config.
 
-    Built only by `derive`, once per panel per report; the panel must not be
-    mutated after that. Arrays are read-only and per-bar lists are tuples.
+    Built only by `derive`, once per panel: every later `derive` of the same
+    panel, still holding the same records, under an equal config, shares the
+    fields of the first (see `derive`). A series describes the records the panel held when it
+    was derived. Arrays are read-only and per-bar lists are tuples;
+    `verdicts` is where `evaluate_all` keeps each verdict it computes.
     """
     panel: Panel
     cfg: Config
@@ -290,6 +294,7 @@ class PanelSeries:
     oi_by_bar: tuple           # as-of open-interest record per bar
     funding_spikes: tuple      # funding_spike flag per settlement
     funding_bias: tuple        # funding_bias_duration run length per settlement
+    verdicts: dict             # evaluator -> verdict, filled by evaluate_all
 
     @property
     def range(self) -> Optional[RangeDefinition]:
@@ -302,15 +307,52 @@ class PanelSeries:
         return self
 
 
+@dataclass(frozen=True, eq=False)
+class _Derived:
+    """The fields `derive` computed for a panel, kept on it as `_derived`.
+    It holds the panel's records but never the panel or a series, so the
+    panel is freed as soon as its last reference goes."""
+    cfg: Config
+    computed_by: tuple   # the functions that computed `fields`
+    records: tuple       # _records(panel) when derived
+    fields: dict         # PanelSeries fields but panel and cfg
+
+
+def _records(panel: Panel) -> tuple:
+    """What the series and the hypothesis evaluators read of a panel."""
+    return (panel.candles, panel.funding, panel.open_interest, panel.books,
+            panel.liquidations, tuple(panel.annotations), tuple(panel.annotations.values()))
+
+
+def _same(kept: tuple, now: tuple) -> bool:
+    return all(len(a) == len(b) and all(map(operator.is_, a, b))
+               for a, b in zip(kept, now))
+
+
 def derive(panel: Panel, cfg: Config = DEFAULTS) -> PanelSeries:
-    """Compute the panel's derived series once for every consumer."""
+    """The panel's derived series, computed on the first call and shared by
+    every later call while the panel holds the very same records (compared
+    by identity), `cfg` is equal and the functions below are bound as they
+    were: fields computed before one was rebound (a span tracer's wrapper, a
+    test's counter) are not handed out after it, so the new binding sees its
+    call."""
+    memo = panel._derived
+    records = _records(panel)
+    computed_by = (map_swings, resolve_range, realized_volatility)
+    if memo is None or memo.cfg != cfg or memo.computed_by != computed_by \
+            or not _same(memo.records, records):
+        memo = _Derived(cfg, computed_by, tuple(map(tuple, records)),
+                        _compute(panel, cfg))
+        panel._derived = memo
+    return PanelSeries(panel=panel, cfg=cfg, **memo.fields)
+
+
+def _compute(panel: Panel, cfg: Config) -> dict:
     candles = panel.candles
     swings = map_swings(candles, cfg.swing_lookback)
     wick_up, wick_down = wick_series(candles)
     rates = [f.rate_8h for f in panel.funding]
-    return PanelSeries(
-        panel=panel,
-        cfg=cfg,
+    return dict(
         close=_frozen([float(c.close) for c in candles]),
         high=_frozen([float(c.high) for c in candles]),
         low=_frozen([float(c.low) for c in candles]),
@@ -324,4 +366,5 @@ def derive(panel: Panel, cfg: Config = DEFAULTS) -> PanelSeries:
         oi_by_bar=tuple(oi_by_bar(panel)),
         funding_spikes=tuple(funding_spike(rates, cfg)),
         funding_bias=tuple(funding_bias_duration(rates)),
+        verdicts={},
     )

@@ -66,3 +66,29 @@ def test_tracer_sees_the_layers_a_command_imports_late(tmp_path, capsys):
                  "reports.structural_report", "structure.resolve_range"):
         assert spans[name][0] >= 1, name
     capsys.readouterr()
+
+
+def test_three_reports_on_a_panel_derive_and_evaluate_it_once():
+    from rangegov import formats, reports, synth
+
+    panel, _ = synth.generate(synth.load_builtin_scenario("h2-confirm"))
+    three = (reports.metrics_report, reports.hypotheses_report, reports.regime_report)
+    plain = [formats.dump_json(report(panel)) for report in three]
+    # the tracer is installed after the panel was reported once untraced, as
+    # in bench/tests: its wrappers must still see each computation
+    tracer = _tracer()
+    rec = tracer.Recorder()
+    uninstall = tracer.install(rec)
+    try:
+        traced = [formats.dump_json(report(panel)) for report in three]
+    finally:
+        uninstall()
+    assert traced == plain
+    summary = rec.summary()
+    calls = {name: v[0] for name, v in summary["spans"].items()}
+    assert summary["panels"] == 1
+    assert calls["structure.resolve_range"] == 1
+    assert calls["structure.map_swings"] == calls["structure.realized_volatility"] == 1
+    assert calls["hypotheses.evaluate_all"] == 2
+    for h in ("h1", "h2", "h3", "h4"):
+        assert calls["hypotheses.evaluate_" + h] == 1, h

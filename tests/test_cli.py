@@ -73,8 +73,21 @@ def test_unknown_config_key(panel_file, tmp_path, capsys):
     ("range_window=-3", "config range_window: must be >= 1, got -3"),
     ("funding_spike_lookback=0", "config funding_spike_lookback: must be >= 2, got 0"),
     ("funding_spike_lookback=1", "config funding_spike_lookback: must be >= 2, got 1"),
-    ("funding_spike_sigma=NaN", "config funding_spike_sigma: want a number, got nan"),
-    ('funding_spike_sigma="2"', "config funding_spike_sigma: want a number, got '2'"),
+    ("funding_spike_sigma=NaN", "config funding_spike_sigma: want a finite number, got nan"),
+    ('funding_spike_sigma="2"', "config funding_spike_sigma: want a finite number, got '2'"),
+    # `Infinity` had passed: a density of nulls and `"bandwidth": Infinity`,
+    # which is not JSON
+    ("kde_bandwidth_frac=Infinity", "config kde_bandwidth_frac: want a finite number, got inf"),
+    ("slippage_order_usd=Infinity", "config slippage_order_usd: want a finite number, got inf"),
+    ("funding_spike_sigma=-Infinity", "config funding_spike_sigma: want a finite number, got -inf"),
+    # each had ended `metrics` in a ValueError traceback: a bandwidth that is
+    # not positive, an order size of 0 at 12 decimal places
+    ("kde_bandwidth_frac=0", "config kde_bandwidth_frac: must be > 0, got 0"),
+    ("kde_bandwidth_frac=-1", "config kde_bandwidth_frac: must be > 0, got -1"),
+    ("slippage_order_usd=0", "config slippage_order_usd: must be > 5e-13, got 0"),
+    ("slippage_order_usd=-1", "config slippage_order_usd: must be > 5e-13, got -1"),
+    ("slippage_order_usd=1e-300", "config slippage_order_usd: must be > 5e-13, got 1e-300"),
+    ("slippage_order_usd=5e-13", "config slippage_order_usd: must be > 5e-13, got 5e-13"),
 ])
 def test_bad_config_value_is_a_schema_error(panel_file, tmp_path, capsys, item, message):
     out = str(tmp_path / "m.json")
@@ -120,6 +133,7 @@ def test_config_floors_and_int_for_float_are_accepted(panel_file, tmp_path, caps
     out = str(tmp_path / "m.json")
     assert main(["metrics", "--panel", panel_file, "--set", "funding_spike_lookback=2",
                  "--set", "timestamp_tolerance_s=0", "--set", "funding_spike_sigma=3",
+                 "--set", "kde_bandwidth_frac=1e-9", "--set", "slippage_order_usd=6e-13",
                  "--out", out]) == 0
     capsys.readouterr()
 
