@@ -11,7 +11,7 @@ import numpy as np
 from .config import Config, DEFAULTS
 from .errors import InsufficientInputsError
 from .hypotheses import CONFIRMED, FALSIFIED
-from .model import (BAR_SECONDS, BARS_PER_DAY, SETTLEMENTS_PER_DAY, Panel,
+from .model import (BARS_PER_DAY, SETTLEMENTS_PER_DAY, Panel,
                     RangeDefinition, d12)
 from .positioning import COLLAPSE, ROTATION, classify_oi_event
 from .structure import PanelSeries, absorption_footprints, derive, ols_slope
@@ -311,42 +311,3 @@ def advise_platform_parameters(vol_history: Sequence[float],
         "advisory_only": True,
     }
 
-
-def narrative_filter(panel: Panel, event_time: int, cfg: Config = DEFAULTS) -> dict:
-    """Before/after structural diff around an external narrative event.
-
-    Answers whether boundaries, positioning or near-boundary behavior
-    actually changed; unchanged structure marks the narrative irrelevant.
-    """
-    idx = None
-    for i, c in enumerate(panel.candles):
-        if c.open_time <= event_time < c.open_time + BAR_SECONDS:
-            idx = i
-            break
-    if idx is None or idx < 2 * cfg.swing_lookback + 1:
-        return {"relevant": None, "changes": [],
-                "note": "event outside the panel or too early to compare"}
-    before = Panel(instrument=panel.instrument, candles=panel.candles[:idx],
-                   funding=[f for f in panel.funding
-                            if f.settle_time <= panel.candles[idx - 1].close_time],
-                   open_interest=[r for r in panel.open_interest
-                                  if r.time <= panel.candles[idx - 1].close_time])
-    changes = []
-    sb, sa = derive(before, cfg), derive(panel, cfg)
-    rb, ra = sb.resolved, sa.resolved
-    tol = float(cfg.range_touch_tolerance)
-    if (rb is None) != (ra is None):
-        changes.append("range resolution changed")
-    elif rb and ra:
-        for name, a, b in (("lower", rb[0].lower, ra[0].lower),
-                           ("upper", rb[0].upper, ra[0].upper)):
-            if b > 0 and abs(float(a - b)) / float(b) > tol:
-                changes.append("range %s boundary moved" % name)
-    oi_before = sb.oi_by_bar[-1] if before.open_interest else None
-    oi_after = sa.oi_by_bar[-1] if panel.open_interest else None
-    if oi_before is not None and oi_after is not None and oi_before.oi_usd > 0:
-        shift = abs(float(oi_after.oi_usd - oi_before.oi_usd)) / float(oi_before.oi_usd)
-        if shift > cfg.oi_collapse_decline:
-            changes.append("open interest moved %.1f%%" % (shift * 100))
-    return {"relevant": bool(changes), "changes": changes,
-            "event_bar": idx, "note": "structural diff at the event bar"}

@@ -18,7 +18,6 @@ import numpy as np
 
 from .config import Config, DEFAULTS
 from .errors import SchemaError
-from .hypotheses import evaluate_all
 from .model import (
     BAR_SECONDS,
     BookSnapshot,
@@ -31,10 +30,8 @@ from .model import (
     d12,
     fmt_dec,
     iso,
-    levels_text,
     validate_panel,
 )
-from .structure import derive
 
 START_TIME = 1_700_006_400          # on both the 4H and 8H grids
 HALF_WIDTH = 0.03                   # scripted range half-width
@@ -90,18 +87,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise SchemaError(f"bad scenario document: {exc}") from exc
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "name": s.name,
-        "seed": s.seed,
-        "base_price": s.base_price,
-        "instrument": s.instrument,
-        "segments": [{"template": g.template, "length": g.length,
-                      "overrides": dict(g.overrides)} for g in s.segments],
-        "ground_truth": dict(s.ground_truth),
-    }
-
-
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -131,7 +116,9 @@ class _Builder:
     """Accumulates panel series one bar at a time.
 
     Settlements land on closes that sit on the 8H grid (odd bar indexes),
-    OI and one book snapshot land on every close.
+    OI and one book snapshot land on every close. A book is a function of
+    (close, range high, shelf multiplier) alone, so `sides` keeps the text
+    of each distinct state and `_sides` formats it once.
     """
 
     def __init__(self, scenario: Scenario):
@@ -146,6 +133,7 @@ class _Builder:
         self.books: list = []
         self.liqs: list = []
         self.annotations: dict = {}
+        self.sides: dict = {}
 
     @property
     def mid(self) -> float:
@@ -187,7 +175,11 @@ class _Builder:
             time=close_time, oi_usd=total, long_oi_usd=long_leg,
             short_oi_usd=total - long_leg))
 
-        self.books.append(_book(close_time, close, self.hi, zone_mult))
+        state = (close, self.hi, zone_mult)
+        sides = self.sides.get(state)
+        if sides is None:
+            sides = self.sides[state] = _sides(*state)
+        self.books.append(BookSnapshot(close_time, *sides))
 
         for offset_s, price, usd, side in liq_events:
             self.liqs.append(LiquidationEvent(
@@ -208,7 +200,8 @@ _LEVEL_SIZES = tuple(30.0 * 0.92 ** k for k in range(20))
 _LEVEL_SIZE_TEXT = tuple(fmt_dec(d12(size)) for size in _LEVEL_SIZES)
 
 
-def _book(time_s: int, mid: float, range_hi: float, zone_mult: float) -> BookSnapshot:
+def _sides(mid: float, range_hi: float, zone_mult: float) -> tuple:
+    """The (bids, asks) panel text of the book around `mid`."""
     best_bid = mid * 0.9998
     best_ask = mid * 1.0002
     sides = ([], [])
@@ -220,7 +213,7 @@ def _book(time_s: int, mid: float, range_hi: float, zone_mult: float) -> BookSna
             if abs(price - range_hi) / range_hi <= 0.005:
                 text = fmt_dec(d12(size * zone_mult))
             levels.append("%s:%s" % (fmt_dec(d12(price)), text))
-    return BookSnapshot(time_s, " ".join(sides[0]), " ".join(sides[1]))
+    return " ".join(sides[0]), " ".join(sides[1])
 
 
 def _ramp(ov: dict, key: str, fallback: float, j: int, length: int) -> float:
@@ -475,34 +468,12 @@ def generate(scenario: Scenario, cfg: Config = DEFAULTS):
     return panel, gt
 
 
-def scale_panel(panel: Panel, factor: float) -> Panel:
-    """Multiply every price by `factor`; volumes, OI notionals and liquidation
-    sizes keep their units."""
-    f = d12(factor)
-    candles = [Candle4H(c.open_time, d12(c.open * f), d12(c.high * f),
-                        d12(c.low * f), d12(c.close * f), c.volume,
-                        c.exchange_count, c.interpolated)
-               for c in panel.candles]
-    funding = [FundingRecord(r.settle_time, r.rate_8h, r.source_interval_hours,
-                             r.exchange_count,
-                             None if r.mark_price is None else d12(r.mark_price * f),
-                             None if r.index_price is None else d12(r.index_price * f))
-               for r in panel.funding]
-    books = [BookSnapshot(s.time,
-                          levels_text((d12(p * f), z) for p, z in s.bid_levels),
-                          levels_text((d12(p * f), z) for p, z in s.ask_levels))
-             for s in panel.books]
-    liqs = [LiquidationEvent(e.time, d12(e.price * f), e.size_usd, e.side)
-            for e in panel.liquidations]
-    return Panel(instrument=panel.instrument, candles=candles, funding=funding,
-                 open_interest=list(panel.open_interest), books=books,
-                 liquidations=liqs, annotations=dict(panel.annotations))
-
-
 def backtest(panels: Sequence[Panel], cfg: Config = DEFAULTS) -> dict:
     """Evaluate every hypothesis plus the regime label on each panel and
     tally the verdicts against any embedded ground truth."""
+    from .hypotheses import evaluate_all
     from .regime import classify_regime
+    from .structure import derive
 
     counts = {h: {"confirmed": 0, "falsified": 0, "not-evaluable": 0}
               for h in ("H1", "H2", "H3", "H4")}

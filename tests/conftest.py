@@ -2,7 +2,16 @@ import importlib.resources as resources
 
 import pytest
 
-from rangegov.synth import generate, load_scenario
+from rangegov.model import (
+    BookSnapshot,
+    Candle4H,
+    FundingRecord,
+    LiquidationEvent,
+    Panel,
+    d12,
+    levels_text,
+)
+from rangegov.synth import Scenario, generate, load_scenario
 
 SCENARIO_NAMES = (
     "h1-confirm", "h1-falsify", "h2-confirm", "h2-falsify",
@@ -22,3 +31,39 @@ def scenario_panels():
         panel, gt = generate(load_scenario(scenario_path(name)))
         out[name] = (panel, gt)
     return out
+
+
+def scenario_to_dict(s: Scenario) -> dict:
+    return {
+        "name": s.name,
+        "seed": s.seed,
+        "base_price": s.base_price,
+        "instrument": s.instrument,
+        "segments": [{"template": g.template, "length": g.length,
+                      "overrides": dict(g.overrides)} for g in s.segments],
+        "ground_truth": dict(s.ground_truth),
+    }
+
+
+def scale_panel(panel: Panel, factor: float) -> Panel:
+    """Multiply every price by `factor`; volumes, OI notionals and liquidation
+    sizes keep their units."""
+    f = d12(factor)
+    candles = [Candle4H(c.open_time, d12(c.open * f), d12(c.high * f),
+                        d12(c.low * f), d12(c.close * f), c.volume,
+                        c.exchange_count, c.interpolated)
+               for c in panel.candles]
+    funding = [FundingRecord(r.settle_time, r.rate_8h, r.source_interval_hours,
+                             r.exchange_count,
+                             None if r.mark_price is None else d12(r.mark_price * f),
+                             None if r.index_price is None else d12(r.index_price * f))
+               for r in panel.funding]
+    books = [BookSnapshot(s.time,
+                          levels_text((d12(p * f), z) for p, z in s.bid_levels),
+                          levels_text((d12(p * f), z) for p, z in s.ask_levels))
+             for s in panel.books]
+    liqs = [LiquidationEvent(e.time, d12(e.price * f), e.size_usd, e.side)
+            for e in panel.liquidations]
+    return Panel(instrument=panel.instrument, candles=candles, funding=funding,
+                 open_interest=list(panel.open_interest), books=books,
+                 liquidations=liqs, annotations=dict(panel.annotations))

@@ -64,10 +64,9 @@ from rangegov.synth import (
     backtest,
     generate,
     load_scenario,
-    scale_panel,
 )
 
-from conftest import SCENARIO_NAMES, scenario_path
+from conftest import SCENARIO_NAMES, scale_panel, scenario_path
 
 T0 = 1_700_006_400
 BAR = 14_400

@@ -674,29 +674,47 @@ def test_ingest_rejects_then_allows_flagged(panel_file, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_ingest_validate_and_plot_never_import_numpy(panel_file, tmp_path, capsys):
+# command -> modules its child process must not load: ingest, validate and
+# plot run no numpy, and synth runs only the generator, not the analytics
+NEVER_LOADED = {
+    "ingest": ("numpy",),
+    "validate": ("numpy",),
+    "plot": ("numpy",),
+    "synth": ("rangegov.hypotheses", "rangegov.structure", "rangegov.liquidity",
+              "rangegov.positioning", "rangegov.cost", "rangegov.regime",
+              "rangegov.reports"),
+}
+
+
+def test_commands_never_import_what_they_do_not_run(panel_file, tmp_path, capsys):
     source = load_panel(panel_file)
     _write_inputs(tmp_path, source)
     report = tmp_path / "m.json"
     assert main(["metrics", "--panel", panel_file, "--out", str(report)]) == 0
     capsys.readouterr()
-    argvs = [
-        ["ingest", "--manifest", _manifest(tmp_path), "--out", str(tmp_path / "p.json")],
-        ["validate", "--panel", str(tmp_path / "p.json")],
-        ["plot", "--report", str(report), "--kind", "range",
-         "--out", str(tmp_path / "fig.svg")],
-    ]
+    argvs = {
+        "ingest": ["ingest", "--manifest", _manifest(tmp_path),
+                   "--out", str(tmp_path / "p.json")],
+        "validate": ["validate", "--panel", str(tmp_path / "p.json")],
+        "plot": ["plot", "--report", str(report), "--kind", "range",
+                 "--out", str(tmp_path / "fig.svg")],
+        "synth": ["synth", "--scenario", scenario_path("h4-confirm"),
+                  "--out", str(tmp_path / "s.json")],
+    }
     script = ("import json, sys\n"
               "import rangegov.cli\n"
-              "codes = [rangegov.cli.main(a) for a in json.loads(sys.argv[1])]\n"
-              "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
+              "code = rangegov.cli.main(json.loads(sys.argv[1]))\n"
+              "print(json.dumps([code, [m for m in json.loads(sys.argv[2])\n"
+              "                         if m in sys.modules]]))\n")
     src = os.path.dirname(os.path.dirname(rangegov.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("RG_CONFIG", None)
-    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0], False]
+    for command, modules in NEVER_LOADED.items():
+        done = subprocess.run([sys.executable, "-c", script,
+                               json.dumps(argvs[command]), json.dumps(modules)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, []], command
 
 
 # ------------------------------------------------------------ config layers

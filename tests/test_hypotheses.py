@@ -12,9 +12,8 @@ from rangegov.hypotheses import (
 from rangegov.formats import panel_from_dict, panel_to_dict
 from rangegov.model import BAR_SECONDS, Candle4H, Panel, d12, iso
 from rangegov.structure import derive
-from rangegov.synth import scale_panel
 
-from conftest import SCENARIO_NAMES
+from conftest import SCENARIO_NAMES, scale_panel
 
 T0 = 1700006400
 

@@ -1,12 +1,10 @@
-import math
-
 import pytest
 
 from rangegov.config import DEFAULTS
 from rangegov.cost import FundingState
 from rangegov.errors import InsufficientInputsError
 from rangegov.hypotheses import HypothesisVerdict
-from rangegov.model import BAR_SECONDS, BARS_PER_DAY, Candle4H, Panel, RangeDefinition, d12
+from rangegov.model import BARS_PER_DAY, Panel, RangeDefinition, d12
 from rangegov.regime import (
     ALIGNED,
     DIVERGENT,
@@ -16,12 +14,13 @@ from rangegov.regime import (
     assemble_trigger_states,
     build_trigger_matrix,
     classify_regime,
-    narrative_filter,
     percentile_rank,
     range_position,
     recommend_action,
 )
 from rangegov.synth import generate, scenario_from_dict
+
+from conftest import scale_panel
 
 T0 = 1700006400
 
@@ -74,7 +73,6 @@ def test_plain_range_is_unclassified(scenario_panels):
 
 
 def test_classification_is_price_scale_invariant():
-    from rangegov.synth import scale_panel
     panel, gt = generate(DISTRIBUTION_DOC)
     assert classify_regime(scale_panel(panel, 1000.0), DEFAULTS).label == gt["regime"]
 
@@ -247,29 +245,3 @@ def test_range_position_buckets():
     assert range_position(d12(99), rng, DEFAULTS) == "near_lower"
     assert range_position(d12(105), rng, DEFAULTS) == "interior"
     assert range_position(d12(105), None, DEFAULTS) == "no-range"
-
-
-# --- narrative filter -------------------------------------------------------------
-
-def test_narrative_filter_flags_structural_shift():
-    panel, _ = generate(DISTRIBUTION_DOC)
-    # event at the hand-off into the distribution leg: OI moves well past 5%
-    event_time = panel.candles[40].open_time
-    out = narrative_filter(panel, event_time, DEFAULTS)
-    assert out["relevant"] is True
-    assert any("open interest" in c for c in out["changes"])
-
-
-def test_narrative_filter_quiet_when_nothing_moves(scenario_panels):
-    panel, _ = scenario_panels["h1-confirm"]
-    event_time = panel.candles[-15].open_time
-    out = narrative_filter(panel, event_time, DEFAULTS)
-    assert out["relevant"] is False
-    assert out["changes"] == []
-
-
-def test_narrative_filter_outside_panel():
-    panel, _ = generate(TRENDING_DOC)
-    out = narrative_filter(panel, panel.candles[-1].close_time + 999999,
-                           DEFAULTS)
-    assert out["relevant"] is None

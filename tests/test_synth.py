@@ -4,9 +4,10 @@ import dataclasses
 
 import pytest
 
+from rangegov import synth
 from rangegov.config import DEFAULTS
 from rangegov.errors import SchemaError
-from rangegov.formats import dump_json, panel_to_dict
+from rangegov.formats import dump_json, panel_to_dict, save_panel
 from rangegov.quality import run_pipeline
 from rangegov.synth import (
     Scenario,
@@ -16,12 +17,10 @@ from rangegov.synth import (
     generate,
     load_builtin_scenario,
     load_scenario,
-    scale_panel,
     scenario_from_dict,
-    scenario_to_dict,
 )
 
-from conftest import SCENARIO_NAMES
+from conftest import SCENARIO_NAMES, scale_panel, scenario_to_dict
 
 
 def test_builtin_corpus_is_the_eight_scenarios():
@@ -41,6 +40,53 @@ def test_noise_template_reacts_to_seed():
     pa, _ = generate(base)
     pb, _ = generate(other)
     assert [c.close for c in pa.candles] != [c.close for c in pb.candles]
+
+
+class _Forgetful(dict):
+    """A book memo that keeps nothing, so every bar formats its own sides."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _year(seed):
+    # the bench year's shape, shortened: noise, then a long range, then a cascade
+    return Scenario(name="year", seed=seed, segments=(
+        Segment("noise", 60, {"sigma": 0.004}), Segment("range", 240),
+        Segment("cascade", 30)))
+
+
+# h2-confirm's breakout thins the shelf, so its states also differ in zone_mult
+@pytest.mark.parametrize("scenario", [_year(1), _year(4), _year(7),
+                                      load_builtin_scenario("h2-confirm")],
+                         ids=["year-1", "year-4", "year-7", "h2-confirm"])
+def test_book_memo_formats_each_state_once(scenario, tmp_path, monkeypatch):
+    states = []
+    sides = synth._sides
+
+    def counted(*state):
+        states.append(state)
+        return sides(*state)
+
+    monkeypatch.setattr(synth, "_sides", counted)
+    save_panel(str(tmp_path / "memo.json"), generate(scenario)[0])
+    memo_states = list(states)
+
+    init = synth._Builder.__init__
+
+    def forgetful_init(self, s):
+        init(self, s)
+        self.sides = _Forgetful()
+
+    states.clear()
+    monkeypatch.setattr(synth._Builder, "__init__", forgetful_init)
+    panel, _ = generate(scenario)
+    save_panel(str(tmp_path / "every-bar.json"), panel)
+
+    assert (tmp_path / "memo.json").read_bytes() == (tmp_path / "every-bar.json").read_bytes()
+    assert len(states) == len(panel.candles)
+    assert len(memo_states) == len(set(memo_states)) < len(states)
+    assert set(memo_states) == set(states)
 
 
 def test_scenario_panels_pass_quality_clean(scenario_panels):
