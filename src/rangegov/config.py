@@ -128,10 +128,10 @@ _INT_FLOORS = {
     "funding_spike_lookback": 2,
     "realized_vol_window": 2,
 }
-# Float fields with an exclusive floor: a kernel bandwidth divides, and the
-# order the slippage walk fills is read at 12 decimal places (`d12`), where
-# 5e-13 and less round to 0
-_FLOAT_FLOORS = {"kde_bandwidth_frac": 0, "slippage_order_usd": 5e-13}
+# Float fields with an exclusive floor: a kernel bandwidth and a profile bin
+# width divide, and the order the slippage walk fills is read at 12 decimal
+# places (`d12`), where 5e-13 and less round to 0
+_FLOAT_FLOORS = {"kde_bandwidth_frac": 0, "volume_bin_frac": 0, "slippage_order_usd": 5e-13}
 
 
 def _check(name: str, value) -> None:

@@ -11,6 +11,7 @@ import json
 import os
 from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
+from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
@@ -25,6 +26,7 @@ from .model import (
     LiquidationEvent,
     OpenInterestRecord,
     Panel,
+    _Q12,
     d12,
     fmt_dec,
     iso,
@@ -34,11 +36,12 @@ from .model import (
 from .quality import run_pipeline
 
 SCHEMA_VERSION = "1"
+_NUMBERS = frozenset((str, int, float))   # what a decimal field holds; not a bool
 
 
-def _dec(raw: str, where: str) -> Decimal:
-    try:
-        return d12(Decimal(raw))
+def _dec(raw, where: str) -> Decimal:
+    try:   # Decimal(None) raises TypeError
+        return d12(Decimal(raw if type(raw) in _NUMBERS else None))
     except (InvalidOperation, ValueError, TypeError):
         raise SchemaError("%s: bad decimal %r" % (where, raw))
 
@@ -78,6 +81,16 @@ def _histogram(raw, where: str) -> Optional[dict]:
     return dict(raw) or None
 
 
+def _side(raw, where: str) -> str:
+    if raw not in ("long", "short"):
+        raise SchemaError("%s: side must be long or short" % where)
+    return raw
+
+
+def _text(raw, where: str):
+    return raw
+
+
 def _opt(rec: dict, key: str, read, where: str, default=None):
     """`read(rec[key], where)`, or `default` if the field is absent, null or ""."""
     raw = rec.get(key)
@@ -85,48 +98,78 @@ def _opt(rec: dict, key: str, read, where: str, default=None):
 
 
 # ------------------------------------------------------------------ records
-# One builder per record, called by its CSV reader and by panel_from_dict.
-
-def _candle(rec: dict, where: str) -> Candle4H:
-    return Candle4H(
-        open_time=_time(rec["time"], where), open=_dec(rec["open"], where),
-        high=_dec(rec["high"], where), low=_dec(rec["low"], where),
-        close=_dec(rec["close"], where), volume=_dec(rec["volume"], where),
-        exchange_count=_opt(rec, "exchange_count", _int, where, 1),
-        interpolated=_opt(rec, "interpolated", _flag, where, False))
-
-
-def _oi(rec: dict, where: str) -> OpenInterestRecord:
-    return OpenInterestRecord(
-        time=_time(rec["time"], where), oi_usd=_dec(rec["oi_usd"], where),
-        long_oi_usd=_opt(rec, "long_oi_usd", _dec, where),
-        short_oi_usd=_opt(rec, "short_oi_usd", _dec, where),
-        holder_shares=_opt(rec, "holder_shares", _shares, where),
-        leverage_histogram=_opt(rec, "leverage_histogram", _histogram, where))
+# A record kind is its fields, (key, reader, default) in reading order;
+# `_decode` reads it, and the readers above word its errors.
+_REQUIRED = object()   # the default of a field that every record must hold
+_CANDLE = (("time", _time, _REQUIRED), *((k, _dec, _REQUIRED) for k in (
+    "open", "high", "low", "close", "volume")),
+    ("exchange_count", _int, 1), ("interpolated", _flag, False))
+_FUNDING = (("time", _time, _REQUIRED), ("rate_8h", _dec, _REQUIRED),
+            ("source_interval_hours", _int, 8), ("exchange_count", _int, 1),
+            ("mark_price", _dec, None), ("index_price", _dec, None))
+_OI = (("time", _time, _REQUIRED), ("oi_usd", _dec, _REQUIRED),
+       ("long_oi_usd", _dec, None), ("short_oi_usd", _dec, None),
+       ("holder_shares", _shares, None), ("leverage_histogram", _histogram, None))
+_LIQUIDATION = (("side", _side, _REQUIRED), ("time", _time, _REQUIRED),
+                ("price", _dec, _REQUIRED), ("size_usd", _dec, _REQUIRED))
 
 
-def _liquidation(rec: dict, where: str) -> LiquidationEvent:
-    side = rec["side"]
-    if side not in ("long", "short"):
-        raise SchemaError("%s: side must be long or short" % where)
-    return LiquidationEvent(
-        time=_time(rec["time"], where), price=_dec(rec["price"], where),
-        size_usd=_dec(rec["size_usd"], where), side=side)
+def _oi(time, oi_usd, long_oi_usd, short_oi_usd, shares, histogram) -> OpenInterestRecord:
+    return OpenInterestRecord(time, oi_usd, long_oi_usd, short_oi_usd, histogram, shares)
 
 
-def _records(rows, build, kind=dict) -> list:
-    """`build(record, where)` over `(where, record)` pairs; a record that is
-    not of `kind` or lacks a field raises SchemaError naming it."""
-    out = []
-    for where, rec in rows:
+def _liquidation(side, time, price, size_usd) -> LiquidationEvent:
+    return LiquidationEvent(time, price, size_usd, side)
+
+
+def _walk(rows: list, where_of, build, kind=dict) -> None:
+    """`build(record, where_of(i))` over `rows`; the first bad record raises."""
+    for i, rec in enumerate(rows):
         if not isinstance(rec, kind):
             raise SchemaError("%s is not %s"
-                              % (where, "an object" if kind is dict else "a string"))
+                              % (where_of(i), "an object" if kind is dict else "a string"))
         try:
-            out.append(build(rec, where))
+            build(rec, where_of(i))
         except KeyError as exc:
-            raise SchemaError("%s missing field %r" % (where, exc.args[0])) from None
-    return out
+            raise SchemaError("%s missing field %r" % (where_of(i), exc.args[0])) from None
+
+
+_BAD = (KeyError, IndexError, TypeError, ValueError, ArithmeticError, AttributeError)
+_AS_READ = {_int: {int}, _flag: {bool}, _text: {str}}   # columns a reader returns as they are
+
+
+def _column(values: list, read, default, stamps: dict) -> list:
+    """`read` over a column of raw values, as `_opt` (unless _REQUIRED) reads
+    them: each timestamp text parsed once into `stamps`, decimals in one pass.
+    Raises one of _BAD, unworded, on the first value `read` rejects."""
+    if default is not _REQUIRED and (None in values or "" in values):
+        return [default if raw is None or raw == "" else read(raw, None) for raw in values]
+    types = set(map(type, values))
+    if read is _dec:
+        if not types <= _NUMBERS:
+            raise TypeError
+        out = list(map(Decimal.quantize, map(Decimal, values), repeat(_Q12)))
+        if any(map(Decimal.is_nan, out)):
+            raise ValueError
+        return out
+    if read is _time:
+        stamps.update({text: parse_iso(text) for text in set(values).difference(stamps)})
+        return list(map(stamps.__getitem__, values))
+    return values if types == _AS_READ.get(read) else [read(raw, None) for raw in values]
+
+
+def _decode(rows: list, fields, make, where_of, stamps: dict) -> list:
+    """`make(*fields)` of each record of `rows`, a column at a time; if one fails,
+    `_walk` raises the error naming the first bad record, `where_of(its index)`."""
+    try:
+        return list(map(make, *(_column(
+            [rec[key] for rec in rows] if default is _REQUIRED else [rec.get(key) for rec in rows],
+            read, default, stamps) for key, read, default in fields)))
+    except _BAD:
+        _walk(rows, where_of, lambda rec, where: [
+            read(rec[key], where) if default is _REQUIRED else _opt(rec, key, read, where, default)
+            for key, read, default in fields])
+        raise
 
 
 @contextmanager
@@ -149,19 +192,20 @@ def _read_json(path: str):
 
 # ---------------------------------------------------------------- CSV series
 
-def _read_csv(path: str, build) -> list:
-    """`build(record, where)` over the rows of the CSV file at `path`, each
-    record holding its row's nonempty cells, stripped."""
+def _read_csv(path: str, fields, make, prep=None) -> list:
+    """`_decode` of the rows of the CSV file at `path`, each record holding
+    its row's nonempty cells, stripped, as `prep(record)` leaves it."""
     with _open(path, newline="") as fh:
         rows = csv.reader(fh)
         header = next(rows, [])
-        return _records((("%s row %d" % (path, i),
-                          {k: v.strip() for k, v in zip(header, row) if v})
-                         for i, row in enumerate(filter(None, rows))), build)
+        records = [{k: v.strip() for k, v in zip(header, row) if v} for row in filter(None, rows)]
+    for rec in records if prep else ():
+        prep(rec)
+    return _decode(records, fields, make, lambda i: "%s row %d" % (path, i), {})
 
 
 def read_candles_csv(path: str) -> list:
-    return _read_csv(path, _candle)
+    return _read_csv(path, _CANDLE, Candle4H)
 
 
 def write_candles_csv(path: str, candles) -> None:
@@ -177,9 +221,8 @@ def write_candles_csv(path: str, candles) -> None:
 
 def read_funding_csv(path: str) -> list:
     """Raw settlement rows: (time, per-interval rate, mark, index)."""
-    return _read_csv(path, lambda rec, where: (
-        _time(rec["time"], where), _dec(rec["rate"], where),
-        _opt(rec, "mark_price", _dec, where), _opt(rec, "index_price", _dec, where)))
+    return _read_csv(path, (("time", _time, _REQUIRED), ("rate", _dec, _REQUIRED),
+                            *_FUNDING[-2:]), lambda *row: row)
 
 
 def write_funding_csv(path: str, rows, interval_hours: int = 8) -> None:
@@ -193,20 +236,22 @@ def write_funding_csv(path: str, rows, interval_hours: int = 8) -> None:
                         fmt_dec(index) if index is not None else ""])
 
 
-def read_oi_csv(path: str) -> list:
-    def build(rec: dict, where: str) -> OpenInterestRecord:
-        # a CSV row holds its shares as `a;b` and its histogram as `k:v;...`
-        if "holder_shares" in rec:
-            rec["holder_shares"] = rec["holder_shares"].split(";")
-        hist = rec.get("leverage_histogram")
-        if hist:
-            pairs = [pair.split(":") for pair in hist.split(";")]
-            if any(len(pair) != 2 for pair in pairs):
-                raise SchemaError("%s: bad leverage histogram %r" % (where, hist))
-            rec["leverage_histogram"] = dict(pairs)
-        return _oi(rec, where)
+def _csv_histogram(raw: str, where: str) -> Optional[dict]:
+    pairs = [pair.split(":") for pair in raw.split(";")]
+    if any(len(pair) != 2 for pair in pairs):
+        raise SchemaError("%s: bad leverage histogram %r" % (where, raw))
+    return _histogram(dict(pairs), where)
 
-    return _read_csv(path, build)
+
+def _split_shares(rec: dict) -> None:
+    if "holder_shares" in rec:
+        rec["holder_shares"] = rec["holder_shares"].split(";")
+
+
+def read_oi_csv(path: str) -> list:
+    """A row holds its shares as `a;b` and its histogram as `k:v;...`."""
+    return _read_csv(path, _OI[:-1] + (("leverage_histogram", _csv_histogram, None),),
+                     _oi, _split_shares)
 
 
 def write_oi_csv(path: str, records) -> None:
@@ -227,7 +272,7 @@ def write_oi_csv(path: str, records) -> None:
 
 
 def read_liquidations_csv(path: str) -> list:
-    return _read_csv(path, _liquidation)
+    return _read_csv(path, _LIQUIDATION, _liquidation)
 
 
 def write_liquidations_csv(path: str, events) -> None:
@@ -239,9 +284,9 @@ def write_liquidations_csv(path: str, events) -> None:
 
 
 def read_ticks_csv(path: str, exchange_id: str = "") -> list:
-    return _read_csv(path, lambda rec, where: RawTick(
-        time=_time(rec["time"], where), price=_dec(rec["price"], where),
-        volume=_dec(rec["volume"], where), exchange_id=rec.get("exchange_id", exchange_id)))
+    return _read_csv(path, (("time", _time, _REQUIRED), ("price", _dec, _REQUIRED),
+                            ("volume", _dec, _REQUIRED), ("exchange_id", _text, _REQUIRED)),
+                     RawTick, lambda rec: rec.setdefault("exchange_id", exchange_id))
 
 
 # ------------------------------------------------------------ book snapshots
@@ -250,32 +295,48 @@ def book_to_line(snap: BookSnapshot) -> str:
     return "|".join([iso(snap.time), snap.bids, snap.asks])
 
 
+def _book_side(chunk: str, where: str) -> str:
+    """A canonical side (`CANONICAL_LEVELS`) verbatim; any other as the
+    `levels_text` of its levels, or SchemaError if one is malformed."""
+    if CANONICAL_LEVELS.fullmatch(chunk):
+        return chunk
+    out = []
+    for pair in chunk.split():
+        bits = pair.split(":")
+        if len(bits) != 2:
+            raise SchemaError("%s: bad level %r" % (where, pair))
+        out.append((_dec(bits[0], where), _dec(bits[1], where)))
+    return levels_text(out)
+
+
 def book_from_line(line: str, where: str = "book") -> BookSnapshot:
-    """A canonical side (`CANONICAL_LEVELS`) is held verbatim; any other side
-    is decoded here, where a malformed one raises SchemaError, and held as the
-    `levels_text` of its levels."""
+    """A snapshot whose sides are each `_book_side` of the line's."""
     parts = line.rstrip("\n").split("|")
     if len(parts) != 3:
         raise SchemaError("%s: want time|bids|asks, got %d fields" % (where, len(parts)))
+    return BookSnapshot(_time(parts[0], where), _book_side(parts[1], where),
+                        _book_side(parts[2], where), canonical=True)
 
-    def side(chunk: str) -> str:
-        if CANONICAL_LEVELS.fullmatch(chunk):
-            return chunk
-        out = []
-        for pair in chunk.split():
-            bits = pair.split(":")
-            if len(bits) != 2:
-                raise SchemaError("%s: bad level %r" % (where, pair))
-            out.append((_dec(bits[0], where), _dec(bits[1], where)))
-        return levels_text(out)
 
-    return BookSnapshot(_time(parts[0], where), side(parts[1]), side(parts[2]))
+def _decode_books(lines: list, where_of, stamps: dict) -> list:
+    """`book_from_line` of each line, the times as one column, as `_decode`."""
+    try:
+        cells = [line.rstrip("\n").split("|") for line in lines]
+        if set(map(len, cells)) - {3}:
+            raise ValueError
+        times = _column([c[0] for c in cells], _time, _REQUIRED, stamps)
+        return [BookSnapshot(t, _book_side(bids, None), _book_side(asks, None), canonical=True)
+                for t, (_, bids, asks) in zip(times, cells)]
+    except _BAD:
+        _walk(lines, where_of, book_from_line, str)
+        raise
 
 
 def read_books(path: str) -> list:
     with _open(path) as fh:
-        return _records((("%s line %d" % (path, i), line)
-                         for i, line in enumerate(fh) if line.strip()), book_from_line, str)
+        numbered = [(i, line) for i, line in enumerate(fh) if line.strip()]
+    return _decode_books([line for _, line in numbered],
+                         lambda k: "%s line %d" % (path, numbered[k][0]), {})
 
 
 def write_books(path: str, snaps) -> None:
@@ -322,16 +383,6 @@ def panel_to_dict(panel: Panel) -> dict:
     }
 
 
-def _funding(rec: dict, where: str) -> FundingRecord:
-    """A panel funding record, its rate already on the 8H basis."""
-    return FundingRecord(
-        settle_time=_time(rec["time"], where), rate_8h=_dec(rec["rate_8h"], where),
-        source_interval_hours=_opt(rec, "source_interval_hours", _int, where, 8),
-        exchange_count=_opt(rec, "exchange_count", _int, where, 1),
-        mark_price=_opt(rec, "mark_price", _dec, where),
-        index_price=_opt(rec, "index_price", _dec, where))
-
-
 def panel_from_dict(doc: dict, where: str = "panel") -> Panel:
     if not isinstance(doc, dict) or doc.get("kind") != "panel":
         raise SchemaError("%s: not a panel document" % where)
@@ -341,21 +392,22 @@ def panel_from_dict(doc: dict, where: str = "panel") -> Panel:
     annotations = doc.get("annotations") or {}
     if not isinstance(annotations, dict):
         raise SchemaError("%s: annotations must be an object" % where)
+    stamps = {}   # timestamp text -> epoch seconds, across the series
 
-    def series(key: str, build, kind=dict) -> list:
+    def series(key: str, fields=None, make=None) -> list:
         rows = doc.get(key, [])
         if not isinstance(rows, list):
             raise SchemaError("%s: %s must be a list" % (where, key))
-        return _records((("%s: %s[%d]" % (where, key, i), rec)
-                         for i, rec in enumerate(rows)), build, kind)
+        at = (lambda i: "%s: %s[%d]" % (where, key, i), stamps)
+        return _decode(rows, fields, make, *at) if fields else _decode_books(rows, *at)
 
     return Panel(
         instrument=doc.get("instrument", ""),
-        candles=series("candles", _candle),
-        funding=series("funding", _funding),
-        open_interest=series("open_interest", _oi),
-        books=series("books", book_from_line, str),
-        liquidations=series("liquidations", _liquidation),
+        candles=series("candles", _CANDLE, Candle4H),
+        funding=series("funding", _FUNDING, FundingRecord),   # rates on the 8H basis
+        open_interest=series("open_interest", _OI, _oi),
+        books=series("books"),
+        liquidations=series("liquidations", _LIQUIDATION, _liquidation),
         annotations=annotations,
     )
 

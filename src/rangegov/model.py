@@ -158,10 +158,13 @@ def _best_price(text: str) -> Decimal:
 class BookSnapshot:
     """Each side is held as `levels_text` writes it and decoded on first read,
     so copies, `==` and `hash` compare text and decode nothing. The verdict
-    of `validate_record` and the best prices are read from the text and kept."""
+    of `validate_record` and the best prices are read from the text and kept.
+    `canonical`: each side is its levels' `levels_text` (as `book_from_line`
+    makes them), which the verdict takes as read; it is not compared."""
     time: int
     bids: str   # best first, descending prices
     asks: str   # best first, ascending prices
+    canonical: bool = field(default=False, compare=False, repr=False)
 
     @cached_property
     def bid_levels(self) -> tuple:
@@ -345,7 +348,7 @@ def _validate_book(b: BookSnapshot) -> list:
     for side, levels, better in (("bids", "bid_levels", operator.gt),
                                  ("asks", "ask_levels", operator.lt)):
         text = getattr(b, side)
-        if not CANONICAL_LEVELS.fullmatch(text):
+        if not (b.canonical or CANONICAL_LEVELS.fullmatch(text)):
             # only a snapshot built in code holds such text: judge the
             # canonical text of its decoded levels instead
             text = levels_text(getattr(b, levels))

@@ -18,6 +18,10 @@ from .errors import DataError
 from .model import Candle4H, Panel, RangeDefinition, d12, funding_by_bar, oi_by_bar
 
 
+# Most bins in a volume profile; a power of two, so widened bins divide the span exactly
+PROFILE_MAX_BINS = 4096
+
+
 @dataclass(frozen=True)
 class SwingPoint:
     index: int
@@ -204,6 +208,7 @@ def volume_nodes(candles: Sequence[Candle4H], window: Optional[int] = None,
         raise DataError("degenerate bin width")
     lo = min(float(c.low) for c in bars)
     hi = max(float(c.high) for c in bars)
+    width = max(width, (hi - lo) / PROFILE_MAX_BINS)   # at most PROFILE_MAX_BINS bins
     n_bins = max(1, math.ceil((hi - lo) / width)) if hi > lo else 1
     edges = [lo + k * width for k in range(n_bins + 1)]
     volumes = [0.0] * n_bins

@@ -8,6 +8,7 @@ rename or a changed signature would otherwise only show in traced bench runs.
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 
 from rangegov.config import DEFAULTS
@@ -92,3 +93,23 @@ def test_three_reports_on_a_panel_derive_and_evaluate_it_once():
     assert calls["hypotheses.evaluate_all"] == 2
     for h in ("h1", "h2", "h3", "h4"):
         assert calls["hypotheses.evaluate_" + h] == 1, h
+
+
+def test_the_layers_the_tracer_times_load_with_the_entry_modules():
+    """`install` rebinds names in the modules already loaded; a layer that
+    loads later (a lazy import) would be imported afresh by it and then
+    rebound, which bench/tests/test_bench.py cannot tell from a fresh run."""
+    import subprocess
+    import sys
+
+    import rangegov
+
+    script = ("import json, sys\n"
+              "import rangegov.cli, rangegov.formats, rangegov.reports, rangegov.synth\n"
+              "print(json.dumps([m for m in json.loads(sys.argv[1]) if m not in sys.modules]))\n")
+    layers = ["rangegov." + layer for layer in _tracer().SPANS]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rangegov.__file__)))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(layers)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []

@@ -176,6 +176,7 @@ def test_text_check_matches_decode_first(bids, asks):
     assert "bid_levels" not in snap.__dict__ and "ask_levels" not in snap.__dict__
     assert formats.book_from_line(formats.book_to_line(snap)) == snap   # held verbatim
     assert got == decode_first(BookSnapshot(T0, bids, asks))
+    assert validate_record(formats.book_from_line(formats.book_to_line(snap))) == got
     decoded = BookSnapshot(T0, bids, asks)
     decoded.bid_levels, decoded.ask_levels
     assert validate_record(decoded) == got
@@ -193,6 +194,8 @@ def test_other_text_takes_the_decode_path(bids, asks):
     snap = BookSnapshot(T0, bids, asks)
     assert validate_record(snap) == decode_first(BookSnapshot(T0, bids, asks))
     assert {"bid_levels", "ask_levels"} & set(vars(snap))
+    loaded = formats.book_from_line(formats.book_to_line(snap))   # held as its levels_text
+    assert validate_record(loaded) == validate_record(snap)
 
 
 def test_screening_books_decodes_no_side():
@@ -204,6 +207,32 @@ def test_screening_books_decodes_no_side():
     kept, flags = check_book_integrity(books)
     assert len(kept) >= 100 and not flags
     assert not [s for s in kept if {"bid_levels", "ask_levels"} & set(vars(s))]
+
+
+def test_each_loaded_side_is_matched_once(monkeypatch):
+    """`book_from_line` matches each side against CANONICAL_LEVELS; the book
+    check that `validate` and `ingest` run takes its verdict as read."""
+    from rangegov import model
+
+    pattern = model.CANONICAL_LEVELS
+
+    class Counting:
+        calls = 0
+
+        def fullmatch(self, text):
+            Counting.calls += 1
+            return pattern.fullmatch(text)
+
+    panel, _ = synth.generate(synth.load_builtin_scenario("h2-confirm"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "panel.json")
+        formats.save_panel(path, panel)
+        monkeypatch.setattr(formats, "CANONICAL_LEVELS", Counting())
+        books = formats.load_panel(path).books
+        monkeypatch.setattr(model, "CANONICAL_LEVELS", Counting())
+        kept, flags = check_book_integrity(books)
+    assert len(kept) == len(books) > 10 and not flags
+    assert Counting.calls == 2 * len(books)   # one match per side, at load
 
 
 if __name__ == "__main__":

@@ -16,8 +16,10 @@ from rangegov.formats import (
     load_panel,
     load_report,
     save_panel,
+    write_books,
     write_candles_csv,
     write_funding_csv,
+    write_liquidations_csv,
     write_oi_csv,
 )
 from rangegov.hypotheses import evaluate_all
@@ -88,6 +90,10 @@ def test_unknown_config_key(panel_file, tmp_path, capsys):
     ("slippage_order_usd=-1", "config slippage_order_usd: must be > 5e-13, got -1"),
     ("slippage_order_usd=1e-300", "config slippage_order_usd: must be > 5e-13, got 1e-300"),
     ("slippage_order_usd=5e-13", "config slippage_order_usd: must be > 5e-13, got 5e-13"),
+    # a profile bin as wide as 0 is no bin; the bin count's own bound is
+    # test_volume_profile_work_is_bounded
+    ("volume_bin_frac=0", "config volume_bin_frac: must be > 0, got 0"),
+    ("volume_bin_frac=-0.005", "config volume_bin_frac: must be > 0, got -0.005"),
 ])
 def test_bad_config_value_is_a_schema_error(panel_file, tmp_path, capsys, item, message):
     out = str(tmp_path / "m.json")
@@ -136,6 +142,51 @@ def test_config_floors_and_int_for_float_are_accepted(panel_file, tmp_path, caps
                  "--set", "kde_bandwidth_frac=1e-9", "--set", "slippage_order_usd=6e-13",
                  "--out", out]) == 0
     capsys.readouterr()
+
+
+def _run_bounded(argv, seconds=60, address_space=1 << 30):
+    """`rangegov argv` in a child process that may run `seconds` and map
+    `address_space` bytes (RLIMIT_AS, set on the child alone)."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    src = os.path.dirname(os.path.dirname(rangegov.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env.pop("RG_CONFIG", None)
+    return subprocess.run([sys.executable, "-m", "rangegov", *argv], capture_output=True,
+                          text=True, env=env, timeout=seconds, preexec_fn=limit)
+
+
+def _high_times_1e5(doc):
+    doc["candles"][20]["high"] = str(d12(doc["candles"][20]["high"]) * 100000)
+
+
+@pytest.mark.parametrize("edit, flags", [
+    pytest.param(_high_times_1e5, [], id="one-high-x1e5"),
+    pytest.param(None, ["--set", "volume_bin_frac=1e-9"], id="bin-frac-1e-9"),
+    pytest.param(None, ["--set", "volume_bin_frac=5e-324"], id="bin-frac-least-float"),
+])
+def test_volume_profile_work_is_bounded(panel_file, tmp_path, edit, flags):
+    """The profile's bin count grew with the price span over the bin width:
+    the first two rows had ended `metrics` in MemoryError under this bound
+    (tens of millions of bins), the third in OverflowError (an infinite bin
+    count), while `validate`, `hypotheses` and `regime` exit 0."""
+    from rangegov.structure import PROFILE_MAX_BINS
+
+    doc = json.loads(pathlib.Path(panel_file).read_text())
+    if edit:
+        edit(doc)
+    panel = tmp_path / "panel.json"
+    panel.write_text(json.dumps(doc))
+    out = tmp_path / "m.json"
+    for argv in (["validate"], ["metrics", "--out", str(out)]):
+        done = _run_bounded(argv + ["--panel", str(panel)] + flags)
+        assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+    profile = load_report(str(out))["families"]["structural"]["volume_profile"]
+    assert len(profile["volumes"]) == PROFILE_MAX_BINS
+    assert profile["bin_edges"][0] < profile["peak_price"] < profile["bin_edges"][-1]
 
 
 def test_malformed_panel_file(tmp_path, capsys):
@@ -215,6 +266,13 @@ def test_null_or_non_object_record_is_a_schema_error(panel_file, tmp_path, capsy
                  id="book-line-number"),
     pytest.param(lambda d: d.update(annotations=[1]), "annotations must be an object",
                  id="annotations-list"),
+    # a JSON boolean or list is not a decimal; each had read as 1 or 0
+    pytest.param(lambda d: d["candles"][3].update(volume=True),
+                 "candles[3]: bad decimal True", id="candles-volume-bool"),
+    pytest.param(lambda d: d["funding"][3].update(rate_8h=False),
+                 "funding[3]: bad decimal False", id="funding-rate-bool"),
+    pytest.param(lambda d: d["open_interest"][3].update(oi_usd=[0, [1], 0]),
+                 "open_interest[3]: bad decimal [0, [1], 0]", id="oi-decimal-tuple-list"),
 ])
 def test_malformed_panel_field_is_a_schema_error(panel_file, tmp_path, capsys, edit, named):
     with open(panel_file, encoding="utf-8") as fh:
@@ -715,6 +773,58 @@ def test_commands_never_import_what_they_do_not_run(panel_file, tmp_path, capsys
                               capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == [0, []], command
+
+
+def _python_floor_env():
+    """The environment in which `python3.10` runs a Python 3.10, or None."""
+    env = dict(os.environ, PYENV_VERSION="3.10")
+    try:
+        done = subprocess.run(["python3.10", "-c", "import sys; print(sys.version_info[:2])"],
+                              capture_output=True, text=True, env=env, timeout=60)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return env if done.returncode == 0 and done.stdout.strip() == "(3, 10)" else None
+
+
+def test_numpy_free_commands_write_the_same_bytes_on_the_python_floor(panel_file, tmp_path,
+                                                                     capsys):
+    """pyproject.toml declares Python >= 3.10. `ingest`, `validate` and `plot`
+    import no numpy, so they run on a bare 3.10; their outputs must equal this
+    interpreter's. A syntax or `re` feature newer than 3.10 (a possessive
+    quantifier in CANONICAL_LEVELS, say) fails here."""
+    floor_env = _python_floor_env()
+    if floor_env is None:
+        pytest.skip("no Python 3.10 interpreter")
+    source = load_panel(panel_file)
+    _write_inputs(tmp_path, source)
+    write_books(str(tmp_path / "books.txt"), source.books)
+    write_liquidations_csv(str(tmp_path / "liq.csv"), source.liquidations)
+    manifest = tmp_path / "manifest.json"
+    _manifest(tmp_path)
+    manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()),
+                                        books="books.txt", liquidations="liq.csv")))
+    report = tmp_path / "m.json"
+    assert main(["metrics", "--panel", panel_file, "--out", str(report)]) == 0
+    capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(rangegov.__file__))
+    outputs = {}
+    for name, python, env in (("here", sys.executable, os.environ), ("floor", "python3.10",
+                                                                      floor_env)):
+        out = tmp_path / name
+        out.mkdir()
+        env = dict(env, PYTHONPATH=src)
+        env.pop("RG_CONFIG", None)
+        for argv in (["ingest", "--manifest", str(manifest), "--out", str(out / "p.json"),
+                      "--quality", str(out / "q.json")],
+                     ["validate", "--panel", str(out / "p.json"), "--out", str(out / "v.json")],
+                     ["plot", "--report", str(report), "--kind", "range",
+                      "--out", str(out / "fig.svg")]):
+            done = subprocess.run([python, "-m", "rangegov", *argv], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert done.returncode == 0, (name, argv[0], done.stderr)
+        outputs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(outputs["here"]) == 5
+    assert outputs["floor"] == outputs["here"]
 
 
 # ------------------------------------------------------------ config layers
