@@ -225,7 +225,7 @@ def read_funding_csv(path: str) -> list:
                             *_FUNDING[-2:]), lambda *row: row)
 
 
-def write_funding_csv(path: str, rows, interval_hours: int = 8) -> None:
+def write_funding_csv(path: str, rows) -> None:
     """rows: (time, per-interval rate, mark, index) tuples."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

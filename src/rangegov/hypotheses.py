@@ -540,10 +540,9 @@ def evaluate_h4(series: PanelSeries) -> HypothesisVerdict:
 # ------------------------------------------------------------------- driver
 
 def evaluate_all(panel: Panel, cfg: Config = DEFAULTS,
-                 only: Optional[Sequence[str]] = None,
-                 series: Optional[PanelSeries] = None) -> dict:
+                 only: Optional[Sequence[str]] = None) -> dict:
     """The verdicts of the requested hypotheses (default: all four), in a new
-    dict on each call, over `series`, else `derive(panel, cfg)`.
+    dict on each call, over `derive(panel, cfg)`.
 
     Each evaluator runs at most once per derived series: its verdict is kept
     in `series.verdicts` under the evaluator function as bound at the call,
@@ -551,7 +550,7 @@ def evaluate_all(panel: Panel, cfg: Config = DEFAULTS,
     hypotheses and regime reports of one panel evaluate it once.
     H2 is evaluated at the most recent breakout candidate when one exists.
     """
-    series = derive(panel, cfg) if series is None else series.check(panel, cfg)
+    series = derive(panel, cfg)
     kept = series.verdicts
     out = {}
     for name, evaluate in (("H1", evaluate_h1), ("H2", evaluate_h2),

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Optional, Sequence
+from itertools import zip_longest
+from typing import Sequence
 
 from .errors import DataError, GridMismatchError
 from .model import ALLOWED_FUNDING_INTERVALS, BAR_SECONDS, Candle4H, d12
@@ -27,8 +28,10 @@ def align_4h(ticks: Sequence[RawTick]) -> list:
     """Bucket trade ticks into 4H UTC candles.
 
     Input must be time-ascending; the first out-of-order index is reported.
-    Only buckets that contain ticks are emitted; gap handling is the quality
-    pipeline's job.
+    Tick prices must already be at 12 fractional digits, as `read_ticks_csv`
+    gives them: a bar takes them as they are, and only its volume sum is
+    quantized. Only buckets that contain ticks are emitted; gap handling is
+    the quality pipeline's job.
     """
     for i in range(1, len(ticks)):
         if ticks[i].time < ticks[i - 1].time:
@@ -42,10 +45,10 @@ def align_4h(ticks: Sequence[RawTick]) -> list:
         prices = [t.price for t in bucket]
         candles.append(Candle4H(
             open_time=(bucket[0].time // BAR_SECONDS) * BAR_SECONDS,
-            open=d12(bucket[0].price),
-            high=d12(max(prices)),
-            low=d12(min(prices)),
-            close=d12(bucket[-1].price),
+            open=bucket[0].price,
+            high=max(prices),
+            low=min(prices),
+            close=bucket[-1].price,
             volume=d12(sum((t.volume for t in bucket), Decimal(0))),
             exchange_count=max(1, len({t.exchange_id for t in bucket})),
         ))
@@ -63,34 +66,30 @@ def align_4h(ticks: Sequence[RawTick]) -> list:
 
 
 def vwap_merge(series_by_exchange: Sequence[Sequence[Candle4H]],
-               weights: Optional[Sequence] = None) -> list:
+               weights: Sequence) -> list:
     """Merge per-venue 4H candles into one volume-weighted series.
 
     Every price field becomes the per-bar volume-weighted mean across venues;
     volume is the plain sum. All inputs must share an identical open_time
-    grid. `weights` (per-venue, e.g. trailing 30-day volume) only matters for
-    bars where every venue reports zero volume.
+    grid. `weights` (one per venue, e.g. trailing 30-day volume) weigh the
+    bars where every venue reports zero volume, and equal weights stand in
+    where they sum to 0.
     """
     if not series_by_exchange:
         raise DataError("no candle series to merge")
-    if len(series_by_exchange) == 1 and weights is None:
-        return list(series_by_exchange[0])
     grids = [[c.open_time for c in s] for s in series_by_exchange]
     base = grids[0]
     for gi, grid in enumerate(grids[1:], start=1):
         if grid != base:
             bad = next((t1 if t1 is not None else t2 for t1, t2 in
-                        zip_longest_times(base, grid) if t1 != t2), None)
+                        zip_longest(base, grid) if t1 != t2), None)
             raise GridMismatchError(
                 f"series {gi} grid mismatch at open_time {bad}")
-    if weights is not None:
-        if len(weights) != len(series_by_exchange):
-            raise DataError("one weight per series required")
-        static = [d12(w) for w in weights]
-        if any(w < 0 for w in static):
-            raise DataError("weights must be >= 0")
-    else:
-        static = [Decimal(1)] * len(series_by_exchange)
+    if len(weights) != len(series_by_exchange):
+        raise DataError("one weight per series required")
+    static = [d12(w) for w in weights]
+    if any(w < 0 for w in static):
+        raise DataError("weights must be >= 0")
 
     merged = []
     for i in range(len(base)):
@@ -123,12 +122,6 @@ def vwap_merge(series_by_exchange: Sequence[Sequence[Candle4H]],
     return merged
 
 
-def zip_longest_times(a, b):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else None, b[i] if i < len(b) else None)
-
-
 def normalize_funding(raw_rate, interval_hours: int) -> Decimal:
     """Rescale a per-interval funding rate onto the 8H basis."""
     if interval_hours not in ALLOWED_FUNDING_INTERVALS:
@@ -150,7 +143,7 @@ def cumulative_funding(rates: Sequence, window: int) -> Decimal:
     return d12(sum((d12(r) for r in rates[-window:]), Decimal(0)))
 
 
-def basis_spread(perp_price, spot_price, dislocation_abs=Decimal("0.005")):
+def basis_spread(perp_price, spot_price, dislocation_abs):
     """(perp - spot) / spot and a strict-threshold dislocation flag."""
     spot = d12(spot_price)
     if spot <= 0:

@@ -128,9 +128,7 @@ def extremes_slopes(rows: Sequence[dict]) -> dict:
     return dict(out, snapshots=len(rows))
 
 
-def fill_slippage(snapshot: BookSnapshot, side: str,
-                  order_usd: Optional[float] = None,
-                  cfg: Config = DEFAULTS) -> SlippageResult:
+def fill_slippage(snapshot: BookSnapshot, side: str, order_usd: float) -> SlippageResult:
     """Walk the opposite side of the book until order_usd notional fills.
 
     side "buy" consumes asks, "sell" consumes bids. Slippage is reported as a
@@ -143,7 +141,7 @@ def fill_slippage(snapshot: BookSnapshot, side: str,
     if not levels:
         raise ValueError("empty book side")
     mid = snapshot.mid
-    budget = d12(cfg.slippage_order_usd if order_usd is None else order_usd)
+    budget = d12(order_usd)
     remaining = budget
     filled_qty = Decimal(0)
     filled_usd = Decimal(0)

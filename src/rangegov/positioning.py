@@ -16,6 +16,9 @@ ROTATION = "rotation"
 COLLAPSE = "collapse"
 NEITHER = "neither"
 
+# Least volatility oi_rotation divides by, so a flat window stays finite
+VOL_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class OiEvent:
@@ -44,8 +47,7 @@ class LiquidationDensity:
         return trapezoid(self.density, self.prices)
 
 
-def oi_rotation(oi: Sequence[float], volatility: Sequence[float],
-                floor: float = 1e-6) -> list:
+def oi_rotation(oi: Sequence[float], volatility: Sequence[float]) -> list:
     """OI first derivative (fractional) normalized by realized volatility.
 
     None where the previous OI is zero/missing or at index 0.
@@ -60,7 +62,7 @@ def oi_rotation(oi: Sequence[float], volatility: Sequence[float],
         vol = volatility[t]
         if vol is None or math.isnan(vol):
             continue
-        out[t] = ((oi[t] - prev) / prev) / max(vol, floor)
+        out[t] = ((oi[t] - prev) / prev) / max(vol, VOL_FLOOR)
     return out
 
 

@@ -52,14 +52,13 @@ def _oi_event_for(series: PanelSeries, start: int):
     return classify_oi_event(values, shares, series.cfg)
 
 
-def classify_regime(panel: Panel, cfg: Config = DEFAULTS,
-                    series: Optional[PanelSeries] = None) -> RegimeLabel:
-    """Accumulation / distribution / trending over the trailing 20 bars of
-    `series`, else of `derive(panel, cfg)`.
+def classify_regime(panel: Panel, cfg: Config = DEFAULTS) -> RegimeLabel:
+    """Accumulation / distribution / trending over the trailing
+    `regime_window` bars of `derive(panel, cfg)`.
 
     Precedence when several fire: trending > distribution > accumulation.
     """
-    series = derive(panel, cfg) if series is None else series.check(panel, cfg)
+    series = derive(panel, cfg)
     n = len(panel.candles)
     w = cfg.regime_window
     if n < w:

@@ -260,8 +260,8 @@ def liquidity_report(series: PanelSeries) -> dict:
         bid_prof, ask_prof = depth_percentiles(latest)
         rel, uncertain = spread(latest, cfg)
         imb_value, imb_extreme = book_imbalance(latest, cfg)
-        buy = fill_slippage(latest, "buy", cfg.slippage_order_usd, cfg)
-        sell = fill_slippage(latest, "sell", cfg.slippage_order_usd, cfg)
+        buy = fill_slippage(latest, "buy", cfg.slippage_order_usd)
+        sell = fill_slippage(latest, "sell", cfg.slippage_order_usd)
         block = {
             "time": iso(latest.time),
             "spread": {"value": rel, "uncertain": uncertain},
@@ -342,7 +342,7 @@ def verdict_to_dict(v) -> dict:
 def hypotheses_report(panel: Panel, cfg: Config = DEFAULTS,
                       only: Optional[Sequence[str]] = None) -> dict:
     series = derive(panel, cfg)
-    verdicts = evaluate_all(panel, cfg, only=only, series=series)
+    verdicts = evaluate_all(panel, cfg, only=only)
     return {
         "kind": "hypotheses",
         "instrument": panel.instrument,
@@ -354,10 +354,10 @@ def hypotheses_report(panel: Panel, cfg: Config = DEFAULTS,
 
 def regime_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
     series = derive(panel, cfg)
-    regime = classify_regime(panel, cfg, series=series)
+    regime = classify_regime(panel, cfg)
     states = assemble_trigger_states(series)
     matrix = build_trigger_matrix(states, cfg)
-    verdicts = evaluate_all(panel, cfg, series=series)
+    verdicts = evaluate_all(panel, cfg)
     state = build_funding_state(panel.funding, series.funding_bias, cfg)
     position = range_position(panel.candles[-1].close if panel.candles else None,
                               series.range, cfg)

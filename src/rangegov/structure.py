@@ -47,10 +47,10 @@ class AbsorptionEvent:
     time: int
     price: float
     size_usd: float
-    proxy: bool        # True when inferred from bar volume, not order flow
+    proxy: bool        # always True: inferred from bar volume, not order flow
 
 
-def map_swings(candles: Sequence[Candle4H], lookback: int = 5) -> list:
+def map_swings(candles: Sequence[Candle4H], lookback: int) -> list:
     """Local extremes with `lookback` bars of clearance on each side.
 
     Strict inequality; equal extremes resolve to the earlier bar. Bars within
@@ -140,7 +140,7 @@ def resolve_range(candles: Sequence[Candle4H], swings: Sequence[SwingPoint],
     return None
 
 
-def realized_volatility(candles: Sequence[Candle4H], window: int = 20) -> np.ndarray:
+def realized_volatility(candles: Sequence[Candle4H], window: int) -> np.ndarray:
     """Rolling sample std of log close returns; NaN until enough history."""
     if window < 2:
         raise DataError("window must be >= 2")
@@ -192,22 +192,20 @@ def wick_series(candles: Sequence[Candle4H]):
     return ups, downs
 
 
-def volume_nodes(candles: Sequence[Candle4H], window: Optional[int] = None,
-                 cfg: Config = DEFAULTS) -> VolumeProfile:
-    """Volume by price bin over the trailing window.
+def volume_nodes(candles: Sequence[Candle4H], cfg: Config = DEFAULTS) -> VolumeProfile:
+    """Volume by price bin over the candles.
 
-    Bin width is `volume_bin_frac` of the window's median close; each bar's
+    Bin width is `volume_bin_frac` of the candles' median close; each bar's
     volume spreads uniformly over its low..high span.
     """
-    bars = list(candles[-window:]) if window else list(candles)
-    if not bars:
+    if not candles:
         raise DataError("no candles for volume profile")
-    closes = np.array([float(c.close) for c in bars])
+    closes = np.array([float(c.close) for c in candles])
     width = float(np.median(closes)) * cfg.volume_bin_frac
     if width <= 0:
         raise DataError("degenerate bin width")
-    lo = min(float(c.low) for c in bars)
-    hi = max(float(c.high) for c in bars)
+    lo = min(float(c.low) for c in candles)
+    hi = max(float(c.high) for c in candles)
     width = max(width, (hi - lo) / PROFILE_MAX_BINS)   # at most PROFILE_MAX_BINS bins
     n_bins = max(1, math.ceil((hi - lo) / width)) if hi > lo else 1
     edges = [lo + k * width for k in range(n_bins + 1)]
@@ -217,7 +215,7 @@ def volume_nodes(candles: Sequence[Candle4H], window: Optional[int] = None,
         k = int((price - lo) // width)
         return min(max(k, 0), n_bins - 1)
 
-    for c in bars:
+    for c in candles:
         vol = float(c.volume)
         if vol == 0:
             continue
@@ -233,27 +231,16 @@ def volume_nodes(candles: Sequence[Candle4H], window: Optional[int] = None,
     return VolumeProfile(bin_edges=edges, volumes=volumes, bin_width=width)
 
 
-def absorption_footprints(data: Sequence, min_usd: Optional[float] = None,
-                          cfg: Config = DEFAULTS) -> list:
-    """Large resting-order executions.
-
-    With per-order rows (time, price, usd) the threshold applies directly;
-    with candles, bar volume x typical price stands in and events are marked
-    as proxies. Threshold is inclusive.
-    """
-    limit = d12(min_usd if min_usd is not None else cfg.absorption_min_usd)
+def absorption_footprints(candles: Sequence[Candle4H], cfg: Config = DEFAULTS) -> list:
+    """Bars whose volume x typical price reaches `absorption_min_usd`
+    (inclusive), as proxies for large resting-order executions."""
+    limit = d12(cfg.absorption_min_usd)
     out = []
-    for row in data:
-        if isinstance(row, Candle4H):
-            notional = row.volume * row.typical
-            if notional >= limit:
-                out.append(AbsorptionEvent(row.open_time, float(row.typical),
-                                           float(notional), proxy=True))
-        else:
-            time, price, usd = row
-            if d12(usd) >= limit:
-                out.append(AbsorptionEvent(int(time), float(price), float(usd),
-                                           proxy=False))
+    for c in candles:
+        notional = c.volume * c.typical
+        if notional >= limit:
+            out.append(AbsorptionEvent(c.open_time, float(c.typical), float(notional),
+                                       proxy=True))
     return out
 
 
@@ -304,12 +291,6 @@ class PanelSeries:
     @property
     def range(self) -> Optional[RangeDefinition]:
         return self.resolved[0] if self.resolved else None
-
-    def check(self, panel: Panel, cfg: Config) -> "PanelSeries":
-        """Self, when derived from this very panel under an equal config."""
-        if self.panel is not panel or self.cfg != cfg:
-            raise ValueError("series was derived from another panel or config")
-        return self
 
 
 @dataclass(frozen=True, eq=False)

@@ -473,7 +473,6 @@ def backtest(panels: Sequence[Panel], cfg: Config = DEFAULTS) -> dict:
     tally the verdicts against any embedded ground truth."""
     from .hypotheses import evaluate_all
     from .regime import classify_regime
-    from .structure import derive
 
     counts = {h: {"confirmed": 0, "falsified": 0, "not-evaluable": 0}
               for h in ("H1", "H2", "H3", "H4")}
@@ -483,9 +482,8 @@ def backtest(panels: Sequence[Panel], cfg: Config = DEFAULTS) -> dict:
     mismatches = []
     hit_rates = []
     for panel in panels:
-        series = derive(panel, cfg)
-        verdicts = evaluate_all(panel, cfg, series=series)
-        regime = classify_regime(panel, cfg, series=series)
+        verdicts = evaluate_all(panel, cfg)
+        regime = classify_regime(panel, cfg)
         row = {"instrument": panel.instrument, "regime": regime.label,
                "verdicts": {h: v.outcome for h, v in verdicts.items()}}
         for h, v in verdicts.items():

@@ -1,0 +1,82 @@
+"""Every name in the package earns its place: each import is used in its
+module, and each module-level function, class or assignment is referenced
+somewhere else under `src/`, unless it is listed below with whom it serves."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted((SRC / "rangegov").glob("*.py"))
+
+# Module-level names nothing under src/ refers to, each kept for a reader outside it
+SERVED_OUTSIDE = {
+    "__init__.__version__",              # the package version, for users and packaging
+    "formats.write_candles_csv",         # the writers build CSV inputs for ingest:
+    "formats.write_funding_csv",         # the benchmark's input generator and the tests
+    "formats.write_oi_csv",
+    "formats.write_liquidations_csv",
+    "formats.write_books",
+    "schemas.REPORT_SCHEMAS",            # the report schemas, for the tests that check reports
+    "synth.load_builtin_scenario",       # a packaged scenario by name, for library users
+}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _used_names(tree: ast.AST) -> set:
+    """Names read anywhere in the tree, as a bare name or an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _imported(tree: ast.Module):
+    """(bound name, line) of each import, `from __future__` left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def _defined(tree: ast.Module):
+    """Each module-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    yield target.id
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    used = _used_names(tree)
+    unused = ["%s (line %d)" % (name, line) for name, line in _imported(tree)
+              if name not in used]
+    assert not unused, "%s imports and never uses %s" % (path.name, ", ".join(unused))
+
+
+def test_every_module_level_name_is_referenced():
+    trees = {path.stem: _tree(path) for path in MODULES}
+    referenced = set()
+    for tree in trees.values():
+        referenced |= _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    unreferenced = sorted("%s.%s" % (stem, name) for stem, tree in trees.items()
+                          for name in _defined(tree) if name not in referenced)
+    assert [n for n in unreferenced if n not in SERVED_OUTSIDE] == []
+    assert sorted(SERVED_OUTSIDE) == unreferenced, "an allowlisted name is now referenced"

@@ -79,7 +79,7 @@ def candle(open_time, close, volume, o=None, h=None, lo=None, count=1):
 def test_vwap_merge_weighted_mean_example():
     a = [candle(T0, "100", "1")]
     b = [candle(T0, "200", "3")]
-    (m,) = vwap_merge([a, b])
+    (m,) = vwap_merge([a, b], weights=["1", "1"])
     assert m.close == Decimal("175")
     assert m.volume == Decimal("4")
     assert m.exchange_count == 2
@@ -87,14 +87,14 @@ def test_vwap_merge_weighted_mean_example():
 
 def test_vwap_merge_single_series_is_identity():
     a = [candle(T0, "100.123456", "2.5"), candle(T0 + BAR_SECONDS, "101", "1")]
-    assert vwap_merge([a]) == a
+    assert vwap_merge([a], weights=["1"]) == a
 
 
 def test_vwap_merge_grid_mismatch_names_timestamp():
     a = [candle(T0, "100", "1")]
     b = [candle(T0 + BAR_SECONDS, "100", "1")]
     with pytest.raises(GridMismatchError, match=str(T0)):
-        vwap_merge([a, b])
+        vwap_merge([a, b], weights=["1", "1"])
 
 
 def test_vwap_merge_zero_volume_falls_back_to_static_weights():
@@ -169,9 +169,9 @@ def test_cumulative_funding_matches_float_oracle():
 
 
 def test_basis_spread_flags_strictly_beyond_half_percent():
-    frac, flag = basis_spread("30150", "30000")
+    frac, flag = basis_spread("30150", "30000", "0.005")
     assert frac == Decimal("0.005") and flag is False
-    frac, flag = basis_spread("29700", "30000")
+    frac, flag = basis_spread("29700", "30000", "0.005")
     assert frac == Decimal("-0.01") and flag is True
     with pytest.raises(DataError):
-        basis_spread("100", "0")
+        basis_spread("100", "0", "0.005")

@@ -83,6 +83,12 @@ def test_three_reports_derive_and_evaluate_once(scenario_panels, calls):
     assert calls["map_swings"] == 1
 
 
+def test_backtest_derives_and_evaluates_each_panel_once(scenario_panels, calls):
+    panels = [_fresh(scenario_panels[name][0]) for name in SCENARIO_NAMES]
+    assert _sha(synth.backtest(panels)) == DIGESTS["backtest"]
+    assert calls == {name: len(panels) for name in COMPUTED + EVALUATORS}
+
+
 def test_a_rebound_function_computes_afresh(scenario_panels, monkeypatch):
     """A wrapper installed after the panel was derived (a span tracer, a
     counter) sees one call of each function, and the reports do not change."""

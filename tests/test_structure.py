@@ -256,10 +256,11 @@ def test_volume_nodes_conserve_total_on_random_panels():
 # --- absorption ------------------------------------------------------------------
 
 def test_absorption_inclusive_threshold():
-    orders = [(T0, 100.0, "499999.99"), (T0 + 60, 100.0, "500000")]
-    events = absorption_footprints(orders)
-    assert len(events) == 1 and events[0].size_usd == pytest.approx(500000.0)
-    assert events[0].proxy is False
+    at = bar(0, "100", "100", "100", "100", v="5000")          # 500k notional
+    below = bar(1, "100", "100", "100", "100", v="4999.9999")
+    events = absorption_footprints([at, below])
+    assert [e.time for e in events] == [T0]
+    assert events[0].size_usd == pytest.approx(500000.0)
 
 
 def test_absorption_bar_proxy():
@@ -316,20 +317,3 @@ def test_derived_series_is_frozen(scenario_panels):
         series.resolved = None
     with pytest.raises(ValueError):
         series.close[0] = 1.0
-
-
-def test_series_from_another_panel_or_config_is_refused(scenario_panels):
-    import dataclasses
-    from rangegov.hypotheses import evaluate_all
-    from rangegov.regime import classify_regime
-    panel, _ = scenario_panels["h1-confirm"]
-    series = derive(panel, DEFAULTS)
-    twin = dataclasses.replace(panel)        # equal contents, another object
-    with pytest.raises(ValueError):
-        evaluate_all(scenario_panels["h4-confirm"][0], DEFAULTS, series=series)
-    with pytest.raises(ValueError):
-        evaluate_all(twin, DEFAULTS, series=series)
-    with pytest.raises(ValueError):
-        classify_regime(panel, DEFAULTS.replace(swing_lookback=4), series=series)
-    assert classify_regime(panel, DEFAULTS, series=series) == \
-        classify_regime(panel, DEFAULTS)
