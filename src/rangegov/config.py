@@ -13,7 +13,6 @@ import dataclasses
 import json
 import math
 import os
-import typing
 from dataclasses import dataclass
 
 from .errors import SchemaError
@@ -118,7 +117,9 @@ class Config:
         return dataclasses.replace(self, **overrides)
 
 
-_FIELD_TYPES = typing.get_type_hints(Config)
+# each field's type (int or float), read from its default, whose type the
+# tests hold to the field's annotation
+_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(Config)}
 
 # Every int field is a window, lookback, count or tolerance: at least 1, except
 # where zero means "none" and where a sample std needs two points.

@@ -484,6 +484,9 @@ def dump_json(doc) -> str:
         path.remove(id(value))
 
     emit(doc, 0)
+    # `emit` reaches itself through its closure; without this that cycle
+    # would keep `parts` alive until a later garbage collection
+    del emit
     parts.append("\n")
     return "".join(parts)
 

@@ -218,21 +218,28 @@ class RangeDefinition:
         return self.upper / self.lower - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Panel:
-    """One instrument's aligned series. Candles are the clock."""
+    """One instrument's aligned series. Candles are the clock.
+
+    A panel is a value: each series is a tuple, however it was given, and no
+    field can be assigned. A changed panel is a new one (`dataclasses.replace`)."""
     instrument: str
-    candles: list = field(default_factory=list)
-    funding: list = field(default_factory=list)
-    open_interest: list = field(default_factory=list)
-    books: list = field(default_factory=list)
-    liquidations: list = field(default_factory=list)
+    candles: tuple = ()
+    funding: tuple = ()
+    open_interest: tuple = ()
+    books: tuple = ()
+    liquidations: tuple = ()
     annotations: dict = field(default_factory=dict)
 
     # what `structure.derive` computed for this panel; not a field, so `==`,
     # `repr` and `dataclasses.replace` ignore it, and `__getstate__` leaves it
     # out of a pickle or a copy, whose records are other objects
     _derived = None
+
+    def __post_init__(self):
+        for name in ("candles", "funding", "open_interest", "books", "liquidations"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)

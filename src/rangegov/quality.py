@@ -1,10 +1,11 @@
 """Data quality rules and the panel-level cleaning pipeline.
 
 Severity classes: "reject" (record or panel unusable), "flag" (kept, suspect),
-"interpolated" (synthesized by gap fill). The pipeline mutates what it can fix
-(resampled timestamps, excluded books, filled gaps), so a second run over its
-own output raises nothing new. Wash-trade flags are advisory and re-emitted;
-they are never treated as new findings by consumers comparing runs.
+"interpolated" (synthesized by gap fill). The pipeline builds a cleaned panel
+with what it can fix (resampled timestamps, excluded books, filled gaps), so a
+second run over that panel raises nothing new. Wash-trade flags are advisory
+and re-emitted; they are never treated as new findings by consumers comparing
+runs.
 """
 from __future__ import annotations
 
@@ -173,8 +174,9 @@ def fill_gaps(candles: Sequence, cfg: Config = DEFAULTS):
     """Linear interpolation of gaps up to `max_interpolation_gap` bars; any
     other break in the 4H grid stays for `validate_panel` to reject.
 
-    Returns (candles, flags). Interpolated bars carry zero volume and the
-    midpoint of the neighboring closes across all four prices.
+    Returns (candles, flags). Interpolated bars carry zero volume and, across
+    all four prices, the midpoint of the previous bar's close and the next
+    bar's open.
     """
     out = list(candles[:1])
     flags = []
@@ -196,9 +198,10 @@ def fill_gaps(candles: Sequence, cfg: Config = DEFAULTS):
 
 
 def run_pipeline(panel: Panel, cfg: Config = DEFAULTS, judge_input: bool = False):
-    """Panel-level cleaning. Returns (cleaned_panel, report). The last check,
-    `panel_rules`, judges the cleaned panel, or with `judge_input` the panel
-    as given, which is what `validate` reports on."""
+    """Panel-level cleaning. Returns (cleaned_panel, report), the cleaned
+    panel a new one built from the panel given. The last check, `panel_rules`,
+    judges the cleaned panel, or with `judge_input` the panel as given, which
+    is what `validate` reports on."""
     report = QualityReport()
 
     candles, gap_flags = fill_gaps(panel.candles, cfg)
@@ -237,9 +240,9 @@ def run_pipeline(panel: Panel, cfg: Config = DEFAULTS, judge_input: bool = False
         instrument=panel.instrument,
         candles=candles,
         funding=funding2,
-        open_interest=list(panel.open_interest),
+        open_interest=panel.open_interest,
         books=books2,
-        liquidations=list(panel.liquidations),
+        liquidations=panel.liquidations,
         annotations=dict(panel.annotations),
     )
     report.checks_run += 1

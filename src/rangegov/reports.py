@@ -122,8 +122,9 @@ def structural_report(series: PanelSeries) -> dict:
             "bin_width": _float(profile.bin_width),
             "peak_price": _float(profile.peak_price),
         },
+        # every footprint is a proxy: inferred from bar volume, not order flow
         "absorption": [{"time": iso(a.time), "price": _float(a.price),
-                        "size_usd": _float(a.size_usd), "proxy": a.proxy}
+                        "size_usd": _float(a.size_usd), "proxy": True}
                        for a in footprints],
     }
     if series.range is not None:

@@ -4,7 +4,6 @@ per-panel series every report and evaluator reads (`derive`)."""
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Optional, Sequence
@@ -47,7 +46,6 @@ class AbsorptionEvent:
     time: int
     price: float
     size_usd: float
-    proxy: bool        # always True: inferred from bar volume, not order flow
 
 
 def map_swings(candles: Sequence[Candle4H], lookback: int) -> list:
@@ -239,8 +237,7 @@ def absorption_footprints(candles: Sequence[Candle4H], cfg: Config = DEFAULTS) -
     for c in candles:
         notional = c.volume * c.typical
         if notional >= limit:
-            out.append(AbsorptionEvent(c.open_time, float(c.typical), float(notional),
-                                       proxy=True))
+            out.append(AbsorptionEvent(c.open_time, float(c.typical), float(notional)))
     return out
 
 
@@ -266,9 +263,8 @@ class PanelSeries:
     """Everything the reports derive from one panel under one config.
 
     Built only by `derive`, once per panel: every later `derive` of the same
-    panel, still holding the same records, under an equal config, shares the
-    fields of the first (see `derive`). A series describes the records the panel held when it
-    was derived. Arrays are read-only and per-bar lists are tuples;
+    panel under an equal config shares the fields of the first (see
+    `derive`). Arrays are read-only and per-bar lists are tuples;
     `verdicts` is where `evaluate_all` keeps each verdict it computes.
     """
     panel: Panel
@@ -296,40 +292,28 @@ class PanelSeries:
 @dataclass(frozen=True, eq=False)
 class _Derived:
     """The fields `derive` computed for a panel, kept on it as `_derived`.
-    It holds the panel's records but never the panel or a series, so the
-    panel is freed as soon as its last reference goes."""
+    It never holds the panel or a series, so the panel is freed as soon as
+    its last reference goes."""
     cfg: Config
     computed_by: tuple   # the functions that computed `fields`
-    records: tuple       # _records(panel) when derived
+    annotations: dict    # a shallow copy of the panel's annotations when derived
     fields: dict         # PanelSeries fields but panel and cfg
-
-
-def _records(panel: Panel) -> tuple:
-    """What the series and the hypothesis evaluators read of a panel."""
-    return (panel.candles, panel.funding, panel.open_interest, panel.books,
-            panel.liquidations, tuple(panel.annotations), tuple(panel.annotations.values()))
-
-
-def _same(kept: tuple, now: tuple) -> bool:
-    return all(len(a) == len(b) and all(map(operator.is_, a, b))
-               for a, b in zip(kept, now))
 
 
 def derive(panel: Panel, cfg: Config = DEFAULTS) -> PanelSeries:
     """The panel's derived series, computed on the first call and shared by
-    every later call while the panel holds the very same records (compared
-    by identity), `cfg` is equal and the functions below are bound as they
-    were: fields computed before one was rebound (a span tracer's wrapper, a
-    test's counter) are not handed out after it, so the new binding sees its
-    call."""
+    every later call under an equal `cfg`, while the panel's annotations are
+    equal to what they were and the functions below are bound as they were:
+    fields computed before one was rebound (a span tracer's wrapper, a test's
+    counter) are not handed out after it, so the new binding sees its call.
+    A panel's records cannot change, so only its annotations, a dict, are
+    compared (with `==`, which takes an identical value as equal)."""
     memo = panel._derived
-    records = _records(panel)
     computed_by = (map_swings, resolve_range, realized_volatility)
     if memo is None or memo.cfg != cfg or memo.computed_by != computed_by \
-            or not _same(memo.records, records):
-        memo = _Derived(cfg, computed_by, tuple(map(tuple, records)),
-                        _compute(panel, cfg))
-        panel._derived = memo
+            or memo.annotations != panel.annotations:
+        memo = _Derived(cfg, computed_by, dict(panel.annotations), _compute(panel, cfg))
+        object.__setattr__(panel, "_derived", memo)
     return PanelSeries(panel=panel, cfg=cfg, **memo.fields)
 
 

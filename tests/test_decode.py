@@ -277,7 +277,8 @@ def csv_tables(draw):
 def test_panel_series_decode_as_record_by_record(doc):
     def decoded(d):
         p = formats.panel_from_dict(d)
-        return [p.candles, p.funding, p.open_interest, p.books, p.liquidations]
+        return [list(p.candles), list(p.funding), list(p.open_interest), list(p.books),
+                list(p.liquidations)]
 
     assert outcome(decoded, doc) == outcome(reference_panel, doc)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import pickle
@@ -104,13 +105,13 @@ class TestCsvRoundTrips:
         path = str(tmp_path / "oi.csv")
         records = make_panel(4).open_interest
         write_oi_csv(path, records)
-        assert read_oi_csv(path) == records
+        assert read_oi_csv(path) == list(records)
 
     def test_liquidations(self, tmp_path):
         path = str(tmp_path / "l.csv")
         events = make_panel(4).liquidations
         write_liquidations_csv(path, events)
-        assert read_liquidations_csv(path) == events
+        assert read_liquidations_csv(path) == list(events)
 
     def test_missing_file_is_distinct_error(self, tmp_path):
         with pytest.raises(MissingSeriesError):
@@ -142,7 +143,7 @@ class TestBookLines:
         path = str(tmp_path / "books.txt")
         books = make_panel(5).books
         write_books(path, books)
-        assert read_books(path) == books
+        assert read_books(path) == list(books)
 
     def test_line_shape_enforced(self):
         with pytest.raises(SchemaError):
@@ -249,6 +250,9 @@ class TestLazyBookLevels:
         assert [f.check for f in report.flags] == ["timestamp_alignment"]
 
 
+SERIES = ("candles", "funding", "open_interest", "books", "liquidations")
+
+
 class TestPanelDocument:
     def test_round_trip_preserves_everything(self, tmp_path):
         path = str(tmp_path / "panel.json")
@@ -290,6 +294,29 @@ class TestPanelDocument:
         doc["candles"][1]["interpolated"] = "TRUE"
         assert [c.interpolated for c in panel_from_dict(doc).candles] == [False, True]
 
+    def test_every_way_of_building_a_panel_gives_a_frozen_value(self, tmp_path):
+        from rangegov.quality import run_pipeline
+        from rangegov.synth import generate, load_builtin_scenario
+
+        path = str(tmp_path / "panel.json")
+        panel = make_panel()
+        save_panel(path, panel)
+        built = {
+            "constructor": panel,
+            "replace": dataclasses.replace(panel, candles=list(panel.candles)),
+            "load_panel": load_panel(path),
+            "run_pipeline": run_pipeline(panel)[0],
+            "generate": generate(load_builtin_scenario("h1-confirm"))[0],
+        }
+        for how, p in built.items():
+            for name in SERIES:
+                assert type(getattr(p, name)) is tuple, (how, name)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(p, name, ())
+        cleaned = built["run_pipeline"]
+        assert cleaned.open_interest is panel.open_interest
+        assert cleaned.liquidations is panel.liquidations
+
     def test_report_writer_injects_schema_version(self, tmp_path):
         path = str(tmp_path / "r.json")
         write_report(path, {"a": 1})
@@ -327,7 +354,7 @@ def test_csv_and_panel_decode_alike(candles, oi, liquidations):
                  loaded.liquidations)):
             path = os.path.join(root, "series.csv")
             write(path, records)
-            assert read(path) == got == records
+            assert read(path) == records and got == tuple(records)
 
 
 class TestManifest:
@@ -451,6 +478,17 @@ class TestDumpJson:
         text = dump_json({"b": 1, "a": 2})
         assert text.index('"a"') < text.index('"b"')
         assert text.endswith("\n")
+
+    def test_leaves_no_reference_cycle(self):
+        """The parts of the text are freed on return, not held by a cycle
+        until a later collection."""
+        gc.collect()
+        gc.disable()
+        try:
+            dump_json({"a": [{"b": [1, 2]}, [3, [4]]]})
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @given(st.one_of(_DOCS, _DEEP_DOCS))
     @settings(max_examples=400, deadline=None)

@@ -1,6 +1,7 @@
 """Every name in the package earns its place: each import is used in its
 module, and each module-level function, class or assignment is referenced
-somewhere else under `src/`, unless it is listed below with whom it serves."""
+somewhere else under `src/`, unless it is listed below with whom it serves.
+And no module writes past a frozen dataclass but where listed below."""
 import ast
 from pathlib import Path
 
@@ -20,6 +21,11 @@ SERVED_OUTSIDE = {
     "schemas.REPORT_SCHEMAS",            # the report schemas, for the tests that check reports
     "synth.load_builtin_scenario",       # a packaged scenario by name, for library users
 }
+
+# The only functions that may use `object.__setattr__`: a panel turning its own
+# series into tuples as it is built, and `derive` keeping its memo on a panel.
+# Anywhere else it could edit a panel after the freeze.
+SETATTR_ALLOWED = {"model.Panel.__post_init__", "structure.derive"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -80,3 +86,41 @@ def test_every_module_level_name_is_referenced():
                           for name in _defined(tree) if name not in referenced)
     assert [n for n in unreferenced if n not in SERVED_OUTSIDE] == []
     assert sorted(SERVED_OUTSIDE) == unreferenced, "an allowlisted name is now referenced"
+
+
+def _setattr_sites(stem: str, tree: ast.Module) -> list:
+    """The qualified name of each function, class or module that reads
+    `object.__setattr__`, called or not."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "__setattr__" \
+                    and isinstance(child.value, ast.Name) and child.value.id == "object":
+                out.append(".".join([stem] + scope))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + [child.name] if named else scope)
+
+    visit(tree, [])
+    return out
+
+
+def _unlisted_setattr(trees: dict) -> list:
+    return sorted(site for stem, tree in trees.items() for site in _setattr_sites(stem, tree)
+                  if site not in SETATTR_ALLOWED)
+
+
+def test_object_setattr_only_where_listed():
+    trees = {path.stem: _tree(path) for path in MODULES}
+    assert _unlisted_setattr(trees) == []
+    assert {site for stem, tree in trees.items()
+            for site in _setattr_sites(stem, tree)} == SETATTR_ALLOWED
+
+
+@pytest.mark.parametrize("source", [
+    "def clean(panel):\n    object.__setattr__(panel, 'candles', ())\n",
+    "class Panel:\n    def sort(self):\n        object.__setattr__(self, 'books', ())\n",
+    "setter = object.__setattr__\n",
+])
+def test_a_planted_object_setattr_fails(source):
+    assert _unlisted_setattr({"model": ast.parse(source)}) != []

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -114,17 +115,16 @@ def make_panel(n=6):
 def test_panel_contiguity_checked():
     panel = make_panel()
     assert validate_panel(panel) == []
-    panel.candles.pop(2)
-    assert any("contiguous" in v.reason for v in validate_panel(panel))
+    gapped = replace(panel, candles=panel.candles[:2] + panel.candles[3:])
+    assert any("contiguous" in v.reason for v in validate_panel(gapped))
 
 
 def test_panel_series_span_and_order():
     panel = make_panel()
-    panel.funding = [FundingRecord(panel.end_time + 1, d12("0.0001"))]
-    assert any(v.field == "funding" for v in validate_panel(panel))
-    panel.funding = []
-    panel.books = [book(T0 + 7200), book(T0 + 3600)]
-    assert any(v.field == "books" for v in validate_panel(panel))
+    late = replace(panel, funding=[FundingRecord(panel.end_time + 1, d12("0.0001"))])
+    assert any(v.field == "funding" for v in validate_panel(late))
+    unordered = replace(panel, books=[book(T0 + 7200), book(T0 + 3600)])
+    assert any(v.field == "books" for v in validate_panel(unordered))
 
 
 def test_bar_index_boundaries():
@@ -137,15 +137,14 @@ def test_bar_index_boundaries():
 
 
 def test_asof_alignment_uses_latest_at_or_before_bar_close():
-    panel = make_panel(3)
-    panel.funding = [
+    panel = replace(make_panel(3), funding=[
         FundingRecord(T0 + BAR_SECONDS, d12("0.0001")),        # close of bar 0
         FundingRecord(T0 + 3 * BAR_SECONDS, d12("0.0002")),    # close of bar 2
-    ]
+    ])
     rates = [r.rate_8h if r else None for r in funding_by_bar(panel)]
     assert rates == [Decimal("0.0001"), Decimal("0.0001"), Decimal("0.0002")]
 
-    panel.open_interest = [OpenInterestRecord(T0 + 2 * BAR_SECONDS, d12(500))]
+    panel = replace(panel, open_interest=[OpenInterestRecord(T0 + 2 * BAR_SECONDS, d12(500))])
     ois = oi_by_bar(panel)
     assert ois[0] is None and ois[1].oi_usd == 500 and ois[2].oi_usd == 500
 
@@ -168,10 +167,10 @@ def test_iso_over_a_year_of_the_4h_grid():
 
 
 def test_asof_walk_on_unsorted_records_is_the_plain_pointer_walk():
-    panel = make_panel(6)
     times = [T0 + 3 * BAR_SECONDS, T0 + BAR_SECONDS, T0 + 5 * BAR_SECONDS,
              T0 + 2 * BAR_SECONDS, T0 + 6 * BAR_SECONDS]
-    panel.open_interest = [OpenInterestRecord(t, d12(i + 1)) for i, t in enumerate(times)]
+    panel = replace(make_panel(6), open_interest=[OpenInterestRecord(t, d12(i + 1))
+                                                  for i, t in enumerate(times)])
     expected, j = [], -1
     for c in panel.candles:
         while j + 1 < len(times) and times[j + 1] <= c.close_time:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from decimal import Decimal
 
 from rangegov.model import (
@@ -21,9 +22,8 @@ def candle(open_time, close="100", volume="10", o=None, h=None, lo=None):
 
 def test_timestamp_tolerance_band():
     # 29 s and 30 s off the hour stay put; only 31 s is snapped and flagged
-    panel = clean_panel()
-    panel.books = [book(T0 + 3600 + 29), book(T0 + 2 * 3600 + 30),
-                   book(T0 + 3 * 3600 + 31)]
+    panel = replace(clean_panel(), books=[book(T0 + 3600 + 29), book(T0 + 2 * 3600 + 30),
+                                          book(T0 + 3 * 3600 + 31)])
     cleaned, report = run_pipeline(panel)
     flags = [f for f in report.flags if f.check == "timestamp_alignment"]
     assert len(flags) == 1 and flags[0].severity == FLAG
@@ -133,10 +133,12 @@ def test_pipeline_clean_panel_passes_untouched():
 def test_pipeline_fixes_then_stays_quiet():
     panel = clean_panel()
     # inject: one wide book, one off-grid book, one single-bar candle gap
-    panel.books.insert(3, book(panel.books[3].time - 3600 + 45))
-    panel.books.insert(0, book(T0 + 1800 + 3600, bid="99", ask="101.5"))
-    panel.books.sort(key=lambda b: b.time)
-    del panel.candles[5]
+    books, candles = list(panel.books), list(panel.candles)
+    books.insert(3, book(books[3].time - 3600 + 45))
+    books.insert(0, book(T0 + 1800 + 3600, bid="99", ask="101.5"))
+    books.sort(key=lambda b: b.time)
+    del candles[5]
+    panel = replace(panel, candles=candles, books=books)
     cleaned, report = run_pipeline(panel)
     checks = {f.check for f in report.flags}
     assert "gap_fill" in checks and "book_integrity" in checks
@@ -151,7 +153,7 @@ def test_pipeline_fixes_then_stays_quiet():
 def test_pipeline_reject_on_funding_bound_drops_record():
     panel = clean_panel()
     bad = FundingRecord(panel.funding[-1].settle_time + 28800, d12("0.05"))
-    panel.funding.append(bad)
+    panel = replace(panel, funding=panel.funding + (bad,))
     cleaned, report = run_pipeline(panel)
     assert not report.passed
     assert all(r.rate_8h != Decimal("0.05") for r in cleaned.funding)
@@ -164,7 +166,7 @@ def test_pipeline_keeps_in_bound_record_sharing_a_settle_time():
     panel = clean_panel()
     t = panel.funding[-1].settle_time + 28800
     kept = FundingRecord(t, d12("0.0001"))
-    panel.funding += [FundingRecord(t, d12("0.05")), kept]
+    panel = replace(panel, funding=panel.funding + (FundingRecord(t, d12("0.05")), kept))
     cleaned, report = run_pipeline(panel)
     assert [f.location for f in report.flags] == ["funding@" + iso(t)]
-    assert cleaned.funding == panel.funding[:-2] + [kept]
+    assert cleaned.funding == panel.funding[:-2] + (kept,)

