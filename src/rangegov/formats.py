@@ -392,6 +392,9 @@ def panel_from_dict(doc: dict, where: str = "panel") -> Panel:
     annotations = doc.get("annotations") or {}
     if not isinstance(annotations, dict):
         raise SchemaError("%s: annotations must be an object" % where)
+    instrument = doc.get("instrument", "")
+    if not isinstance(instrument, str):
+        raise SchemaError("%s: instrument must be a string" % where)
     stamps = {}   # timestamp text -> epoch seconds, across the series
 
     def series(key: str, fields=None, make=None) -> list:
@@ -402,7 +405,7 @@ def panel_from_dict(doc: dict, where: str = "panel") -> Panel:
         return _decode(rows, fields, make, *at) if fields else _decode_books(rows, *at)
 
     return Panel(
-        instrument=doc.get("instrument", ""),
+        instrument=instrument,
         candles=series("candles", _CANDLE, Candle4H),
         funding=series("funding", _FUNDING, FundingRecord),   # rates on the 8H basis
         open_interest=series("open_interest", _OI, _oi),
@@ -528,6 +531,7 @@ def load_manifest(path: str) -> dict:
 
     if not doc.get("instrument"):
         raise SchemaError("%s: manifest needs an instrument" % path)
+    need(isinstance(doc["instrument"], str), "instrument", "a string")
     exchanges = doc.get("exchanges")
     if not isinstance(exchanges, list) or not exchanges:
         raise SchemaError("%s: manifest needs a nonempty exchange list" % path)

@@ -59,6 +59,27 @@ def _not_evaluable(name: str, window: tuple, notes, signals=(), condition=False,
                              NOT_EVALUABLE, tuple(notes), evidence or {})
 
 
+def _verdict(name: str, window: tuple, signals: tuple, notes, evidence: dict,
+             outcome: str) -> HypothesisVerdict:
+    """The verdict on a window whose condition held. A not-evaluable one also
+    notes each measured signal that came out unmet."""
+    if outcome == NOT_EVALUABLE:
+        notes = list(notes) + ["signal %s unmet" % s.name for s in signals if s.met is False]
+    return HypothesisVerdict(name, window, True, signals, outcome, tuple(notes), evidence)
+
+
+def oi_rotation_event(records: Sequence, cfg: Config) -> tuple:
+    """(`classify_oi_event` over the OI records of a window, None), else
+    (None, why) when a record is missing or the window starts at zero OI."""
+    if any(r is None for r in records) or len(records) < 2:
+        return None, "OI missing around the break"
+    values = [float(r.oi_usd) for r in records]
+    if values[0] == 0:
+        return None, "OI zero at the start of the window: change undefined"
+    shares = [None if r.long_share is None else float(r.long_share) for r in records]
+    return classify_oi_event(values, shares, cfg), None
+
+
 def _beyond(close: Decimal, rng: RangeDefinition) -> int:
     """+1 above the range, -1 below, 0 inside (boundaries count as inside)."""
     if close > rng.upper:
@@ -186,18 +207,12 @@ def evaluate_h1(series: PanelSeries) -> HypothesisVerdict:
     expansion = _first_shift(panel.candles, rng, start, n - 1) is not None
     if expansion and vol_slope is not None and vol_slope > 0:
         notes.append("sustained expansion despite persistent funding bias")
-        return HypothesisVerdict(name, window, True, signals, FALSIFIED,
-                                 tuple(notes), evidence)
-
-    met = [s.met for s in signals]
-    if sum(1 for m in met if m) >= cfg.h1_signal_quorum:
-        return HypothesisVerdict(name, window, True, signals, CONFIRMED,
-                                 tuple(notes), evidence)
-    for s in signals:
-        if s.met is False:
-            notes.append("signal %s unmet" % s.name)
-    return _not_evaluable(name, window, notes, signals, condition=True,
-                          evidence=evidence)
+        outcome = FALSIFIED
+    elif sum(1 for s in signals if s.met) >= cfg.h1_signal_quorum:
+        outcome = CONFIRMED
+    else:
+        outcome = NOT_EVALUABLE
+    return _verdict(name, window, signals, notes, evidence, outcome)
 
 
 # ------------------------------------------------------------------------ H2
@@ -214,21 +229,20 @@ def find_breakout_candidates(panel: Panel, rng: RangeDefinition) -> list:
     return out
 
 
-def evaluate_h2(series: PanelSeries, breakout_bar: Optional[int],
-                side: Optional[str]) -> HypothesisVerdict:
+def evaluate_h2(series: PanelSeries) -> HypothesisVerdict:
     """Funding moderation plus shelf migration, thinning boundary depth and OI
-    rotation at a breakout bar ("up" or "down" `side`, as found by
-    `find_breakout_candidates`) predicts the break sustains."""
+    rotation at the latest of `find_breakout_candidates` predicts the break
+    sustains."""
     name = "H2"
     panel, rng, cfg = series.panel, series.range, series.cfg
     n = len(panel.candles)
     tail = (max(n - 1, 0), max(n - 1, 0))
     if rng is None:
         return _not_evaluable(name, tail, ["no established range"])
-    if breakout_bar is None:
+    candidates = find_breakout_candidates(panel, rng)
+    if not candidates:
         return _not_evaluable(name, tail, ["no breakout candidate bar"])
-    if not 0 < breakout_bar < n:
-        raise ValueError("breakout bar out of panel")
+    breakout_bar, side = candidates[-1]
     window = (max(0, breakout_bar - cfg.h2_premoderation_bars),
               min(n - 1, breakout_bar + cfg.h2_sustain_closes))
     notes = []
@@ -269,51 +283,36 @@ def evaluate_h2(series: PanelSeries, breakout_bar: Optional[int],
         notes.append("fewer than 2 book snapshots before the break")
 
     # signal 3: OI rotating rather than collapsing into the break
-    window_oi = series.oi_by_bar[window[0]:breakout_bar + 1]
-    if any(r is None for r in window_oi) or len(window_oi) < 2:
+    event, why = oi_rotation_event(series.oi_by_bar[window[0]:breakout_bar + 1], cfg)
+    if event is None:
         s3 = Signal("oi_rotation", None, None, "label == rotation")
-        notes.append("OI missing around the break")
-    elif window_oi[0].oi_usd == 0:
-        s3 = Signal("oi_rotation", None, None, "label == rotation")
-        notes.append("OI zero at the start of the window: change undefined")
+        notes.append(why)
+    elif event.partial:
+        s3 = Signal("oi_rotation", None, event.oi_change_frac, "label == rotation")
+        notes.append("long/short split missing: rotation undecidable")
     else:
-        values = [float(r.oi_usd) for r in window_oi]
-        shares = [float(r.long_share) if r.long_share is not None else None
-                  for r in window_oi]
-        event = classify_oi_event(values, shares, cfg)
-        if event.partial:
-            s3 = Signal("oi_rotation", None, event.oi_change_frac, "label == rotation")
-            notes.append("long/short split missing: rotation undecidable")
-        else:
-            s3 = Signal("oi_rotation", event.label == ROTATION, event.oi_change_frac,
-                        "label == rotation")
-            if event.label != ROTATION:
-                notes.append("OI event classified as %s" % event.label)
+        s3 = Signal("oi_rotation", event.label == ROTATION, event.oi_change_frac,
+                    "label == rotation")
+        if event.label != ROTATION:
+            notes.append("OI event classified as %s" % event.label)
 
     signals = (s1, s2, s3)
     evidence = {"breakout_bar": breakout_bar, "side": side}
-    if not all(s.met for s in signals):
-        for s in signals:
-            if s.met is False:
-                notes.append("signal %s unmet" % s.name)
-        return _not_evaluable(name, window, notes, signals, condition=True,
-                              evidence=evidence)
-
-    # aligned: verdict rides on whether the break sustains
+    # when every signal aligned, the verdict rides on whether the break sustains
     post = panel.candles[breakout_bar + 1: breakout_bar + 1 + cfg.h2_sustain_closes]
     want = 1 if side == "up" else -1
-    if len(post) < cfg.h2_sustain_closes:
+    if not all(s.met for s in signals):
+        outcome = NOT_EVALUABLE
+    elif len(post) < cfg.h2_sustain_closes:
         notes.append("sustainment unverified (%d post-break bars)" % len(post))
-        return HypothesisVerdict(name, window, True, signals, CONFIRMED,
-                                 tuple(notes), evidence)
-    sustained = all(_beyond(c.close, rng) == want for c in post)
-    if sustained:
-        return HypothesisVerdict(name, window, True, signals, CONFIRMED,
-                                 tuple(notes), evidence)
-    notes.append("aligned break failed to sustain %d closes beyond"
-                 % cfg.h2_sustain_closes)
-    return HypothesisVerdict(name, window, True, signals, FALSIFIED,
-                             tuple(notes), evidence)
+        outcome = CONFIRMED
+    elif all(_beyond(c.close, rng) == want for c in post):
+        outcome = CONFIRMED
+    else:
+        notes.append("aligned break failed to sustain %d closes beyond"
+                     % cfg.h2_sustain_closes)
+        outcome = FALSIFIED
+    return _verdict(name, window, signals, notes, evidence, outcome)
 
 
 # ------------------------------------------------------------------------ H3
@@ -326,7 +325,7 @@ def _annotation_rows(panel: Panel, key: str) -> list:
     for row in rows:
         try:
             out.append((parse_iso(row["time"]), float(row["value"])))
-        except (KeyError, TypeError, ValueError):
+        except (AttributeError, KeyError, TypeError, ValueError):
             continue
     return out
 
@@ -390,7 +389,7 @@ def evaluate_h3(series: PanelSeries) -> HypothesisVerdict:
                   if panel.candles[s].open_time <= t <= panel.candles[s].close_time]
     if burst_rows:
         value = burst_rows[-1][1]
-        s1 = Signal("intrabar_volatility_burst", value > sigma, value,
+        s1 = Signal("intrabar_volatility_burst", bool(value > sigma), value,
                     "> %.6f (4H realized vol)" % sigma)
     else:
         s1 = Signal("intrabar_volatility_burst", None, None, "> 4H realized vol")
@@ -429,23 +428,18 @@ def evaluate_h3(series: PanelSeries) -> HypothesisVerdict:
     evidence = {"spike_bar": s, "spike_settlement": sp, "sigma": sigma,
                 "corridor_abs": corridor, "reverted_at": reverted_at}
 
-    if reverted_at is None and post_bars >= cfg.h3_reversion_max_bars:
-        notes.append("price never reverted to the midpoint corridor")
-        return HypothesisVerdict(name, window, True, signals, FALSIFIED,
-                                 tuple(notes), evidence)
-    if reverted_at is None:
+    if reverted_at is None and post_bars < cfg.h3_reversion_max_bars:
         notes.append("window truncated before reversion could be judged")
         return _not_evaluable(name, window, notes, signals, condition=True,
                               evidence=evidence)
-    measured = [sig for sig in signals if sig.met is not None]
-    if all(sig.met for sig in measured):
-        return HypothesisVerdict(name, window, True, signals, CONFIRMED,
-                                 tuple(notes), evidence)
-    for sig in signals:
-        if sig.met is False:
-            notes.append("signal %s unmet" % sig.name)
-    return _not_evaluable(name, window, notes, signals, condition=True,
-                          evidence=evidence)
+    if reverted_at is None:
+        notes.append("price never reverted to the midpoint corridor")
+        outcome = FALSIFIED
+    elif all(sig.met for sig in signals if sig.met is not None):
+        outcome = CONFIRMED
+    else:
+        outcome = NOT_EVALUABLE
+    return _verdict(name, window, signals, notes, evidence, outcome)
 
 
 # ------------------------------------------------------------------------ H4
@@ -508,8 +502,8 @@ def evaluate_h4(series: PanelSeries) -> HypothesisVerdict:
                          "funding_decline": decline_met, "oi_dip": dip_met})
 
     if not taps:
-        return _not_evaluable(name, tail, ["no boundary taps observed"],
-                              signals=(s_cluster,), condition=True)
+        return _verdict(name, tail, (s_cluster,), ["no boundary taps observed"], {},
+                        NOT_EVALUABLE)
 
     window = (taps[0]["bar"], min(taps[-1]["bar"] + 2, n - 1))
     hit_rate = sum(1 for t in taps if t["recoil"]) / len(taps)
@@ -533,8 +527,7 @@ def evaluate_h4(series: PanelSeries) -> HypothesisVerdict:
     if outcome == FALSIFIED:
         notes.append("recoil hit rate %.3f not above %.2f"
                      % (hit_rate, cfg.h4_hit_rate_min))
-    return HypothesisVerdict(name, window, True, signals, outcome,
-                             tuple(notes), evidence)
+    return _verdict(name, window, signals, notes, evidence, outcome)
 
 
 # ------------------------------------------------------------------- driver
@@ -548,7 +541,6 @@ def evaluate_all(panel: Panel, cfg: Config = DEFAULTS,
     in `series.verdicts` under the evaluator function as bound at the call,
     and every `derive` of the unchanged panel shares that dict, so the
     hypotheses and regime reports of one panel evaluate it once.
-    H2 is evaluated at the most recent breakout candidate when one exists.
     """
     series = derive(panel, cfg)
     kept = series.verdicts
@@ -558,14 +550,6 @@ def evaluate_all(panel: Panel, cfg: Config = DEFAULTS,
         if only and name not in only:
             continue
         if evaluate not in kept:   # keyed by the function, as `derive` is
-            kept[evaluate] = evaluate(series, *_latest_breakout(series)) \
-                if name == "H2" else evaluate(series)
+            kept[evaluate] = evaluate(series)
         out[name] = kept[evaluate]
     return out
-
-
-def _latest_breakout(series: PanelSeries) -> tuple:
-    """(bar, side) of the most recent breakout candidate, else (None, None)."""
-    candidates = [] if series.range is None else \
-        find_breakout_candidates(series.panel, series.range)
-    return candidates[-1] if candidates else (None, None)

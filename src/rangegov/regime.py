@@ -9,11 +9,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import Config, DEFAULTS
+from .cost import ELEVATED, NEUTRAL as MAG_NEUTRAL, classify_magnitude
 from .errors import InsufficientInputsError
-from .hypotheses import CONFIRMED, FALSIFIED
+from .hypotheses import CONFIRMED, FALSIFIED, oi_rotation_event
+from .liquidity import latest_valid_books, shelf_migration
 from .model import (BARS_PER_DAY, SETTLEMENTS_PER_DAY, Panel,
                     RangeDefinition, d12)
-from .positioning import COLLAPSE, ROTATION, classify_oi_event
+from .positioning import COLLAPSE, ROTATION, boundary_cluster_share
 from .structure import PanelSeries, absorption_footprints, derive, ols_slope
 
 ACCUMULATION = "accumulation"
@@ -39,17 +41,6 @@ class TriggerMatrix:
     entries: tuple           # (name, state) pairs
     conviction: str          # low | medium | high
     expansion_probability_band: str   # baseline | elevated
-
-
-def _oi_event_for(series: PanelSeries, start: int):
-    records = series.oi_by_bar[start:]
-    if any(r is None for r in records) or len(records) < 2 or \
-            float(records[0].oi_usd) == 0:
-        return None
-    values = [float(r.oi_usd) for r in records]
-    shares = [float(r.long_share) if r.long_share is not None else None
-              for r in records]
-    return classify_oi_event(values, shares, series.cfg)
 
 
 def classify_regime(panel: Panel, cfg: Config = DEFAULTS) -> RegimeLabel:
@@ -85,7 +76,7 @@ def classify_regime(panel: Panel, cfg: Config = DEFAULTS) -> RegimeLabel:
         if len(moves) else 0.0
     dir_met = directional >= cfg.trend_directional_frac
     evidence.append(("directional_close_share", directional, dir_met))
-    event = _oi_event_for(series, n - w)
+    event, _ = oi_rotation_event(series.oi_by_bar[n - w:], cfg)
     rotation_met = event is not None and event.label == ROTATION
     evidence.append(("oi_rotation", None if event is None else event.oi_change_frac,
                      rotation_met))
@@ -166,10 +157,6 @@ def assemble_trigger_states(series: PanelSeries) -> dict:
     = aligned, collapse = divergent.
     volatility_compression and liquidation_cluster round out the matrix.
     """
-    from .cost import ELEVATED, NEUTRAL as MAG_NEUTRAL, classify_magnitude
-    from .liquidity import latest_valid_books, shelf_migration
-    from .positioning import boundary_cluster_share
-
     panel, rng, cfg = series.panel, series.range, series.cfg
     states: dict = {}
     if panel.funding:
@@ -187,14 +174,14 @@ def assemble_trigger_states(series: PanelSeries) -> dict:
     else:
         states["shelf_migration"] = None
 
-    event = _oi_event_for(series, max(0, len(panel.candles) - cfg.regime_window))
+    n = len(panel.candles)
+    event, _ = oi_rotation_event(series.oi_by_bar[max(0, n - cfg.regime_window):], cfg)
     if event is None:
         states["oi_rotation"] = None
     else:
         states["oi_rotation"] = ALIGNED if event.label == ROTATION else \
             DIVERGENT if event.label == COLLAPSE else NEUTRAL
 
-    n = len(panel.candles)
     slope = ols_slope(list(series.realized_vol[max(0, n - cfg.regime_window):]))
     states["volatility_compression"] = None if slope is None else \
         (ALIGNED if slope < 0 else NEUTRAL)

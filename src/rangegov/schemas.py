@@ -262,8 +262,7 @@ BACKTEST_SCHEMA = {
         "panels": {"type": "integer", "minimum": 0},
         "rows": {"type": "array", "items": {
             "type": "object",
-            "required": ["instrument", "scenario", "expected", "verdicts",
-                         "regime"],
+            "required": ["instrument", "verdicts", "regime"],
         }},
         "ground_truth": {
             "type": "object",

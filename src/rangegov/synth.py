@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import Config, DEFAULTS
-from .errors import SchemaError
+from .errors import DataError, SchemaError
 from .model import (
     BAR_SECONDS,
     BookSnapshot,
@@ -448,8 +448,14 @@ def generate(scenario: Scenario, cfg: Config = DEFAULTS):
         raise SchemaError("scenario has no segments")
     rng = np.random.default_rng(scenario.seed)
     b = _Builder(scenario)
-    for seg in scenario.segments:
-        _DISPATCH[seg.template](b, seg.length, dict(seg.overrides), rng)
+    for k, seg in enumerate(scenario.segments):
+        try:
+            _DISPATCH[seg.template](b, seg.length, dict(seg.overrides), rng)
+        except DataError:
+            raise
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise SchemaError(f"scenario {scenario.name!r} segment {k} ({seg.template}): "
+                              f"unreadable override: {exc}") from exc
     gt = dict(scenario.ground_truth)
     gt.setdefault("scenario", scenario.name)
     if any(seg.template == "cascade" for seg in scenario.segments):
@@ -474,8 +480,8 @@ def backtest(panels: Sequence[Panel], cfg: Config = DEFAULTS) -> dict:
     from .hypotheses import evaluate_all
     from .regime import classify_regime
 
-    counts = {h: {"confirmed": 0, "falsified": 0, "not-evaluable": 0}
-              for h in ("H1", "H2", "H3", "H4")}
+    names = ("H1", "H2", "H3", "H4")
+    counts = {h: {"confirmed": 0, "falsified": 0, "not-evaluable": 0} for h in names}
     rows = []
     matches = 0
     graded = 0
@@ -496,7 +502,13 @@ def backtest(panels: Sequence[Panel], cfg: Config = DEFAULTS) -> dict:
                 "taps": len(taps),
                 "hit_rate": sum(1 for t in taps if t["recoil"]) / len(taps),
             })
-        gt = panel.annotations.get("ground_truth") or {}
+        gt = panel.annotations.get("ground_truth")
+        if gt is None:
+            gt = {}
+        # a tuple, not the dict: `in` must not hash a list or a dict
+        if not isinstance(gt, dict) or gt.get("hypothesis", "H1") not in names:
+            raise SchemaError("%s: ground_truth must be an object whose hypothesis is "
+                              "one of %s" % (panel.instrument, ", ".join(names)))
         if "hypothesis" in gt and "expected_outcome" in gt:
             graded += 1
             actual = verdicts[gt["hypothesis"]].outcome

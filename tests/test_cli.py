@@ -273,6 +273,10 @@ def test_null_or_non_object_record_is_a_schema_error(panel_file, tmp_path, capsy
                  "funding[3]: bad decimal False", id="funding-rate-bool"),
     pytest.param(lambda d: d["open_interest"][3].update(oi_usd=[0, [1], 0]),
                  "open_interest[3]: bad decimal [0, [1], 0]", id="oi-decimal-tuple-list"),
+] + [
+    pytest.param(lambda d, v=value: d.update(instrument=v), "instrument must be a string",
+                 id="instrument-%s" % label)
+    for label, value in (("number", 5), ("null", None), ("list", ["X"]))
 ])
 def test_malformed_panel_field_is_a_schema_error(panel_file, tmp_path, capsys, edit, named):
     with open(panel_file, encoding="utf-8") as fh:
@@ -571,6 +575,65 @@ def test_backtest_over_corpus(corpus_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _edited_panel(source, tmp_path, name, edit) -> str:
+    doc = json.loads(pathlib.Path(source).read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("ground_truth", [
+    {"hypothesis": "H9", "expected_outcome": "confirmed"},
+    {"hypothesis": 1, "expected_outcome": "confirmed"},
+    {"hypothesis": ["H1"], "expected_outcome": "confirmed"},
+    ["hypothesis", "expected_outcome"],
+], ids=["H9", "number", "list", "not-an-object"])
+def test_backtest_refuses_a_ground_truth_naming_no_hypothesis(corpus_dir, tmp_path, capsys,
+                                                              ground_truth):
+    def edit(doc):
+        doc["instrument"] = "ODD-PERP"
+        doc["annotations"]["ground_truth"] = ground_truth
+    odd = _edited_panel(corpus_dir / "h1-confirm.json", tmp_path, "odd.json", edit)
+    out = tmp_path / "bt.json"
+    assert main(["backtest", "--panels", str(corpus_dir / "h2-confirm.json"), odd,
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "ODD-PERP: ground_truth must be an object whose hypothesis is one of " \
+        "H1, H2, H3, H4" in err and "Traceback" not in err, err
+    assert not out.exists()
+
+
+def test_backtest_refuses_an_instrument_that_is_not_a_string(corpus_dir, tmp_path, capsys):
+    # a number and a string do not sort together
+    odd = _edited_panel(corpus_dir / "h1-confirm.json", tmp_path, "odd.json",
+                        lambda doc: doc.update(instrument=5))
+    named = _edited_panel(corpus_dir / "h2-confirm.json", tmp_path, "named.json",
+                          lambda doc: doc.update(instrument="X"))
+    out = tmp_path / "bt.json"
+    assert main(["backtest", "--panels", odd, named, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "%s: instrument must be a string" % odd in err and "Traceback" not in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source, key", [("h3-confirm", "volatility_1h"),
+                                         ("h1-confirm", "basis")])
+def test_annotation_row_with_a_numeric_time_is_skipped(corpus_dir, tmp_path, capsys,
+                                                       source, key):
+    plain = str(corpus_dir / (source + ".json"))
+    odd = _edited_panel(plain, tmp_path, "odd.json", lambda doc: doc["annotations"]
+                        .setdefault(key, []).append({"time": 5, "value": 0.1}))
+    for command in ("hypotheses", "regime"):
+        codes, texts = [], []
+        for panel, name in ((plain, "plain"), (odd, "odd")):
+            out = tmp_path / ("%s-%s.json" % (command, name))
+            codes.append(main([command, "--panel", panel, "--out", str(out)]))
+            texts.append(out.read_bytes())
+        assert codes[0] == codes[1] and texts[0] == texts[1], command
+    capsys.readouterr()
+
+
 def test_synth_reruns_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     src = scenario_path("h2-confirm")
@@ -591,6 +654,36 @@ def test_synth_rejects_a_base_price_that_is_not_positive(tmp_path, capsys, base_
     err = capsys.readouterr().err
     assert "base_price must be finite and > 0" in err and "Traceback" not in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("template, length, overrides", [
+    ("range", 40, {"amplitude": "x"}),
+    ("breakout", 20, {"post_bars": "x"}),
+    ("trend", 20, {"volume_start": 3000, "volume_end": "z"}),
+])
+def test_synth_names_an_unreadable_override(tmp_path, capsys, template, length, overrides):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "name": "odd", "seed": 1,
+        "segments": [{"template": "range", "length": 30},
+                     {"template": template, "length": length, "overrides": overrides}]}))
+    out = tmp_path / "p.json"
+    assert main(["synth", "--scenario", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "scenario 'odd' segment 1 (%s): unreadable override" % template in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_synth_keeps_its_own_segment_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "name": "short", "seed": 1,
+        "segments": [{"template": "range", "length": 30},
+                     {"template": "breakout", "length": 8}]}))
+    assert main(["synth", "--scenario", str(path), "--out", str(tmp_path / "p.json")]) == 3
+    assert capsys.readouterr().err == \
+        "error (schema): breakout segment too short for hover + post bars\n"
 
 
 def test_synth_seed_override_changes_noise(tmp_path, capsys):
@@ -696,6 +789,10 @@ def test_ingest_round_trip(panel_file, tmp_path, capsys):
     pytest.param(lambda d: d.update(open_interest=5), "open_interest", id="oi-number"),
     pytest.param(lambda d: d.update(books=["b"]), "books", id="books-list"),
     pytest.param(lambda d: d.update(config=[1]), "config", id="config-list"),
+] + [
+    pytest.param(lambda d, v=value: d.update(instrument=v), "manifest instrument must be",
+                 id="instrument-%s" % label)
+    for label, value in (("number", 5), ("list", ["TEST-PERP"]), ("bool", True))
 ])
 def test_malformed_manifest_is_a_schema_error(panel_file, tmp_path, capsys, edit, field):
     _write_inputs(tmp_path, load_panel(panel_file))

@@ -1,7 +1,8 @@
 """Every name in the package earns its place: each import is used in its
 module, and each module-level function, class or assignment is referenced
 somewhere else under `src/`, unless it is listed below with whom it serves.
-And no module writes past a frozen dataclass but where listed below."""
+No module writes past a frozen dataclass, and only the functions listed
+below build a hypothesis verdict or classify an OI window."""
 import ast
 from pathlib import Path
 
@@ -26,6 +27,13 @@ SERVED_OUTSIDE = {
 # series into tuples as it is built, and `derive` keeping its memo on a panel.
 # Anywhere else it could edit a panel after the freeze.
 SETATTR_ALLOWED = {"model.Panel.__post_init__", "structure.derive"}
+
+# The only functions that may call each name: every verdict is built by one of
+# two builders, and every OI window is read for rotation by one reader.
+CALLS_ALLOWED = {
+    "HypothesisVerdict": {"hypotheses._verdict", "hypotheses._not_evaluable"},
+    "classify_oi_event": {"hypotheses.oi_rotation_event"},
+}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -88,21 +96,36 @@ def test_every_module_level_name_is_referenced():
     assert sorted(SERVED_OUTSIDE) == unreferenced, "an allowlisted name is now referenced"
 
 
-def _setattr_sites(stem: str, tree: ast.Module) -> list:
-    """The qualified name of each function, class or module that reads
-    `object.__setattr__`, called or not."""
+def _sites(stem: str, tree: ast.Module, match) -> list:
+    """The qualified name of each function, class or module that holds a
+    node `match` accepts, once per such node."""
     out = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and child.attr == "__setattr__" \
-                    and isinstance(child.value, ast.Name) and child.value.id == "object":
+            if match(child):
                 out.append(".".join([stem] + scope))
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, scope + [child.name] if named else scope)
 
     visit(tree, [])
     return out
+
+
+def _setattr_sites(stem: str, tree: ast.Module) -> list:
+    """Where `object.__setattr__` is read, called or not."""
+    return _sites(stem, tree, lambda node: isinstance(node, ast.Attribute)
+                  and node.attr == "__setattr__"
+                  and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+def _call_sites(stem: str, tree: ast.Module, name: str) -> list:
+    """Where `name` is called, as a bare name or as an attribute."""
+    def match(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return isinstance(func, ast.Name) and func.id == name \
+            or isinstance(func, ast.Attribute) and func.attr == name
+    return _sites(stem, tree, match)
 
 
 def _unlisted_setattr(trees: dict) -> list:
@@ -124,3 +147,30 @@ def test_object_setattr_only_where_listed():
 ])
 def test_a_planted_object_setattr_fails(source):
     assert _unlisted_setattr({"model": ast.parse(source)}) != []
+
+
+def _unlisted_calls(trees: dict) -> list:
+    return sorted("%s calls %s" % (site, name) for name, allowed in CALLS_ALLOWED.items()
+                  for stem, tree in trees.items() for site in _call_sites(stem, tree, name)
+                  if site not in allowed)
+
+
+def test_listed_calls_only_where_listed():
+    trees = {path.stem: _tree(path) for path in MODULES}
+    assert _unlisted_calls(trees) == []
+    for name, allowed in CALLS_ALLOWED.items():
+        assert {site for stem, tree in trees.items()
+                for site in _call_sites(stem, tree, name)} == allowed, name
+
+
+@pytest.mark.parametrize("stem, source", [
+    ("hypotheses", "def evaluate_h4(series):\n"
+                   "    return HypothesisVerdict('H4', (0, 0), True, (), 'confirmed')\n"),
+    ("reports", "class Report:\n    def verdict(self):\n"
+                "        return hypotheses.HypothesisVerdict('H1', (0, 0), False, (), 'x')\n"),
+    ("hypotheses", "def evaluate_h2(series):\n"
+                   "    return classify_oi_event([1.0, 2.0], None, series.cfg)\n"),
+    ("regime", "EVENT = positioning.classify_oi_event([1.0, 2.0])\n"),
+])
+def test_a_planted_listed_call_fails(stem, source):
+    assert _unlisted_calls({stem: ast.parse(source)}) != []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from rangegov.config import DEFAULTS
@@ -169,7 +171,7 @@ def test_h2_not_evaluable_without_breakout(scenario_panels):
     src, _ = scenario_panels["h1-confirm"]   # ranging panel, closes inside
     series = _series(src)
     assert find_breakout_candidates(src, series.range) == []
-    v = evaluate_h2(series, None, None)
+    v = evaluate_h2(series)
     assert v.outcome == NOT_EVALUABLE
 
 
@@ -190,6 +192,16 @@ def test_h4_not_evaluable_without_liquidations(scenario_panels):
                   src.open_interest, src.books, [], {})
     v = evaluate_h4(_series(panel))
     assert v.outcome == NOT_EVALUABLE
+
+
+def test_an_unmet_volatility_burst_is_noted(scenario_panels):
+    src, _ = scenario_panels["h3-confirm"]
+    annotations = dict(src.annotations, volatility_1h=[
+        dict(row, value=1e-9) for row in src.annotations["volatility_1h"]])
+    v = evaluate_h3(_series(dataclasses.replace(src, annotations=annotations)))
+    assert v.outcome == NOT_EVALUABLE
+    assert [s.met for s in v.signals] == [True, False, True, True]
+    assert v.notes == ("signal intrabar_volatility_burst unmet",)
 
 
 # --- helpers -------------------------------------------------------------------

@@ -25,6 +25,7 @@ from rangegov.reports import (
 )
 from rangegov.schemas import REPORT_SCHEMAS
 from rangegov.structure import derive
+from rangegov.synth import backtest, generate, scenario_from_dict
 
 _BUILDERS = {
     "structural": structural_report,
@@ -67,6 +68,19 @@ def test_regime_report_schema(rich_panel):
     platform = doc["platform"]
     if platform is not None:
         assert DEFAULTS.leverage_min <= platform["max_leverage"] <= DEFAULTS.leverage_max
+
+
+def test_backtest_report_schema(scenario_panels):
+    # a panel with no ground truth writes neither `scenario` nor `expected`
+    ungraded, _ = generate(scenario_from_dict({
+        "name": "ungraded", "seed": 5, "instrument": "UNGRADED-PERP",
+        "segments": [{"template": "noise", "length": 40},
+                     {"template": "range", "length": 60}]}))
+    panels = [panel for panel, _ in scenario_panels.values()] + [ungraded]
+    doc = {**backtest(panels, DEFAULTS), "schema_version": "1"}
+    jsonschema.validate(doc, REPORT_SCHEMAS["backtest"])
+    assert doc["ground_truth"]["graded"] == len(scenario_panels)
+    assert "expected" not in doc["rows"][-1]
 
 
 def test_reports_serialize_deterministically(rich_panel):
