@@ -13,7 +13,8 @@ from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
 from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Optional
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 from .config import Config, DEFAULTS
 from .errors import MissingSeriesError, SchemaError
@@ -98,20 +99,30 @@ def _opt(rec: dict, key: str, read, where: str, default=None):
 
 
 # ------------------------------------------------------------------ records
-# A record kind is its fields, (key, reader, default) in reading order;
-# `_decode` reads it, and the readers above word its errors.
+# A record kind is its fields in reading order, the one statement of its text
+# form: `_decode` reads it, the readers above word its errors, and `_encode`
+# writes each field through the inverse of its reader.
 _REQUIRED = object()   # the default of a field that every record must hold
-_CANDLE = (("time", _time, _REQUIRED), *((k, _dec, _REQUIRED) for k in (
+
+
+class _Field(NamedTuple):
+    key: str              # its name in a panel record and a CSV header
+    read: object          # reader(raw, where) -> value
+    default: object = _REQUIRED
+    attr: str = ""        # the record attribute it fills, if not `key`
+
+
+_CANDLE = (_Field("time", _time, attr="open_time"), *(_Field(k, _dec) for k in (
     "open", "high", "low", "close", "volume")),
-    ("exchange_count", _int, 1), ("interpolated", _flag, False))
-_FUNDING = (("time", _time, _REQUIRED), ("rate_8h", _dec, _REQUIRED),
-            ("source_interval_hours", _int, 8), ("exchange_count", _int, 1),
-            ("mark_price", _dec, None), ("index_price", _dec, None))
-_OI = (("time", _time, _REQUIRED), ("oi_usd", _dec, _REQUIRED),
-       ("long_oi_usd", _dec, None), ("short_oi_usd", _dec, None),
-       ("holder_shares", _shares, None), ("leverage_histogram", _histogram, None))
-_LIQUIDATION = (("side", _side, _REQUIRED), ("time", _time, _REQUIRED),
-                ("price", _dec, _REQUIRED), ("size_usd", _dec, _REQUIRED))
+    _Field("exchange_count", _int, 1), _Field("interpolated", _flag, False))
+_FUNDING = (_Field("time", _time, attr="settle_time"), _Field("rate_8h", _dec),
+            _Field("source_interval_hours", _int, 8), _Field("exchange_count", _int, 1),
+            _Field("mark_price", _dec, None), _Field("index_price", _dec, None))
+_OI = (_Field("time", _time), _Field("oi_usd", _dec),
+       _Field("long_oi_usd", _dec, None), _Field("short_oi_usd", _dec, None),
+       _Field("holder_shares", _shares, None), _Field("leverage_histogram", _histogram, None))
+_LIQUIDATION = (_Field("side", _side), _Field("time", _time),
+                _Field("price", _dec), _Field("size_usd", _dec))
 
 
 def _oi(time, oi_usd, long_oi_usd, short_oi_usd, shares, histogram) -> OpenInterestRecord:
@@ -120,6 +131,12 @@ def _oi(time, oi_usd, long_oi_usd, short_oi_usd, shares, histogram) -> OpenInter
 
 def _liquidation(side, time, price, size_usd) -> LiquidationEvent:
     return LiquidationEvent(time, price, size_usd, side)
+
+
+# a panel's record series in decoding order, (key, fields, make); books are lines
+_SERIES = (("candles", _CANDLE, Candle4H), ("funding", _FUNDING, FundingRecord),
+           ("open_interest", _OI, _oi), ("books", None, None),
+           ("liquidations", _LIQUIDATION, _liquidation))
 
 
 def _walk(rows: list, where_of, build, kind=dict) -> None:
@@ -164,12 +181,32 @@ def _decode(rows: list, fields, make, where_of, stamps: dict) -> list:
     try:
         return list(map(make, *(_column(
             [rec[key] for rec in rows] if default is _REQUIRED else [rec.get(key) for rec in rows],
-            read, default, stamps) for key, read, default in fields)))
+            read, default, stamps) for key, read, default, _ in fields)))
     except _BAD:
         _walk(rows, where_of, lambda rec, where: [
             read(rec[key], where) if default is _REQUIRED else _opt(rec, key, read, where, default)
-            for key, read, default in fields])
+            for key, read, default, _ in fields])
         raise
+
+
+# the inverse of each reader whose value is not written as it is read
+_WRITE = {_time: iso, _dec: fmt_dec,
+          _shares: lambda shares: [fmt_dec(s) for s in shares] or None,
+          _histogram: lambda hist: {k: str(v) for k, v in sorted(hist.items())} or None}
+
+
+# the same for a CSV cell: a flag as true or false, a list as `a;b`, an object as `k:v;...`
+_CSV_WRITE = {**_WRITE, _flag: lambda flag: "true" if flag else "false",
+              _shares: lambda shares: ";".join(map(fmt_dec, shares)),
+              _histogram: lambda hist: ";".join("%s:%s" % kv for kv in sorted(hist.items()))}
+
+
+def _encode(records, fields) -> list:
+    """Each record as the object `_decode` reads back with `fields`, built one
+    at a time (columns first would raise a save's peak RSS); null if absent."""
+    plan = [(key, attrgetter(attr or key), _WRITE.get(read)) for key, read, _, attr in fields]
+    return [{key: value if (value := get(rec)) is None or write is None else write(value)
+             for key, get, write in plan} for rec in records]
 
 
 @contextmanager
@@ -204,25 +241,30 @@ def _read_csv(path: str, fields, make, prep=None) -> list:
     return _decode(records, fields, make, lambda i: "%s row %d" % (path, i), {})
 
 
+def _write_csv(path: str, records, fields) -> None:
+    """A row per record, columns in `fields` order, each column written through
+    `_CSV_WRITE` of its reader in one pass; csv writes None as an empty cell."""
+    columns = [[value if value is None or write is None else write(value)
+                for value in map(attrgetter(attr or key), records)]
+               for key, read, _, attr in fields for write in (_CSV_WRITE.get(read),)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow([f.key for f in fields])
+        w.writerows(zip(*columns))
+
+
 def read_candles_csv(path: str) -> list:
     return _read_csv(path, _CANDLE, Candle4H)
 
 
 def write_candles_csv(path: str, candles) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "open", "high", "low", "close", "volume",
-                    "exchange_count", "interpolated"])
-        for c in candles:
-            w.writerow([iso(c.open_time), fmt_dec(c.open), fmt_dec(c.high),
-                        fmt_dec(c.low), fmt_dec(c.close), fmt_dec(c.volume),
-                        c.exchange_count, str(c.interpolated).lower()])
+    _write_csv(path, candles, _CANDLE)
 
 
 def read_funding_csv(path: str) -> list:
     """Raw settlement rows: (time, per-interval rate, mark, index)."""
-    return _read_csv(path, (("time", _time, _REQUIRED), ("rate", _dec, _REQUIRED),
-                            *_FUNDING[-2:]), lambda *row: row)
+    return _read_csv(path, (_Field("time", _time), _Field("rate", _dec), *_FUNDING[-2:]),
+                     lambda *row: row)
 
 
 def write_funding_csv(path: str, rows) -> None:
@@ -236,39 +278,22 @@ def write_funding_csv(path: str, rows) -> None:
                         fmt_dec(index) if index is not None else ""])
 
 
-def _csv_histogram(raw: str, where: str) -> Optional[dict]:
-    pairs = [pair.split(":") for pair in raw.split(";")]
-    if any(len(pair) != 2 for pair in pairs):
-        raise SchemaError("%s: bad leverage histogram %r" % (where, raw))
-    return _histogram(dict(pairs), where)
-
-
-def _split_shares(rec: dict) -> None:
+def _split_cells(rec: dict) -> None:
+    """A row's shares `a;b` and histogram `k:v;...` as a panel holds them; a
+    histogram that is not such pairs stays text, which `_histogram` rejects."""
     if "holder_shares" in rec:
         rec["holder_shares"] = rec["holder_shares"].split(";")
+    pairs = [pair.split(":") for pair in rec.get("leverage_histogram", "").split(";")]
+    if "leverage_histogram" in rec and all(len(pair) == 2 for pair in pairs):
+        rec["leverage_histogram"] = dict(pairs)
 
 
 def read_oi_csv(path: str) -> list:
-    """A row holds its shares as `a;b` and its histogram as `k:v;...`."""
-    return _read_csv(path, _OI[:-1] + (("leverage_histogram", _csv_histogram, None),),
-                     _oi, _split_shares)
+    return _read_csv(path, _OI, _oi, _split_cells)
 
 
 def write_oi_csv(path: str, records) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "oi_usd", "long_oi_usd", "short_oi_usd",
-                    "holder_shares", "leverage_histogram"])
-        for r in records:
-            shares = ";".join(fmt_dec(s) for s in r.holder_shares) \
-                if r.holder_shares else ""
-            hist = ";".join("%s:%s" % (k, v) for k, v in
-                            sorted(r.leverage_histogram.items())) \
-                if r.leverage_histogram else ""
-            w.writerow([iso(r.time), fmt_dec(r.oi_usd),
-                        fmt_dec(r.long_oi_usd) if r.long_oi_usd is not None else "",
-                        fmt_dec(r.short_oi_usd) if r.short_oi_usd is not None else "",
-                        shares, hist])
+    _write_csv(path, records, _OI)
 
 
 def read_liquidations_csv(path: str) -> list:
@@ -276,16 +301,13 @@ def read_liquidations_csv(path: str) -> list:
 
 
 def write_liquidations_csv(path: str, events) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "price", "size_usd", "side"])
-        for e in events:
-            w.writerow([iso(e.time), fmt_dec(e.price), fmt_dec(e.size_usd), e.side])
+    # the side is read first, to word a bad record's error, but is the last column
+    _write_csv(path, events, _LIQUIDATION[1:] + _LIQUIDATION[:1])
 
 
 def read_ticks_csv(path: str, exchange_id: str = "") -> list:
-    return _read_csv(path, (("time", _time, _REQUIRED), ("price", _dec, _REQUIRED),
-                            ("volume", _dec, _REQUIRED), ("exchange_id", _text, _REQUIRED)),
+    return _read_csv(path, (_Field("time", _time), _Field("price", _dec), _Field("volume", _dec),
+                            _Field("exchange_id", _text)),
                      RawTick, lambda rec: rec.setdefault("exchange_id", exchange_id))
 
 
@@ -315,7 +337,7 @@ def book_from_line(line: str, where: str = "book") -> BookSnapshot:
     if len(parts) != 3:
         raise SchemaError("%s: want time|bids|asks, got %d fields" % (where, len(parts)))
     return BookSnapshot(_time(parts[0], where), _book_side(parts[1], where),
-                        _book_side(parts[2], where), canonical=True)
+                        _book_side(parts[2], where))
 
 
 def _decode_books(lines: list, where_of, stamps: dict) -> list:
@@ -325,7 +347,7 @@ def _decode_books(lines: list, where_of, stamps: dict) -> list:
         if set(map(len, cells)) - {3}:
             raise ValueError
         times = _column([c[0] for c in cells], _time, _REQUIRED, stamps)
-        return [BookSnapshot(t, _book_side(bids, None), _book_side(asks, None), canonical=True)
+        return [BookSnapshot(t, _book_side(bids, None), _book_side(asks, None))
                 for t, (_, bids, asks) in zip(times, cells)]
     except _BAD:
         _walk(lines, where_of, book_from_line, str)
@@ -348,39 +370,10 @@ def write_books(path: str, snaps) -> None:
 # ------------------------------------------------------------------- panels
 
 def panel_to_dict(panel: Panel) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "panel",
-        "instrument": panel.instrument,
-        "candles": [{
-            "time": iso(c.open_time), "open": fmt_dec(c.open),
-            "high": fmt_dec(c.high), "low": fmt_dec(c.low),
-            "close": fmt_dec(c.close), "volume": fmt_dec(c.volume),
-            "exchange_count": c.exchange_count, "interpolated": c.interpolated,
-        } for c in panel.candles],
-        "funding": [{
-            "time": iso(f.settle_time), "rate_8h": fmt_dec(f.rate_8h),
-            "source_interval_hours": f.source_interval_hours,
-            "exchange_count": f.exchange_count,
-            "mark_price": fmt_dec(f.mark_price) if f.mark_price is not None else None,
-            "index_price": fmt_dec(f.index_price) if f.index_price is not None else None,
-        } for f in panel.funding],
-        "open_interest": [{
-            "time": iso(r.time), "oi_usd": fmt_dec(r.oi_usd),
-            "long_oi_usd": fmt_dec(r.long_oi_usd) if r.long_oi_usd is not None else None,
-            "short_oi_usd": fmt_dec(r.short_oi_usd) if r.short_oi_usd is not None else None,
-            "holder_shares": [fmt_dec(s) for s in r.holder_shares]
-            if r.holder_shares else None,
-            "leverage_histogram": {k: str(v) for k, v in sorted(r.leverage_histogram.items())}
-            if r.leverage_histogram else None,
-        } for r in panel.open_interest],
-        "books": [book_to_line(b) for b in panel.books],
-        "liquidations": [{
-            "time": iso(e.time), "price": fmt_dec(e.price),
-            "size_usd": fmt_dec(e.size_usd), "side": e.side,
-        } for e in panel.liquidations],
-        "annotations": panel.annotations,
-    }
+    return {"schema_version": SCHEMA_VERSION, "kind": "panel", "instrument": panel.instrument,
+            **{key: _encode(getattr(panel, key), fields) if fields else
+               list(map(book_to_line, panel.books)) for key, fields, _ in _SERIES},
+            "annotations": panel.annotations}
 
 
 def panel_from_dict(doc: dict, where: str = "panel") -> Panel:
@@ -397,22 +390,15 @@ def panel_from_dict(doc: dict, where: str = "panel") -> Panel:
         raise SchemaError("%s: instrument must be a string" % where)
     stamps = {}   # timestamp text -> epoch seconds, across the series
 
-    def series(key: str, fields=None, make=None) -> list:
+    def series(key: str, fields, make) -> list:
         rows = doc.get(key, [])
         if not isinstance(rows, list):
             raise SchemaError("%s: %s must be a list" % (where, key))
         at = (lambda i: "%s: %s[%d]" % (where, key, i), stamps)
         return _decode(rows, fields, make, *at) if fields else _decode_books(rows, *at)
 
-    return Panel(
-        instrument=instrument,
-        candles=series("candles", _CANDLE, Candle4H),
-        funding=series("funding", _FUNDING, FundingRecord),   # rates on the 8H basis
-        open_interest=series("open_interest", _OI, _oi),
-        books=series("books"),
-        liquidations=series("liquidations", _LIQUIDATION, _liquidation),
-        annotations=annotations,
-    )
+    return Panel(instrument=instrument, annotations=annotations,
+                 **{key: series(key, fields, make) for key, fields, make in _SERIES})
 
 
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))

@@ -156,15 +156,13 @@ def _best_price(text: str) -> Decimal:
 
 @dataclass(frozen=True)
 class BookSnapshot:
-    """Each side is held as `levels_text` writes it and decoded on first read,
-    so copies, `==` and `hash` compare text and decode nothing. The verdict
-    of `validate_record` and the best prices are read from the text and kept.
-    `canonical`: each side is its levels' `levels_text` (as `book_from_line`
-    makes them), which the verdict takes as read; it is not compared."""
+    """Each side must be canonical text (`CANONICAL_LEVELS`), as `levels_text`
+    writes it and `book_from_line` loads it. It is decoded on first read, so
+    copies, `==` and `hash` compare text and decode nothing; the verdict of
+    `validate_record` and the best prices are read from the text and kept."""
     time: int
     bids: str   # best first, descending prices
     asks: str   # best first, ascending prices
-    canonical: bool = field(default=False, compare=False, repr=False)
 
     @cached_property
     def bid_levels(self) -> tuple:
@@ -328,10 +326,10 @@ def _validate_oi(r: OpenInterestRecord) -> list:
 
 
 def _side_faults(text: str, better) -> list:
-    """The faults of a side in `CANONICAL_LEVELS` text, judged on the floats
-    of its numbers. A nonzero number there is at least 1e-12 in size, so its
-    float is above 0 exactly when its decimal is; and float conversion is
-    monotone, so only a float tie needs the decimals to order a pair."""
+    """The faults of a side, judged on the floats of its numbers; `text` must
+    be in `CANONICAL_LEVELS`. A nonzero number there is at least 1e-12 in size,
+    so its float is above 0 exactly when its decimal is; and float conversion
+    is monotone, so only a float tie needs the decimals to order a pair."""
     numbers = text.replace(":", " ").split()
     values = list(map(float, numbers))
     prices, texts = values[::2], numbers[::2]
@@ -351,19 +349,11 @@ def _validate_book(b: BookSnapshot) -> list:
     out = []
     if not isinstance(b.time, int):
         out.append(Violation("time", "not an integer timestamp"))
-    sides = []
-    for side, levels, better in (("bids", "bid_levels", operator.gt),
-                                 ("asks", "ask_levels", operator.lt)):
-        text = getattr(b, side)
-        if not (b.canonical or CANONICAL_LEVELS.fullmatch(text)):
-            # only a snapshot built in code holds such text: judge the
-            # canonical text of its decoded levels instead
-            text = levels_text(getattr(b, levels))
-        sides.append((side, text, better))
+    sides = (("bids", b.bids, operator.gt), ("asks", b.asks, operator.lt))
     out.extend(Violation(side, "empty") for side, text, _ in sides if not text)
     for side, text, better in sides:
         out.extend(Violation(side, reason) for reason in _side_faults(text, better))
-    if all(text for _, text, _ in sides) and b.best_bid >= b.best_ask:
+    if b.bids and b.asks and b.best_bid >= b.best_ask:
         out.append(Violation("bids", "crossed book: best bid >= best ask"))
     return out
 

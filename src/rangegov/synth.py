@@ -134,6 +134,7 @@ class _Builder:
         self.liqs: list = []
         self.annotations: dict = {}
         self.sides: dict = {}
+        self.end = 0   # where the current segment ends: no bar is written there
 
     @property
     def mid(self) -> float:
@@ -143,6 +144,8 @@ class _Builder:
             rate=0.0, mark_basis=None, oi=None, share=None,
             zone_mult=1.0, liq_events=(), vol_1h=None):
         i = len(self.candles)
+        if i == self.end:
+            raise ValueError("the segment writes more bars than its length")
         open_ = self.close if self.candles else close
         open_time = START_TIME + i * BAR_SECONDS
         close_time = open_time + BAR_SECONDS
@@ -216,14 +219,33 @@ def _sides(mid: float, range_hi: float, zone_mult: float) -> tuple:
     return " ".join(sides[0]), " ".join(sides[1])
 
 
-def _ramp(ov: dict, key: str, fallback: float, j: int, length: int) -> float:
-    start = ov.get(key + "_start")
-    end = ov.get(key + "_end")
-    if start is None or end is None:
-        return fallback
-    if length <= 1:
-        return float(end)
-    return float(start) + (float(end) - float(start)) * j / (length - 1)
+class _Overrides(dict):
+    """A segment's overrides. `read` records each name a template reads."""
+
+    def __init__(self, given: dict):
+        super().__init__(given)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def flag(self, key: str, default: bool) -> bool:
+        value = self.get(key, default)
+        if not isinstance(value, bool):
+            raise ValueError("%s must be true or false, not %r" % (key, value))
+        return value
+
+    def ramp(self, key: str, fallback: float, j: int, length: int) -> float:
+        start = self.get(key + "_start")
+        end = self.get(key + "_end")
+        if (start is None) != (end is None):
+            raise ValueError("%s_start and %s_end must be given together" % (key, key))
+        if start is None:
+            return fallback
+        if length <= 1:
+            return float(end)
+        return float(start) + (float(end) - float(start)) * j / (length - 1)
 
 
 _CYCLE = (0.0, 0.55, 0.9, 0.55, 0.0, -0.55, -0.9, -0.55)   # 8-bar rotation
@@ -236,11 +258,11 @@ def _alt_rate(bar_index_global: int) -> float:
     return -0.00005 if settle_no % 2 == 0 else 0.00005
 
 
-def _tpl_range(b: _Builder, length: int, ov: dict, rng) -> None:
+def _tpl_range(b: _Builder, length: int, ov: _Overrides, rng) -> None:
     mid, hw = b.mid, HALF_WIDTH
     amp = float(ov.get("amplitude", 1.0))
     fixed_rate = ov.get("funding_rate")
-    absorption = bool(ov.get("absorption", False))
+    absorption = ov.flag("absorption", False)
     for j in range(length):
         g = len(b.candles)
         cyc = j % 8
@@ -252,16 +274,16 @@ def _tpl_range(b: _Builder, length: int, ov: dict, rng) -> None:
             volume = 7000.0
         rate = fixed_rate if fixed_rate is not None else _alt_rate(g)
         b.bar(close, high=high, low=low, volume=volume, rate=rate,
-              oi=_ramp(ov, "oi", b.oi, j, length))
+              oi=ov.ramp("oi", b.oi, j, length))
 
 
-def _tpl_compression(b: _Builder, length: int, ov: dict, rng) -> None:
+def _tpl_compression(b: _Builder, length: int, ov: _Overrides, rng) -> None:
     """Scripted accumulation: decaying oscillation inside the standing range,
     persistent funding bias, boundary taps with long rejection wicks late."""
     mid, hw = b.mid, HALF_WIDTH
     rate = float(ov.get("funding_rate", 0.0006))
-    late_wicks = bool(ov.get("late_wicks", True))
-    boundary_wicks = not bool(ov.get("no_boundary_wicks", False))
+    late_wicks = ov.flag("late_wicks", True)
+    boundary_wicks = not ov.flag("no_boundary_wicks", False)
     for j in range(length):
         cyc = j % 8
         amp = 0.8 - 0.55 * j / max(length - 1, 1)
@@ -277,13 +299,13 @@ def _tpl_compression(b: _Builder, length: int, ov: dict, rng) -> None:
         if cyc == 6:
             if boundary_wicks:
                 low = b.lo
-            if ov.get("absorption"):
+            if ov.flag("absorption", False):
                 volume = 7000.0
         b.bar(close, high=high, low=low, volume=volume, rate=rate,
-              oi=_ramp(ov, "oi", b.oi, j, length))
+              oi=ov.ramp("oi", b.oi, j, length))
 
 
-def _tpl_breakout(b: _Builder, length: int, ov: dict, rng) -> None:
+def _tpl_breakout(b: _Builder, length: int, ov: _Overrides, rng) -> None:
     mode = ov.get("mode", "h2")
     if mode == "h1":
         # violent expansion: consecutive closes beyond with volatility rising
@@ -292,10 +314,10 @@ def _tpl_breakout(b: _Builder, length: int, ov: dict, rng) -> None:
             beyond = min(0.008 * 1.45 ** j, 0.35)
             close = b.hi * (1 + beyond)
             b.bar(close, volume=3500.0, rate=rate,
-                  oi=_ramp(ov, "oi", b.oi, j, length))
+                  oi=ov.ramp("oi", b.oi, j, length))
         return
 
-    sustain = bool(ov.get("sustain", True))
+    sustain = ov.flag("sustain", True)
     post = int(ov.get("post_bars", 8))
     hover = length - 1 - post
     if hover < 4:
@@ -327,8 +349,8 @@ def _tpl_breakout(b: _Builder, length: int, ov: dict, rng) -> None:
         b.bar(b.hi * path[j], volume=3200.0, rate=0.00005)
 
 
-def _tpl_spike_revert(b: _Builder, length: int, ov: dict, rng) -> None:
-    revert = bool(ov.get("revert", True))
+def _tpl_spike_revert(b: _Builder, length: int, ov: _Overrides, rng) -> None:
+    revert = ov.flag("revert", True)
     quiet = int(ov.get("quiet_bars", 25))
     if length < quiet + 6:
         raise SchemaError("spike-revert segment too short")
@@ -340,18 +362,14 @@ def _tpl_spike_revert(b: _Builder, length: int, ov: dict, rng) -> None:
     spike_rate = float(ov.get("spike_rate", 0.0008))
     b.bar(mid * 1.02, high=mid * 1.022, volume=4200.0, rate=spike_rate,
           mark_basis=0.008, vol_1h=0.05)
-    post = length - quiet - 1
-    if revert:
-        path = [1.008, 1.0, 0.999, 1.001] + [1.0005] * (post - 4)
-    else:
-        path = [1.025] * post
-    for j in range(post):
-        b.bar(mid * path[j], volume=BASE_VOLUME,
+    head, rest = ((1.008, 1.0, 0.999, 1.001), 1.0005) if revert else ((), 1.025)
+    for j in range(length - quiet - 1):
+        b.bar(mid * (head[j] if j < len(head) else rest), volume=BASE_VOLUME,
               rate=0.0001, mark_basis=0.001)
 
 
-def _tpl_cascade(b: _Builder, length: int, ov: dict, rng) -> None:
-    recoil = bool(ov.get("recoil", True))
+def _tpl_cascade(b: _Builder, length: int, ov: _Overrides, rng) -> None:
+    recoil = ov.flag("recoil", True)
     taps = {4: 0, 10: 1, 16: 2}
     if length < 19:
         raise SchemaError("cascade segment needs at least 19 bars")
@@ -395,7 +413,7 @@ def _tpl_cascade(b: _Builder, length: int, ov: dict, rng) -> None:
                   liq_events=events)
 
 
-def _tpl_trend(b: _Builder, length: int, ov: dict, rng) -> None:
+def _tpl_trend(b: _Builder, length: int, ov: _Overrides, rng) -> None:
     drift = float(ov.get("drift", 0.005))
     toppy = float(ov.get("toppy_wick", 0.0))
     close = b.close
@@ -405,13 +423,13 @@ def _tpl_trend(b: _Builder, length: int, ov: dict, rng) -> None:
         if toppy and j >= length - 5:
             high = max(b.close, close) * (1 + toppy)
         b.bar(close, high=high,
-              volume=_ramp(ov, "volume", BASE_VOLUME, j, length),
+              volume=ov.ramp("volume", BASE_VOLUME, j, length),
               rate=float(ov.get("funding_rate", 0.0002)),
-              oi=_ramp(ov, "oi", b.oi, j, length),
-              share=_ramp(ov, "share", b.share, j, length))
+              oi=ov.ramp("oi", b.oi, j, length),
+              share=ov.ramp("share", b.share, j, length))
 
 
-def _tpl_noise(b: _Builder, length: int, ov: dict, rng) -> None:
+def _tpl_noise(b: _Builder, length: int, ov: _Overrides, rng) -> None:
     sigma = float(ov.get("sigma", 0.004))
     close = b.close
     share = b.share
@@ -449,13 +467,18 @@ def generate(scenario: Scenario, cfg: Config = DEFAULTS):
     rng = np.random.default_rng(scenario.seed)
     b = _Builder(scenario)
     for k, seg in enumerate(scenario.segments):
+        where = f"scenario {scenario.name!r} segment {k} ({seg.template})"
+        ov = _Overrides(seg.overrides)
+        b.end = len(b.candles) + seg.length
         try:
-            _DISPATCH[seg.template](b, seg.length, dict(seg.overrides), rng)
+            _DISPATCH[seg.template](b, seg.length, ov, rng)
         except DataError:
             raise
         except (ArithmeticError, TypeError, ValueError) as exc:
-            raise SchemaError(f"scenario {scenario.name!r} segment {k} ({seg.template}): "
-                              f"unreadable override: {exc}") from exc
+            raise SchemaError(f"{where}: unreadable override: {exc}") from exc
+        unread = sorted(set(ov) - ov.read)
+        if unread:
+            raise SchemaError(f"{where}: override not read for this segment: {', '.join(unread)}")
     gt = dict(scenario.ground_truth)
     gt.setdefault("scenario", scenario.name)
     if any(seg.template == "cascade" for seg in scenario.segments):

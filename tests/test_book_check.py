@@ -24,7 +24,9 @@ from hypothesis import strategies as st
 
 from rangegov import formats, synth
 from rangegov.cli import main
-from rangegov.model import BookSnapshot, Violation, d12, levels_text, validate_record
+from rangegov.model import (
+    CANONICAL_LEVELS, BookSnapshot, Violation, d12, iso, levels_text, validate_record,
+)
 from rangegov.quality import check_book_integrity
 
 T0 = 1609459200
@@ -191,11 +193,11 @@ def test_text_check_matches_decode_first(bids, asks):
     ("99:5", "   "),
 ])
 def test_other_text_takes_the_decode_path(bids, asks):
-    snap = BookSnapshot(T0, bids, asks)
-    assert validate_record(snap) == decode_first(BookSnapshot(T0, bids, asks))
-    assert {"bid_levels", "ask_levels"} & set(vars(snap))
-    loaded = formats.book_from_line(formats.book_to_line(snap))   # held as its levels_text
-    assert validate_record(loaded) == validate_record(snap)
+    """Side text that is not canonical comes in only from a file, and
+    `book_from_line` holds it as the `levels_text` of its decoded levels."""
+    loaded = formats.book_from_line("|".join((iso(T0), bids, asks)))
+    assert CANONICAL_LEVELS.fullmatch(loaded.bids) and CANONICAL_LEVELS.fullmatch(loaded.asks)
+    assert validate_record(loaded) == decode_first(BookSnapshot(T0, bids, asks))
 
 
 def test_screening_books_decodes_no_side():

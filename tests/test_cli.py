@@ -675,6 +675,46 @@ def test_synth_names_an_unreadable_override(tmp_path, capsys, template, length, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lead, segment", [
+    (30, {"template": "breakout", "length": 20, "overrides": {"post_bars": -50}}),
+    (40, {"template": "spike-revert", "length": 36, "overrides": {"quiet_bars": -10}}),
+    (30, {"template": "breakout", "length": 20, "overrides": {"post_bars": -10 ** 9}}),
+    (40, {"template": "spike-revert", "length": 36, "overrides": {"quiet_bars": -10 ** 9}}),
+])
+def test_synth_refuses_a_segment_longer_than_its_length(tmp_path, capsys, lead, segment):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "name": "long", "seed": 1,
+        "segments": [{"template": "range", "length": lead}, segment]}))
+    out = tmp_path / "p.json"
+    assert main(["synth", "--scenario", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "scenario 'long' segment 1 (%s): " % segment["template"] in err, err
+    assert "the segment writes more bars than its length" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("template, length, overrides, message", [
+    ("range", 40, {"amplitud": 2}, "override not read for this segment: amplitud"),
+    ("trend", 20, {"volume_end": "z"}, "volume_start and volume_end must be given together"),
+    ("cascade", 20, {"recoil": []}, "recoil must be true or false, not []"),
+    ("breakout", 29, {"sustain": "false"}, "sustain must be true or false, not 'false'"),
+])
+def test_synth_refuses_an_override_it_would_ignore(tmp_path, capsys, template, length,
+                                                  overrides, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "name": "odd", "seed": 1,
+        "segments": [{"template": "range", "length": 40},
+                     {"template": template, "length": length, "overrides": overrides}]}))
+    out = tmp_path / "p.json"
+    assert main(["synth", "--scenario", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "scenario 'odd' segment 1 (%s): " % template in err and message in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_synth_keeps_its_own_segment_error(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({
@@ -929,6 +969,23 @@ def test_numpy_free_commands_write_the_same_bytes_on_the_python_floor(panel_file
 def _order_usd(report_path):
     doc = load_report(report_path)
     return doc["families"]["liquidity"]["latest"]["slippage"]["order_usd"]
+
+
+def test_config_file_replaces_rg_config(panel_file, tmp_path, monkeypatch, capsys):
+    """`--config` is read instead of RG_CONFIG, not on top of it: a key that
+    only RG_CONFIG sets keeps its default."""
+    env_cfg = tmp_path / "env.json"
+    env_cfg.write_text(json.dumps({"slippage_order_usd": 50000}))
+    cli_cfg = tmp_path / "cli.json"
+    cli_cfg.write_text(json.dumps({"depth_trend_snapshots": 7}))
+    monkeypatch.setenv("RG_CONFIG", str(env_cfg))
+    out = tmp_path / "m.json"
+    assert main(["metrics", "--panel", panel_file, "--family", "liquidity",
+                 "--config", str(cli_cfg), "--out", str(out)]) == 0
+    doc = load_report(str(out))["families"]["liquidity"]
+    assert len(doc["extremes_series"]) == 7
+    assert doc["latest"]["slippage"]["order_usd"] == DEFAULTS.slippage_order_usd != 50000
+    capsys.readouterr()
 
 
 def test_config_precedence_env_file_flag(panel_file, tmp_path, monkeypatch,

@@ -128,14 +128,12 @@ CSV_READERS = {
 
 
 def outcome(read, *args):
-    """What `read(*args)` gives: ("ok", repr and the book flags) or
-    ("error", type, message)."""
+    """What `read(*args)` gives: ("ok", repr) or ("error", type, message)."""
     try:
         got = read(*args)
     except Exception as exc:   # the type and message are what is compared
         return ("error", type(exc), str(exc))
-    return ("ok", repr(got), [getattr(r, "canonical", None) for s in got
-                              for r in (s if isinstance(s, list) else [s])])
+    return ("ok", repr(got))
 
 
 # ------------------------------------------------------------------- drawing
