@@ -205,8 +205,15 @@ def _encode(records, fields) -> list:
     """Each record as the object `_decode` reads back with `fields`, built one
     at a time (columns first would raise a save's peak RSS); null if absent."""
     plan = [(key, attrgetter(attr or key), _WRITE.get(read)) for key, read, _, attr in fields]
-    return [{key: value if (value := get(rec)) is None or write is None else write(value)
-             for key, get, write in plan} for rec in records]
+    # plain loops: a comprehension nested in one builds a function per record
+    out = []
+    for rec in records:
+        obj = {}
+        for key, get, write in plan:
+            value = get(rec)
+            obj[key] = value if value is None or write is None else write(value)
+        out.append(obj)
+    return out
 
 
 @contextmanager

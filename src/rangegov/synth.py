@@ -4,8 +4,10 @@ Scenarios are declarative scripts: an ordered list of segments, each naming a
 template (range, compression, breakout, spike-revert, cascade, trend, noise)
 with parameter overrides. Construction margins beat every decision threshold
 by at least 20% so the scripted verdict is unambiguous, which is what makes
-these panels usable as oracles. All randomness flows from the scenario seed
-through one named generator; identical scripts serialize byte-identically.
+these panels usable as oracles. Only the noise template draws random numbers:
+they flow from the scenario seed through one generator, which `generate`
+builds (and imports numpy for) only when a noise segment is scripted.
+Identical scripts serialize byte-identically.
 """
 from __future__ import annotations
 
@@ -13,8 +15,6 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Sequence
-
-import numpy as np
 
 from .config import Config, DEFAULTS
 from .errors import DataError, SchemaError
@@ -59,6 +59,13 @@ class Scenario:
     ground_truth: dict = field(default_factory=dict)
 
 
+def _integer(value, least: int, what: str) -> int:
+    # a bool is an int, and int() would truncate a float, so neither passes
+    if type(value) is not int or value < least:
+        raise SchemaError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
         segments = []
@@ -66,16 +73,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
             template = seg["template"]
             if template not in TEMPLATES:
                 raise SchemaError(f"unknown template {template!r}")
-            length = int(seg["length"])
-            if length <= 0:
-                raise SchemaError("segment length must be positive")
+            length = _integer(seg["length"], 1, "segment length")
             segments.append(Segment(template, length, dict(seg.get("overrides", {}))))
         base_price = float(doc.get("base_price", 100.0))
         if not 0 < base_price < float("inf"):
             raise SchemaError(f"base_price must be finite and > 0, got {base_price!r}")
         return Scenario(
             name=str(doc["name"]),
-            seed=int(doc["seed"]),
+            seed=doc["seed"],   # `generate` checks it, with a `--seed` override
             segments=tuple(segments),
             base_price=base_price,
             instrument=str(doc.get("instrument", "SYNTH-PERP")),
@@ -307,6 +312,8 @@ def _tpl_compression(b: _Builder, length: int, ov: _Overrides, rng) -> None:
 
 def _tpl_breakout(b: _Builder, length: int, ov: _Overrides, rng) -> None:
     mode = ov.get("mode", "h2")
+    if mode not in ("h1", "h2"):
+        raise ValueError('mode must be "h1" or "h2", not %r' % (mode,))
     if mode == "h1":
         # violent expansion: consecutive closes beyond with volatility rising
         rate = float(ov.get("funding_rate", 0.0006))
@@ -430,6 +437,7 @@ def _tpl_trend(b: _Builder, length: int, ov: _Overrides, rng) -> None:
 
 
 def _tpl_noise(b: _Builder, length: int, ov: _Overrides, rng) -> None:
+    import numpy as np   # loaded already: `generate` built `rng` with it
     sigma = float(ov.get("sigma", 0.004))
     close = b.close
     share = b.share
@@ -462,9 +470,13 @@ _DISPATCH = {
 
 def generate(scenario: Scenario, cfg: Config = DEFAULTS):
     """Realize a scenario. Returns (panel, ground_truth)."""
+    _integer(scenario.seed, 0, f"scenario {scenario.name!r}: seed")
     if not scenario.segments:
         raise SchemaError("scenario has no segments")
-    rng = np.random.default_rng(scenario.seed)
+    rng = None   # one generator for every noise segment, in script order
+    if any(seg.template == "noise" for seg in scenario.segments):
+        import numpy as np   # only the noise template draws
+        rng = np.random.default_rng(scenario.seed)
     b = _Builder(scenario)
     for k, seg in enumerate(scenario.segments):
         where = f"scenario {scenario.name!r} segment {k} ({seg.template})"

@@ -660,6 +660,9 @@ def test_synth_rejects_a_base_price_that_is_not_positive(tmp_path, capsys, base_
     ("range", 40, {"amplitude": "x"}),
     ("breakout", 20, {"post_bars": "x"}),
     ("trend", 20, {"volume_start": 3000, "volume_end": "z"}),
+    ("breakout", 29, {"mode": "H1"}),
+    ("breakout", 29, {"mode": "h3"}),
+    ("breakout", 29, {"mode": None}),
 ])
 def test_synth_names_an_unreadable_override(tmp_path, capsys, template, length, overrides):
     path = tmp_path / "scenario.json"
@@ -711,6 +714,45 @@ def test_synth_refuses_an_override_it_would_ignore(tmp_path, capsys, template, l
     assert main(["synth", "--scenario", str(path), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "scenario 'odd' segment 1 (%s): " % template in err and message in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("length", [40.9, True, 0, -3, "40", None])
+def test_synth_refuses_a_segment_length_that_is_not_a_positive_integer(tmp_path, capsys,
+                                                                     length):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "name": "odd", "seed": 1,
+        "segments": [{"template": "range", "length": 40},
+                     {"template": "range", "length": length}]}))
+    out = tmp_path / "p.json"
+    assert main(["synth", "--scenario", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "segment length must be an integer >= 1, got %r" % (length,) in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["h4-confirm", "noise"])
+@pytest.mark.parametrize("seed, argv", [
+    (-1, []), (2.9, []), (True, []), ("4", []), (None, []),
+    (7, ["--seed", "-5"]),
+])
+def test_synth_refuses_a_seed_that_is_not_a_nonnegative_integer(tmp_path, capsys, name,
+                                                                seed, argv):
+    if name == "noise":
+        doc = {"name": "noise", "segments": [{"template": "noise", "length": 20}]}
+    else:
+        doc = json.loads(pathlib.Path(scenario_path(name)).read_text(encoding="utf-8"))
+    doc["seed"] = seed
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "p.json"
+    assert main(["synth", "--scenario", str(path), *argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    bad = -5 if argv else seed
+    assert "scenario %r: seed must be an integer >= 0, got %r" % (name, bad) in err, err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -875,10 +917,27 @@ NEVER_LOADED = {
     "ingest": ("numpy",),
     "validate": ("numpy",),
     "plot": ("numpy",),
-    "synth": ("rangegov.hypotheses", "rangegov.structure", "rangegov.liquidity",
+    "synth": ("numpy", "rangegov.hypotheses", "rangegov.structure", "rangegov.liquidity",
               "rangegov.positioning", "rangegov.cost", "rangegov.regime",
               "rangegov.reports"),
 }
+_LOADED = ("import json, sys\n"
+           "import rangegov.cli\n"
+           "code = rangegov.cli.main(json.loads(sys.argv[1]))\n"
+           "print(json.dumps([code, [m for m in json.loads(sys.argv[2])\n"
+           "                         if m in sys.modules]]))\n")
+
+
+def _run_and_list_loaded(argv, modules) -> list:
+    """[exit code, the modules of `modules` loaded] of `argv` in a fresh child."""
+    src = os.path.dirname(os.path.dirname(rangegov.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("RG_CONFIG", None)
+    done = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(argv),
+                           json.dumps(modules)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_commands_never_import_what_they_do_not_run(panel_file, tmp_path, capsys):
@@ -896,20 +955,23 @@ def test_commands_never_import_what_they_do_not_run(panel_file, tmp_path, capsys
         "synth": ["synth", "--scenario", scenario_path("h4-confirm"),
                   "--out", str(tmp_path / "s.json")],
     }
-    script = ("import json, sys\n"
-              "import rangegov.cli\n"
-              "code = rangegov.cli.main(json.loads(sys.argv[1]))\n"
-              "print(json.dumps([code, [m for m in json.loads(sys.argv[2])\n"
-              "                         if m in sys.modules]]))\n")
-    src = os.path.dirname(os.path.dirname(rangegov.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("RG_CONFIG", None)
     for command, modules in NEVER_LOADED.items():
-        done = subprocess.run([sys.executable, "-c", script,
-                               json.dumps(argvs[command]), json.dumps(modules)],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == [0, []], command
+        assert _run_and_list_loaded(argvs[command], modules) == [0, []], command
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_synth_of_a_packaged_scenario_never_imports_numpy(name, tmp_path):
+    # no packaged scenario scripts a noise segment, so none needs the generator
+    argv = ["synth", "--scenario", scenario_path(name), "--out", str(tmp_path / "s.json")]
+    assert _run_and_list_loaded(argv, ["numpy"]) == [0, []]
+
+
+def test_synth_of_a_noise_scenario_imports_numpy(tmp_path):
+    path = tmp_path / "noise.json"
+    path.write_text(json.dumps({"name": "n", "seed": 3, "segments": [
+        {"template": "range", "length": 30}, {"template": "noise", "length": 20}]}))
+    argv = ["synth", "--scenario", str(path), "--out", str(tmp_path / "s.json")]
+    assert _run_and_list_loaded(argv, ["numpy"]) == [0, ["numpy"]]
 
 
 def _python_floor_env():

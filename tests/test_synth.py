@@ -1,10 +1,14 @@
 """Scenario generator and batch backtest behaviour."""
 
 import dataclasses
+import hashlib
+import json
+import re
 
 import pytest
 
 from rangegov import synth
+from rangegov.cli import main
 from rangegov.config import DEFAULTS
 from rangegov.errors import SchemaError
 from rangegov.formats import dump_json, panel_to_dict, save_panel
@@ -54,6 +58,37 @@ def _year(seed):
     return Scenario(name="year", seed=seed, segments=(
         Segment("noise", 60, {"sigma": 0.004}), Segment("range", 240),
         Segment("cascade", 30)))
+
+
+_TWO_NOISE = Scenario(name="two-noise", seed=11, segments=(
+    Segment("noise", 30), Segment("range", 40), Segment("noise", 30, {"sigma": 0.006})))
+
+# The bytes of the noise path: its draw order, np.exp and np.clip, and one
+# generator shared by every noise segment of a scenario, in script order.
+NOISE_DIGESTS = {
+    "year-4": "f8330a388ce8a19600d1bc71cc15c35c998cb8b652e8028bf854efe28eecd053",
+    "two-noise": "bb430da9d3e8e2ce520fd4b490c53442d891b65fac4a41e5a671b42f0b22dd91",
+    "year-4 --seed 9": "761f5179fd8509a2a04ccdceed51da47b407dbd57c8ae06f6e62b3014049561e",
+}
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("key, scenario", [("year-4", _year(4)), ("two-noise", _TWO_NOISE)])
+def test_noise_panel_bytes_are_pinned(key, scenario, tmp_path):
+    out = tmp_path / "p.json"
+    save_panel(str(out), generate(scenario)[0])
+    assert _digest(out) == NOISE_DIGESTS[key]
+
+
+def test_noise_panel_bytes_under_a_seed_override_are_pinned(tmp_path, capsys):
+    path, out = tmp_path / "year.json", tmp_path / "p.json"
+    path.write_text(json.dumps(scenario_to_dict(_year(4))))
+    assert main(["synth", "--scenario", str(path), "--seed", "9", "--out", str(out)]) == 0
+    assert _digest(out) == NOISE_DIGESTS["year-4 --seed 9"]
+    capsys.readouterr()
 
 
 # h2-confirm's breakout thins the shelf, so its states also differ in zone_mult
@@ -181,6 +216,18 @@ def test_load_scenario_rejects_nonpositive_length():
     with pytest.raises(SchemaError):
         scenario_from_dict({"name": "x", "seed": 1,
                             "segments": [{"template": "range", "length": 0}]})
+
+
+@pytest.mark.parametrize("seed", [-1, 2.9, True, "4", None])
+def test_generate_refuses_a_seed_before_any_bar(seed, monkeypatch):
+    def no_builder(scenario):
+        raise AssertionError("a bar was built")
+
+    monkeypatch.setattr(synth, "_Builder", no_builder)
+    for segment in (Segment("range", 40), Segment("noise", 40)):
+        with pytest.raises(SchemaError, match=r"^scenario 'x': seed must be an integer >= 0, "
+                                              r"got %s$" % re.escape(repr(seed))):
+            generate(Scenario(name="x", seed=seed, segments=(segment,)))
 
 
 def test_generate_rejects_empty_scenario():
