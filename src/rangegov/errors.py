@@ -13,10 +13,6 @@ class MissingSeriesError(DataError):
     """A required series or file is absent."""
 
 
-class GridMismatchError(DataError):
-    """Series that must share a timestamp grid do not."""
-
-
 class QualityError(DataError):
     """A panel breaks a rule of `model.validate_panel`."""
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
 from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
 
 from .config import Config, DEFAULTS
@@ -268,21 +268,18 @@ def write_candles_csv(path: str, candles) -> None:
     _write_csv(path, candles, _CANDLE)
 
 
+_FUNDING_ROW = (_Field("time", _time), _Field("rate", _dec), *_FUNDING[-2:])
+_FundingRow = NamedTuple("_FundingRow", [(f.key, object) for f in _FUNDING_ROW])
+
+
 def read_funding_csv(path: str) -> list:
     """Raw settlement rows: (time, per-interval rate, mark, index)."""
-    return _read_csv(path, (_Field("time", _time), _Field("rate", _dec), *_FUNDING[-2:]),
-                     lambda *row: row)
+    return _read_csv(path, _FUNDING_ROW, lambda *row: row)
 
 
 def write_funding_csv(path: str, rows) -> None:
     """rows: (time, per-interval rate, mark, index) tuples."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "rate", "mark_price", "index_price"])
-        for t, rate, mark, index in rows:
-            w.writerow([iso(t), fmt_dec(rate),
-                        fmt_dec(mark) if mark is not None else "",
-                        fmt_dec(index) if index is not None else ""])
+    _write_csv(path, list(map(_FundingRow._make, rows)), _FUNDING_ROW)
 
 
 def _split_cells(rec: dict) -> None:
@@ -538,8 +535,9 @@ def load_manifest(path: str) -> dict:
         source = "candles" if "candles" in ex else "ticks"
         need(ex[source] and isinstance(ex[source], str),
              "exchanges[%d].%s" % (i, source), "a file path")
-        need(type(ex.get("volume_30d")) in (int, float),
-             "exchanges[%d].volume_30d" % i, "a number")
+        volume = ex.get("volume_30d")
+        need(type(volume) in (int, float) and 0 <= volume < float("inf"),
+             "exchanges[%d].volume_30d" % i, "a finite number >= 0")
     sources = doc.get("funding") or []
     need(isinstance(sources, list), "funding", "a list")
     for i, src in enumerate(sources):
@@ -559,11 +557,23 @@ def _rel(base_dir: str, p: str) -> str:
     return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
 
+def _by_time(records: list, key=attrgetter("time")) -> list:
+    """A source series in time order. The sort is stable, so records with
+    equal times keep their file order."""
+    return sorted(records, key=key)
+
+
+def _volume(ex: dict) -> Decimal:
+    return Decimal(str(ex["volume_30d"]))
+
+
 def ingest_manifest(path: str, cfg: Optional[Config] = None) -> tuple:
     """Parse, merge and clean everything a manifest points at.
 
-    Returns (panel, quality report, effective config). Venue candle series are
-    VWAP-merged across the top venues by 30-day volume; funding comes from the
+    Returns (panel, quality report, effective config). Each source series
+    is read in time order (`_by_time`). The top venues by 30-day volume are
+    merged by `vwap_merge`, each bar over the venues that have it; a venue
+    file with two bars at one time is refused. Funding comes from the
     authoritative source (or the first listed).
     """
     doc = load_manifest(path)
@@ -574,25 +584,28 @@ def ingest_manifest(path: str, cfg: Optional[Config] = None) -> tuple:
     if overrides:
         cfg = cfg.replace(**overrides)
 
-    ranked = sorted(doc["exchanges"], key=lambda ex: -float(ex["volume_30d"]))
-    picked = ranked[:cfg.merge_top_exchanges]
+    # a stable sort: venues of equal volume keep their manifest order
+    picked = sorted(doc["exchanges"], key=_volume, reverse=True)[:cfg.merge_top_exchanges]
     series = []
-    weights = []
     for ex in picked:
+        source = _rel(base_dir, ex.get("candles") or ex["ticks"])
         if "candles" in ex:
-            series.append(read_candles_csv(_rel(base_dir, ex["candles"])))
+            bars = _by_time(read_candles_csv(source), attrgetter("open_time"))
         else:
-            ticks = read_ticks_csv(_rel(base_dir, ex["ticks"]), exchange_id=ex["name"])
-            series.append(align_4h(ticks))
-        weights.append(Decimal(str(ex["volume_30d"])))
-    merged = vwap_merge(series, weights)
+            bars = align_4h(_by_time(read_ticks_csv(source, exchange_id=ex["name"])))
+        twice = next((b.open_time for a, b in zip(bars, bars[1:])
+                      if a.open_time == b.open_time), None)
+        if twice is not None:
+            raise SchemaError("%s: two bars at %s" % (source, iso(twice)))
+        series.append(bars)
+    merged = vwap_merge(series, list(map(_volume, picked)))
 
     funding = []
     sources = doc.get("funding") or []
     if sources:
         chosen = next((s for s in sources if s.get("authoritative")), sources[0])
         interval = chosen.get("interval_hours", 8)
-        rows = read_funding_csv(_rel(base_dir, chosen["path"]))
+        rows = _by_time(read_funding_csv(_rel(base_dir, chosen["path"])), itemgetter(0))
         funding = [FundingRecord(
             settle_time=t,
             rate_8h=normalize_funding(rate, interval),
@@ -600,11 +613,12 @@ def ingest_manifest(path: str, cfg: Optional[Config] = None) -> tuple:
             mark_price=mark, index_price=index,
         ) for t, rate, mark, index in rows]
 
-    oi = read_oi_csv(_rel(base_dir, doc["open_interest"])) \
-        if doc.get("open_interest") else []
-    books = read_books(_rel(base_dir, doc["books"])) if doc.get("books") else []
-    liqs = read_liquidations_csv(_rel(base_dir, doc["liquidations"])) \
-        if doc.get("liquidations") else []
+    def side(key: str, read) -> list:
+        return _by_time(read(_rel(base_dir, doc[key]))) if doc.get(key) else []
+
+    oi = side("open_interest", read_oi_csv)
+    books = side("books", read_books)
+    liqs = side("liquidations", read_liquidations_csv)
 
     panel = Panel(
         instrument=doc["instrument"],

@@ -5,12 +5,13 @@ granularity have to survive 90-period accumulation without drift.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import zip_longest
+from itertools import groupby
 from typing import Sequence
 
-from .errors import DataError, GridMismatchError
+from .errors import DataError
 from .model import ALLOWED_FUNDING_INTERVALS, BAR_SECONDS, Candle4H, d12
 
 EIGHT_HOURS = 8
@@ -37,14 +38,11 @@ def align_4h(ticks: Sequence[RawTick]) -> list:
         if ticks[i].time < ticks[i - 1].time:
             raise DataError(f"ticks not time-ascending at index {i}")
     candles = []
-    bucket: list = []
-
-    def flush():
-        if not bucket:
-            return
+    for key, group in groupby(ticks, key=lambda t: t.time // BAR_SECONDS):
+        bucket = list(group)
         prices = [t.price for t in bucket]
         candles.append(Candle4H(
-            open_time=(bucket[0].time // BAR_SECONDS) * BAR_SECONDS,
+            open_time=key * BAR_SECONDS,
             open=bucket[0].price,
             high=max(prices),
             low=min(prices),
@@ -52,16 +50,6 @@ def align_4h(ticks: Sequence[RawTick]) -> list:
             volume=d12(sum((t.volume for t in bucket), Decimal(0))),
             exchange_count=max(1, len({t.exchange_id for t in bucket})),
         ))
-
-    current = None
-    for t in ticks:
-        key = t.time // BAR_SECONDS
-        if key != current:
-            flush()
-            bucket = []
-            current = key
-        bucket.append(t)
-    flush()
     return candles
 
 
@@ -69,42 +57,36 @@ def vwap_merge(series_by_exchange: Sequence[Sequence[Candle4H]],
                weights: Sequence) -> list:
     """Merge per-venue 4H candles into one volume-weighted series.
 
-    Every price field becomes the per-bar volume-weighted mean across venues;
-    volume is the plain sum. All inputs must share an identical open_time
-    grid. `weights` (one per venue, e.g. trailing 30-day volume) weigh the
-    bars where every venue reports zero volume, and equal weights stand in
-    where they sum to 0.
+    One bar for each open time that some venue has, in time order, merged
+    over the venues that have a bar there, in the order given: every price
+    field is their volume-weighted mean, volume and `exchange_count` their
+    sums. `weights` (one per venue, e.g. trailing 30-day volume) weigh a bar
+    where every venue present reports zero volume, and equal weights stand in
+    where theirs sum to 0. A time no venue has stays a gap for
+    `quality.fill_gaps`. A venue with two bars at one time is refused.
     """
     if not series_by_exchange:
         raise DataError("no candle series to merge")
-    grids = [[c.open_time for c in s] for s in series_by_exchange]
-    base = grids[0]
-    for gi, grid in enumerate(grids[1:], start=1):
-        if grid != base:
-            bad = next((t1 if t1 is not None else t2 for t1, t2 in
-                        zip_longest(base, grid) if t1 != t2), None)
-            raise GridMismatchError(
-                f"series {gi} grid mismatch at open_time {bad}")
     if len(weights) != len(series_by_exchange):
         raise DataError("one weight per series required")
     static = [d12(w) for w in weights]
     if any(w < 0 for w in static):
         raise DataError("weights must be >= 0")
+    by_time = [{c.open_time: c for c in s} for s in series_by_exchange]
+    for i, (s, bars) in enumerate(zip(series_by_exchange, by_time)):
+        if len(bars) != len(s):
+            twice = next(t for t, n in Counter(c.open_time for c in s).items() if n > 1)
+            raise DataError(f"series {i} has two bars at open_time {twice}")
 
     merged = []
-    for i in range(len(base)):
-        row = [s[i] for s in series_by_exchange]
+    for t in sorted(set().union(*by_time)):
+        row = [bars[t] for bars in by_time if t in bars]
         vols = [c.volume for c in row]
         total = sum(vols, Decimal(0))
-        if total > 0:
-            w = vols
-            wsum = total
-        else:
-            w = static
-            wsum = sum(static, Decimal(0))
-            if wsum == 0:
-                w = [Decimal(1)] * len(row)
-                wsum = Decimal(len(row))
+        w = vols if total > 0 else [wi for bars, wi in zip(by_time, static) if t in bars]
+        wsum = total if total > 0 else sum(w, Decimal(0))
+        if wsum == 0:
+            w, wsum = [Decimal(1)] * len(row), Decimal(len(row))
 
         def wmean(field):
             acc = Decimal(0)
@@ -113,7 +95,7 @@ def vwap_merge(series_by_exchange: Sequence[Sequence[Candle4H]],
             return d12(acc / wsum)
 
         merged.append(Candle4H(
-            open_time=base[i],
+            open_time=t,
             open=wmean("open"), high=wmean("high"),
             low=wmean("low"), close=wmean("close"),
             volume=d12(total),

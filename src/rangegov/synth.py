@@ -67,19 +67,23 @@ def _integer(value, least: int, what: str) -> int:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    where = "scenario document"   # what an error names: the scenario and its segment
     try:
+        name = str(doc["name"])
         segments = []
-        for seg in doc["segments"]:
+        for k, seg in enumerate(doc["segments"]):
+            where = f"scenario {name!r} segment {k}"
             template = seg["template"]
             if template not in TEMPLATES:
-                raise SchemaError(f"unknown template {template!r}")
-            length = _integer(seg["length"], 1, "segment length")
+                raise SchemaError(f"{where}: unknown template {template!r}")
+            length = _integer(seg["length"], 1, f"{where}: segment length")
             segments.append(Segment(template, length, dict(seg.get("overrides", {}))))
+        where = f"scenario {name!r}"
         base_price = float(doc.get("base_price", 100.0))
         if not 0 < base_price < float("inf"):
-            raise SchemaError(f"base_price must be finite and > 0, got {base_price!r}")
+            raise SchemaError(f"{where}: base_price must be finite and > 0, got {base_price!r}")
         return Scenario(
-            name=str(doc["name"]),
+            name=name,
             seed=doc["seed"],   # `generate` checks it, with a `--seed` override
             segments=tuple(segments),
             base_price=base_price,
@@ -88,8 +92,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
     except SchemaError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad scenario document: {exc}") from exc
+    except KeyError as exc:
+        raise SchemaError(f"{where}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: unreadable: {exc}") from exc
 
 
 def load_scenario(path: str) -> Scenario:

@@ -729,7 +729,27 @@ def test_synth_refuses_a_segment_length_that_is_not_a_positive_integer(tmp_path,
     out = tmp_path / "p.json"
     assert main(["synth", "--scenario", str(path), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "segment length must be an integer >= 1, got %r" % (length,) in err, err
+    assert "scenario 'odd' segment 1: segment length must be an integer >= 1, got %r" \
+        % (length,) in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("segment, message", [
+    ({"template": "rnage", "length": 40}, "unknown template 'rnage'"),
+    ({"length": 40}, "missing key 'template'"),
+    ({"template": "range"}, "missing key 'length'"),
+])
+def test_synth_names_the_scenario_and_segment_of_a_bad_segment(tmp_path, capsys, segment,
+                                                                message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "name": "odd", "seed": 1,
+        "segments": [{"template": "range", "length": 40}, segment]}))
+    out = tmp_path / "p.json"
+    assert main(["synth", "--scenario", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "scenario 'odd' segment 1: %s" % message in err, err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -861,7 +881,8 @@ def test_ingest_round_trip(panel_file, tmp_path, capsys):
 @pytest.mark.parametrize("edit, field", [
     pytest.param(lambda d, v=value: d["exchanges"][0].update(volume_30d=v), "volume_30d",
                  id="volume_30d-%s" % label)
-    for label, value in (("string", "abc"), ("null", None), ("bool", True), ("list", [1]))
+    for label, value in (("string", "abc"), ("null", None), ("bool", True), ("list", [1]),
+                         ("nan", float("nan")), ("infinity", float("inf")), ("negative", -1))
 ] + [
     pytest.param(lambda d: d.update(exchanges=[5]), "exchanges[0]", id="exchange-not-object"),
     pytest.param(lambda d: d.update(funding="funding.csv"), "funding", id="funding-string"),

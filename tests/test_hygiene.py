@@ -1,8 +1,9 @@
 """Every name in the package earns its place: each import is used in its
 module, and each module-level function, class or assignment is referenced
 somewhere else under `src/`, unless it is listed below with whom it serves.
-No module writes past a frozen dataclass, and only the functions listed
-below build a hypothesis verdict or classify an OI window."""
+No module writes past a frozen dataclass, only the functions listed below
+build a hypothesis verdict or classify an OI window, and every error class
+is raised somewhere."""
 import ast
 from pathlib import Path
 
@@ -174,3 +175,25 @@ def test_listed_calls_only_where_listed():
 ])
 def test_a_planted_listed_call_fails(stem, source):
     assert _unlisted_calls({stem: ast.parse(source)}) != []
+
+
+def _unraised_errors(trees: dict) -> list:
+    """Each class of `errors` that no `raise` under src/ names."""
+    raised = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    return sorted(node.name for node in trees["errors"].body
+                  if isinstance(node, ast.ClassDef) and node.name not in raised)
+
+
+def test_every_error_class_is_raised():
+    assert _unraised_errors({path.stem: _tree(path) for path in MODULES}) == []
+
+
+def test_a_planted_unraised_error_fails():
+    trees = {path.stem: _tree(path) for path in MODULES}
+    trees["errors"].body.append(ast.parse("class StaleError(DataError):\n    pass\n").body[0])
+    assert _unraised_errors(trees) == ["StaleError"]

@@ -3,7 +3,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from rangegov.errors import DataError, GridMismatchError
+from rangegov.errors import DataError
 from rangegov.ingestion import (
     RawTick, align_4h, annualize_funding, basis_spread, cumulative_funding,
     normalize_funding, vwap_merge,
@@ -90,10 +90,31 @@ def test_vwap_merge_single_series_is_identity():
     assert vwap_merge([a], weights=["1"]) == a
 
 
-def test_vwap_merge_grid_mismatch_names_timestamp():
-    a = [candle(T0, "100", "1")]
-    b = [candle(T0 + BAR_SECONDS, "100", "1")]
-    with pytest.raises(GridMismatchError, match=str(T0)):
+def test_vwap_merge_takes_the_union_of_venue_bar_times():
+    # b misses the second bar, a the third; the fifth bar is no venue's
+    a = [candle(T0, "100", "1"), candle(T0 + BAR_SECONDS, "101", "2"),
+         candle(T0 + 3 * BAR_SECONDS, "103", "1", count=2)]
+    b = [candle(T0 + 2 * BAR_SECONDS, "202", "1"), candle(T0 + 3 * BAR_SECONDS, "203", "3"),
+         candle(T0 + 5 * BAR_SECONDS, "205", "1"), candle(T0, "200", "3")]
+    merged = vwap_merge([a, b], weights=["1", "1"])
+    assert [(m.open_time - T0) // BAR_SECONDS for m in merged] == [0, 1, 2, 3, 5]
+    assert [m.close for m in merged] == [Decimal(x) for x in ("175", "101", "202", "178", "205")]
+    assert [m.volume for m in merged] == [Decimal(x) for x in ("4", "2", "1", "4", "1")]
+    assert [m.exchange_count for m in merged] == [2, 1, 1, 3, 1]
+
+
+def test_vwap_merge_zero_volume_bar_weighs_only_the_venues_present():
+    a = [candle(T0, "100", "0")]
+    b = [candle(T0 + BAR_SECONDS, "500", "0")]
+    c = [candle(T0, "104", "0")]
+    (m, _) = vwap_merge([a, b, c], weights=["1", "5", "3"])
+    assert (m.close, m.volume, m.exchange_count) == (Decimal("103"), 0, 2)
+
+
+def test_vwap_merge_refuses_two_bars_at_one_time_in_a_series():
+    a = [candle(T0, "100", "1"), candle(T0 + BAR_SECONDS, "101", "1")]
+    b = [candle(T0, "100", "1"), candle(T0 + BAR_SECONDS, "101", "1"), candle(T0, "99", "1")]
+    with pytest.raises(DataError, match="series 1 has two bars at open_time %d" % T0):
         vwap_merge([a, b], weights=["1", "1"])
 
 

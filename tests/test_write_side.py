@@ -1,6 +1,6 @@
 """The write side: each record kind's table states its text form once.
 
-Byte gate: what `save_panel` and the three record CSV writers write for a
+Byte gate: what `save_panel` and the four record CSV writers write for a
 panel that sets each optional field at least once and leaves it absent at
 least once.
 
@@ -46,6 +46,8 @@ H4 = 14400
 DIGESTS = {
     "candles.csv":
         "767cd9cfe2da4ad021623ce259786cbc25caf41da34e0980bc7ed727b3cd9fe8",
+    "funding.csv":
+        "c7897b19ef25f6fba46eebba15d7e0d6daeab92156dbe7d2ac62b562bf260726",
     "liquidations.csv":
         "be3c0803b055305ab6b700936151892948b60f4b8f6b3710f390b6cc6279bfc0",
     "oi.csv":
@@ -94,6 +96,8 @@ def every_optional_panel() -> Panel:
 WRITERS = {
     "panel.json": lambda path, p: formats.save_panel(path, p),
     "candles.csv": lambda path, p: formats.write_candles_csv(path, p.candles),
+    "funding.csv": lambda path, p: formats.write_funding_csv(
+        path, [(r.settle_time, r.rate_8h, r.mark_price, r.index_price) for r in p.funding]),
     "oi.csv": lambda path, p: formats.write_oi_csv(path, p.open_interest),
     "liquidations.csv": lambda path, p: formats.write_liquidations_csv(path, p.liquidations),
 }
