@@ -22,6 +22,7 @@ from .ingestion import RawTick, align_4h, normalize_funding, vwap_merge
 from .model import (
     CANONICAL_LEVELS,
     BookSnapshot,
+    Books,
     Candle4H,
     FundingRecord,
     LiquidationEvent,
@@ -236,16 +237,17 @@ def _read_json(path: str):
 
 # ---------------------------------------------------------------- CSV series
 
-def _read_csv(path: str, fields, make, prep=None) -> list:
-    """`_decode` of the rows of the CSV file at `path`, each record holding
-    its row's nonempty cells, stripped, as `prep(record)` leaves it."""
+def _read_csv(path: str, fields, make, prep=None, stamps=None) -> list:
+    """`_decode` of the rows of the CSV file at `path` (sharing the timestamp memo
+    `stamps`, if given), each record its row's nonempty cells, stripped, after `prep`."""
     with _open(path, newline="") as fh:
         rows = csv.reader(fh)
         header = next(rows, [])
         records = [{k: v.strip() for k, v in zip(header, row) if v} for row in filter(None, rows)]
     for rec in records if prep else ():
         prep(rec)
-    return _decode(records, fields, make, lambda i: "%s row %d" % (path, i), {})
+    return _decode(records, fields, make, lambda i: "%s row %d" % (path, i),
+                   {} if stamps is None else stamps)
 
 
 def _write_csv(path: str, records, fields) -> None:
@@ -260,8 +262,8 @@ def _write_csv(path: str, records, fields) -> None:
         w.writerows(zip(*columns))
 
 
-def read_candles_csv(path: str) -> list:
-    return _read_csv(path, _CANDLE, Candle4H)
+def read_candles_csv(path: str, stamps=None) -> list:
+    return _read_csv(path, _CANDLE, Candle4H, stamps=stamps)
 
 
 def write_candles_csv(path: str, candles) -> None:
@@ -272,9 +274,9 @@ _FUNDING_ROW = (_Field("time", _time), _Field("rate", _dec), *_FUNDING[-2:])
 _FundingRow = NamedTuple("_FundingRow", [(f.key, object) for f in _FUNDING_ROW])
 
 
-def read_funding_csv(path: str) -> list:
+def read_funding_csv(path: str, stamps=None) -> list:
     """Raw settlement rows: (time, per-interval rate, mark, index)."""
-    return _read_csv(path, _FUNDING_ROW, lambda *row: row)
+    return _read_csv(path, _FUNDING_ROW, lambda *row: row, stamps=stamps)
 
 
 def write_funding_csv(path: str, rows) -> None:
@@ -292,16 +294,16 @@ def _split_cells(rec: dict) -> None:
         rec["leverage_histogram"] = dict(pairs)
 
 
-def read_oi_csv(path: str) -> list:
-    return _read_csv(path, _OI, _oi, _split_cells)
+def read_oi_csv(path: str, stamps=None) -> list:
+    return _read_csv(path, _OI, _oi, _split_cells, stamps)
 
 
 def write_oi_csv(path: str, records) -> None:
     _write_csv(path, records, _OI)
 
 
-def read_liquidations_csv(path: str) -> list:
-    return _read_csv(path, _LIQUIDATION, _liquidation)
+def read_liquidations_csv(path: str, stamps=None) -> list:
+    return _read_csv(path, _LIQUIDATION, _liquidation, stamps=stamps)
 
 
 def write_liquidations_csv(path: str, events) -> None:
@@ -309,10 +311,10 @@ def write_liquidations_csv(path: str, events) -> None:
     _write_csv(path, events, _LIQUIDATION[1:] + _LIQUIDATION[:1])
 
 
-def read_ticks_csv(path: str, exchange_id: str = "") -> list:
+def read_ticks_csv(path: str, exchange_id: str = "", stamps=None) -> list:
     return _read_csv(path, (_Field("time", _time), _Field("price", _dec), _Field("volume", _dec),
                             _Field("exchange_id", _text)),
-                     RawTick, lambda rec: rec.setdefault("exchange_id", exchange_id))
+                     RawTick, lambda rec: rec.setdefault("exchange_id", exchange_id), stamps)
 
 
 # ------------------------------------------------------------ book snapshots
@@ -335,34 +337,32 @@ def _book_side(chunk: str, where: str) -> str:
     return levels_text(out)
 
 
-def book_from_line(line: str, where: str = "book") -> BookSnapshot:
-    """A snapshot whose sides are each `_book_side` of the line's."""
+def book_from_line(line: str, where: str = "book", time=None) -> BookSnapshot:
+    """A snapshot whose sides are each `_book_side` of the line's (at `time`, if parsed)."""
     parts = line.rstrip("\n").split("|")
     if len(parts) != 3:
         raise SchemaError("%s: want time|bids|asks, got %d fields" % (where, len(parts)))
-    return BookSnapshot(_time(parts[0], where), _book_side(parts[1], where),
-                        _book_side(parts[2], where))
+    return BookSnapshot(_time(parts[0], where) if time is None else time,
+                        _book_side(parts[1], where), _book_side(parts[2], where))
 
 
-def _decode_books(lines: list, where_of, stamps: dict) -> list:
-    """`book_from_line` of each line, the times as one column, as `_decode`."""
+def _decode_books(lines: list, where_of, stamps: dict) -> Books:
+    """The lines as `Books`: the times parsed now as one column (as `_decode`,
+    `_walk` naming the first bad line), each line by `book_from_line` when read."""
     try:
-        cells = [line.rstrip("\n").split("|") for line in lines]
-        if set(map(len, cells)) - {3}:
-            raise ValueError
-        times = _column([c[0] for c in cells], _time, _REQUIRED, stamps)
-        return [BookSnapshot(t, _book_side(bids, None), _book_side(asks, None))
-                for t, (_, bids, asks) in zip(times, cells)]
+        times = _column([line.partition("|")[0] for line in lines], _time, _REQUIRED, stamps)
     except _BAD:
         _walk(lines, where_of, book_from_line, str)
         raise
+    return Books(lines, times, book_from_line, where_of)
 
 
-def read_books(path: str) -> list:
+def read_books(path: str, stamps=None) -> list:
     with _open(path) as fh:
         numbered = [(i, line) for i, line in enumerate(fh) if line.strip()]
-    return _decode_books([line for _, line in numbered],
-                         lambda k: "%s line %d" % (path, numbered[k][0]), {})
+    return list(_decode_books([line for _, line in numbered],
+                              lambda k: "%s line %d" % (path, numbered[k][0]),
+                              {} if stamps is None else stamps))
 
 
 def write_books(path: str, snaps) -> None:
@@ -535,9 +535,9 @@ def load_manifest(path: str) -> dict:
         source = "candles" if "candles" in ex else "ticks"
         need(ex[source] and isinstance(ex[source], str),
              "exchanges[%d].%s" % (i, source), "a file path")
-        volume = ex.get("volume_30d")
-        need(type(volume) in (int, float) and 0 <= volume < float("inf"),
-             "exchanges[%d].volume_30d" % i, "a finite number >= 0")
+        volume = ex.get("volume_30d")   # `vwap_merge` holds it as a `d12`
+        need(type(volume) in (int, float) and 0 <= volume < 1e16,
+             "exchanges[%d].volume_30d" % i, "a number >= 0 and < 1e16")
     sources = doc.get("funding") or []
     need(isinstance(sources, list), "funding", "a list")
     for i, src in enumerate(sources):
@@ -586,13 +586,14 @@ def ingest_manifest(path: str, cfg: Optional[Config] = None) -> tuple:
 
     # a stable sort: venues of equal volume keep their manifest order
     picked = sorted(doc["exchanges"], key=_volume, reverse=True)[:cfg.merge_top_exchanges]
+    stamps = {}   # timestamp text -> epoch seconds, across every file read
     series = []
     for ex in picked:
         source = _rel(base_dir, ex.get("candles") or ex["ticks"])
         if "candles" in ex:
-            bars = _by_time(read_candles_csv(source), attrgetter("open_time"))
+            bars = _by_time(read_candles_csv(source, stamps), attrgetter("open_time"))
         else:
-            bars = align_4h(_by_time(read_ticks_csv(source, exchange_id=ex["name"])))
+            bars = align_4h(_by_time(read_ticks_csv(source, ex["name"], stamps)))
         twice = next((b.open_time for a, b in zip(bars, bars[1:])
                       if a.open_time == b.open_time), None)
         if twice is not None:
@@ -605,7 +606,7 @@ def ingest_manifest(path: str, cfg: Optional[Config] = None) -> tuple:
     if sources:
         chosen = next((s for s in sources if s.get("authoritative")), sources[0])
         interval = chosen.get("interval_hours", 8)
-        rows = _by_time(read_funding_csv(_rel(base_dir, chosen["path"])), itemgetter(0))
+        rows = _by_time(read_funding_csv(_rel(base_dir, chosen["path"]), stamps), itemgetter(0))
         funding = [FundingRecord(
             settle_time=t,
             rate_8h=normalize_funding(rate, interval),
@@ -614,7 +615,7 @@ def ingest_manifest(path: str, cfg: Optional[Config] = None) -> tuple:
         ) for t, rate, mark, index in rows]
 
     def side(key: str, read) -> list:
-        return _by_time(read(_rel(base_dir, doc[key]))) if doc.get(key) else []
+        return _by_time(read(_rel(base_dir, doc[key]), stamps)) if doc.get(key) else []
 
     oi = side("open_interest", read_oi_csv)
     books = side("books", read_books)

@@ -259,8 +259,8 @@ def evaluate_h2(series: PanelSeries) -> HypothesisVerdict:
 
     break_close_t = panel.candles[breakout_bar].close_time
 
-    # signals 1 and 2 read the latest snapshots `validate_record` accepts
-    before = [b for b in panel.books if b.time <= break_close_t]
+    # signals 1 and 2 read the latest valid snapshots at or before the break (books ascend)
+    before = panel.books[:sum(t <= break_close_t for t in panel.books.times)]
     tail, skipped = latest_valid_books(before, cfg.depth_trend_snapshots)
     notes.extend(skipped if before else ["no book snapshot at the break"])
 

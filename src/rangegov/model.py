@@ -191,6 +191,42 @@ class BookSnapshot:
         return tuple(_validate_book(self))
 
 
+class Books(Sequence):
+    """A panel's book snapshots and their `times`, read without building one.
+    `load_panel` holds each as its line until first read, when `build(line,
+    where_of(index), time)` makes it and it is kept: a command builds only what it reads.
+    A slice shares what its whole built; a pickle builds all (no path in its bytes)."""
+
+    def __init__(self, snaps=(), times=None, build=None, where_of=None):
+        self._held = list(snaps)
+        self._at = range(len(self._held))   # the indexes of `_held` in this one
+        self.times = tuple(s.time for s in self._held) if times is None else tuple(times)
+        self._build, self._where_of = build, where_of
+
+    def __len__(self) -> int:
+        return len(self._at)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            part = Books.__new__(Books)
+            part.__dict__.update(self.__dict__, _at=self._at[i], times=self.times[i])
+            return part
+        j = self._at[i]
+        held = self._held[j]
+        if not isinstance(held, BookSnapshot):
+            held = self._held[j] = self._build(held, self._where_of(j), self.times[i])
+        return held
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Books) else NotImplemented
+
+    def __add__(self, other) -> tuple:
+        return (*self, *other)
+
+    def __reduce__(self):
+        return Books, (list(self),)
+
+
 @dataclass(frozen=True)
 class LiquidationEvent:
     time: int
@@ -220,13 +256,13 @@ class RangeDefinition:
 class Panel:
     """One instrument's aligned series. Candles are the clock.
 
-    A panel is a value: each series is a tuple, however it was given, and no
-    field can be assigned. A changed panel is a new one (`dataclasses.replace`)."""
+    A panel is a value: each series is a tuple (books a `Books`), however it was
+    given, and no field can be assigned. A changed one is new (`dataclasses.replace`)."""
     instrument: str
     candles: tuple = ()
     funding: tuple = ()
     open_interest: tuple = ()
-    books: tuple = ()
+    books: Books = ()
     liquidations: tuple = ()
     annotations: dict = field(default_factory=dict)
 
@@ -236,8 +272,10 @@ class Panel:
     _derived = None
 
     def __post_init__(self):
-        for name in ("candles", "funding", "open_interest", "books", "liquidations"):
+        for name in ("candles", "funding", "open_interest", "liquidations"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not isinstance(self.books, Books):
+            object.__setattr__(self, "books", Books(self.books))
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -391,7 +429,7 @@ def validate_panel(panel: Panel,
     """What a panel must satisfy before it is analysed: every candle, funding,
     open-interest and liquidation record valid, candles contiguous on the 4H
     grid, and every other series ascending inside the candle span. A book
-    snapshot is not checked here: its readers skip an invalid one."""
+    snapshot is not checked, or built, here: its readers skip an invalid one."""
     if not panel.candles:
         return [Violation("candles", "empty panel")]
     out = []
@@ -408,7 +446,7 @@ def validate_panel(panel: Panel,
             ("funding", panel.funding, lambda r: _validate_funding(r, bound),
              lambda r: r.settle_time),
             ("open_interest", panel.open_interest, _validate_oi, lambda r: r.time),
-            ("books", panel.books, lambda r: (), lambda r: r.time),
+            ("books", panel.books.times, lambda t: (), lambda t: t),   # no snapshot built
             ("liquidations", panel.liquidations, _validate_liquidation, lambda r: r.time)):
         for i, r in enumerate(records):
             out.extend(Violation(f"{name}[{i}].{v.field}", v.reason) for v in check(r))

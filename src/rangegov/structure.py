@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from statistics import median
 from typing import Optional, Sequence
 
 import numpy as np
@@ -198,8 +199,8 @@ def volume_nodes(candles: Sequence[Candle4H], cfg: Config = DEFAULTS) -> VolumeP
     """
     if not candles:
         raise DataError("no candles for volume profile")
-    closes = np.array([float(c.close) for c in candles])
-    width = float(np.median(closes)) * cfg.volume_bin_frac
+    # by sorting: the float `np.median` gives, without loading `numpy.ma`
+    width = median(float(c.close) for c in candles) * cfg.volume_bin_frac
     if width <= 0:
         raise DataError("degenerate bin width")
     lo = min(float(c.low) for c in candles)

@@ -212,8 +212,10 @@ def test_screening_books_decodes_no_side():
 
 
 def test_each_loaded_side_is_matched_once(monkeypatch):
-    """`book_from_line` matches each side against CANONICAL_LEVELS; the book
-    check that `validate` and `ingest` run takes its verdict as read."""
+    """`book_from_line` matches each side against CANONICAL_LEVELS when its
+    snapshot is first read, not at load, so a side never read is never
+    matched; the book check that `validate` and `ingest` run takes its
+    verdict as read."""
     from rangegov import model
 
     pattern = model.CANONICAL_LEVELS
@@ -231,10 +233,13 @@ def test_each_loaded_side_is_matched_once(monkeypatch):
         formats.save_panel(path, panel)
         monkeypatch.setattr(formats, "CANONICAL_LEVELS", Counting())
         books = formats.load_panel(path).books
+        assert Counting.calls == 0   # nothing matched at load
+        assert books[-1] == books[-1] == panel.books[-1] and books[3] == panel.books[3]
+        assert Counting.calls == 4   # each side of a read snapshot once, on first read
         monkeypatch.setattr(model, "CANONICAL_LEVELS", Counting())
         kept, flags = check_book_integrity(books)
     assert len(kept) == len(books) > 10 and not flags
-    assert Counting.calls == 2 * len(books)   # one match per side, at load
+    assert Counting.calls == 2 * len(books)   # one match per side, at first read
 
 
 if __name__ == "__main__":

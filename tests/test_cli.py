@@ -882,7 +882,8 @@ def test_ingest_round_trip(panel_file, tmp_path, capsys):
     pytest.param(lambda d, v=value: d["exchanges"][0].update(volume_30d=v), "volume_30d",
                  id="volume_30d-%s" % label)
     for label, value in (("string", "abc"), ("null", None), ("bool", True), ("list", [1]),
-                         ("nan", float("nan")), ("infinity", float("inf")), ("negative", -1))
+                         ("nan", float("nan")), ("infinity", float("inf")), ("negative", -1),
+                         ("past-d12", 1e16))
 ] + [
     pytest.param(lambda d: d.update(exchanges=[5]), "exchanges[0]", id="exchange-not-object"),
     pytest.param(lambda d: d.update(funding="funding.csv"), "funding", id="funding-string"),
@@ -933,9 +934,11 @@ def test_ingest_rejects_then_allows_flagged(panel_file, tmp_path, capsys):
 
 
 # command -> modules its child process must not load: ingest, validate and
-# plot run no numpy, and synth runs only the generator, not the analytics
+# plot run no numpy, metrics no masked arrays, and synth runs only the
+# generator, not the analytics
 NEVER_LOADED = {
     "ingest": ("numpy",),
+    "metrics": ("numpy.ma",),
     "validate": ("numpy",),
     "plot": ("numpy",),
     "synth": ("numpy", "rangegov.hypotheses", "rangegov.structure", "rangegov.liquidity",
@@ -971,6 +974,7 @@ def test_commands_never_import_what_they_do_not_run(panel_file, tmp_path, capsys
         "ingest": ["ingest", "--manifest", _manifest(tmp_path),
                    "--out", str(tmp_path / "p.json")],
         "validate": ["validate", "--panel", str(tmp_path / "p.json")],
+        "metrics": ["metrics", "--panel", panel_file, "--out", str(tmp_path / "m2.json")],
         "plot": ["plot", "--report", str(report), "--kind", "range",
                  "--out", str(tmp_path / "fig.svg")],
         "synth": ["synth", "--scenario", scenario_path("h4-confirm"),

@@ -40,6 +40,7 @@ from rangegov.model import (
     BAR_SECONDS,
     CANONICAL_LEVELS,
     BookSnapshot,
+    Books,
     Candle4H,
     FundingRecord,
     LiquidationEvent,
@@ -310,7 +311,8 @@ class TestPanelDocument:
         }
         for how, p in built.items():
             for name in SERIES:
-                assert type(getattr(p, name)) is tuple, (how, name)
+                assert type(getattr(p, name)) is (Books if name == "books" else tuple), \
+                    (how, name)
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(p, name, ())
         cleaned = built["run_pipeline"]

@@ -8,12 +8,14 @@ interest, liquidation and book files.
 """
 import csv
 import itertools
+from collections import Counter
 import json
 import random
 import re
 
 import pytest
 
+from rangegov import formats
 from rangegov.cli import main
 from rangegov.formats import (
     ingest_manifest,
@@ -173,3 +175,17 @@ def test_venue_order_in_the_manifest_does_not_move_the_panel(inputs, capsys):
         panels.add(_ingest(inputs))
     assert len(panels) == 1
     capsys.readouterr()
+
+
+def test_one_ingest_parses_each_distinct_stamp_text_once(inputs, monkeypatch):
+    """The venue, funding, OI, liquidation and book files share one timestamp
+    memo, so a bar open that several files hold is parsed once."""
+    texts = []
+    parse = formats.parse_iso
+    monkeypatch.setattr(formats, "parse_iso", lambda text: texts.append(text) or parse(text))
+    ingest_manifest(str(inputs / "manifest.json"))
+    counts = Counter(texts)
+    assert counts and set(counts.values()) == {1}
+    shared = [row.split(",", 1)[0] for name in ("alpha.csv", "beta.csv")
+              for row in (inputs / name).read_text().splitlines()[1:]]
+    assert set(shared) <= set(counts)
