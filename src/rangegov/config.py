@@ -137,7 +137,9 @@ _FLOAT_FLOORS = {"kde_bandwidth_frac": 0, "volume_bin_frac": 0, "slippage_order_
 
 def _check(name: str, value) -> None:
     """An int field takes an int (not a bool); a float field takes an int or
-    a finite float, above its floor in `_FLOAT_FLOORS`, if any."""
+    a finite float, above its floor in `_FLOAT_FLOORS`, if any, and below
+    1e16 in magnitude, the most a threshold read at 12 decimal places (`d12`)
+    can hold."""
     if _FIELD_TYPES[name] is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise SchemaError(f"config {name}: want an integer, got {value!r}")
@@ -149,6 +151,8 @@ def _check(name: str, value) -> None:
         raise SchemaError(f"config {name}: want a finite number, got {value!r}")
     elif name in _FLOAT_FLOORS and value <= _FLOAT_FLOORS[name]:
         raise SchemaError(f"config {name}: must be > {_FLOAT_FLOORS[name]}, got {value!r}")
+    elif abs(value) >= 1e16:
+        raise SchemaError(f"config {name}: must be > -1e16 and < 1e16, got {value!r}")
 
 
 DEFAULTS = Config()

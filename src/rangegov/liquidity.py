@@ -102,16 +102,36 @@ def shelf_migration(snapshot: BookSnapshot, prior: RangeDefinition,
 
 def depth_at_extremes(snapshot: BookSnapshot, rng: RangeDefinition,
                       cfg: Config = DEFAULTS) -> dict:
-    """USD notional resting within 0.5% of each boundary, both sides combined.
-    Zone edges are inclusive."""
+    """USD notional resting within `depth_extreme_band` of each boundary (a
+    fraction of the boundary), both sides combined. Zone edges are inclusive.
+
+    Read from the side text: a float screen keeps every level that can lie in
+    a band, and only those are decoded and tested exactly, bids then asks, so
+    each sum is the one that testing every level gives."""
     band = d12(cfg.depth_extreme_band)
+    sides = [text.replace(":", " ").split() for text in (snapshot.bids, snapshot.asks)]
+    prices = [list(map(float, numbers[::2])) for numbers in sides]
 
     def near(boundary: Decimal) -> Decimal:
         acc = Decimal(0)
-        for levels in (snapshot.bid_levels, snapshot.ask_levels):
-            for price, size in levels:
-                if boundary > 0 and abs(price - boundary) / boundary <= band:
-                    acc += price * size
+        if boundary <= 0:
+            return acc
+        # A price passes only inside boundary * (1 -/+ band * (1 + 2e-27)),
+        # as the exact test rounds twice at 28 digits (a negative band passes
+        # none). The boundary and band are canonical numbers, 0 or in
+        # [1e-12, 1e16) in size, so no float below overflows or underflows,
+        # and lo and hi each lie within 5 * 2**-53 * (b + |reach|) of that
+        # interval's ends. The pad, 2**-40 * (b + |reach|), covers both, and
+        # float() keeps the order of prices, so [lo, hi] holds every pass.
+        b = float(boundary)
+        reach = b * float(band)
+        pad = (b + abs(reach)) * 2 ** -40
+        lo, hi = b - reach - pad, b + reach + pad
+        for numbers, floats in zip(sides, prices):
+            for i in [i for i, f in enumerate(floats) if lo <= f <= hi]:
+                price = d12(numbers[2 * i])
+                if abs(price - boundary) / boundary <= band:
+                    acc += price * d12(numbers[2 * i + 1])
         return acc
 
     lower = near(rng.lower)

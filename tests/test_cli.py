@@ -94,6 +94,20 @@ def test_unknown_config_key(panel_file, tmp_path, capsys):
     # test_volume_profile_work_is_bounded
     ("volume_bin_frac=0", "config volume_bin_frac: must be > 0, got 0"),
     ("volume_bin_frac=-0.005", "config volume_bin_frac: must be > 0, got -0.005"),
+    # each had ended `metrics` in "not a fixed-point number", naming neither
+    # the key nor the config: `d12` holds 16 integer digits
+    ("depth_extreme_band=1e16",
+     "config depth_extreme_band: must be > -1e16 and < 1e16, got 1e+16"),
+    ("absorption_min_usd=1e20",
+     "config absorption_min_usd: must be > -1e16 and < 1e16, got 1e+20"),
+    ("spread_uncertainty=1e17",
+     "config spread_uncertainty: must be > -1e16 and < 1e16, got 1e+17"),
+    ("funding_elevated_abs=1e300",
+     "config funding_elevated_abs: must be > -1e16 and < 1e16, got 1e+300"),
+    ("funding_elevated_abs=-1e16",
+     "config funding_elevated_abs: must be > -1e16 and < 1e16, got -1e+16"),
+    ("absorption_min_usd=10000000000000000",
+     "config absorption_min_usd: must be > -1e16 and < 1e16, got 10000000000000000"),
 ])
 def test_bad_config_value_is_a_schema_error(panel_file, tmp_path, capsys, item, message):
     out = str(tmp_path / "m.json")
@@ -109,6 +123,40 @@ def test_bad_config_value_is_a_schema_error(panel_file, tmp_path, capsys, item, 
                  "--out", out]) == 3
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_a_config_value_past_d12_is_refused_in_every_command_and_source(
+        panel_file, tmp_path, capsys, monkeypatch):
+    """`hypotheses` had exited 0 where `metrics` exited 3 on the same flags."""
+    message = "config depth_extreme_band: must be > -1e16 and < 1e16, got 1e+16"
+    out = str(tmp_path / "r.json")
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text('{"depth_extreme_band": 1e16}')
+    for flags in (["--set", "depth_extreme_band=1e16"], ["--config", str(cfg_file)]):
+        assert main(["hypotheses", "--panel", panel_file, "--out", out] + flags) == 3
+        assert message in capsys.readouterr().err
+    monkeypatch.setenv("RG_CONFIG", str(cfg_file))
+    assert main(["hypotheses", "--panel", panel_file, "--out", out]) == 3
+    assert message in capsys.readouterr().err
+    monkeypatch.delenv("RG_CONFIG")
+    assert not os.path.exists(out)
+
+    _write_inputs(tmp_path, load_panel(panel_file))
+    manifest = tmp_path / "manifest.json"
+    _manifest(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["config"] = {"depth_extreme_band": 1e16}
+    manifest.write_text(json.dumps(doc))
+    assert main(["ingest", "--manifest", str(manifest), "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+    # the largest floats below the bound are taken
+    assert main(["metrics", "--panel", panel_file, "--out", out,
+                 "--set", "depth_extreme_band=9999999999999998.0",
+                 "--set", "funding_elevated_abs=-9999999999999998.0"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("key", ["h3_structural_closes", "price_mad_sigma", "bars_per_day",

@@ -5,8 +5,12 @@ import pathlib
 import re
 import typing
 
+import pytest
+
 import rangegov
-from rangegov.config import _FIELD_TYPES, Config
+from rangegov.config import _FIELD_TYPES, DEFAULTS, Config
+from rangegov.errors import SchemaError
+from rangegov.model import d12
 
 
 def test_every_key_is_read_outside_config():
@@ -36,3 +40,22 @@ def test_every_default_has_its_annotated_type():
         y: int = 2
 
     assert _mistyped(Planted) == ["x"]
+
+
+FLOAT_KEYS = sorted(k for k, t in _FIELD_TYPES.items() if t is float)
+
+
+@pytest.mark.parametrize("value", [1e16, -1e16, 1e300, -1e17, 10 ** 16, -(10 ** 20)])
+@pytest.mark.parametrize("key", ["depth_extreme_band", "absorption_min_usd",
+                                 "spread_uncertainty", "funding_elevated_abs"])
+def test_a_float_key_past_d12_is_refused_by_name(key, value):
+    with pytest.raises(SchemaError, match="config %s: must be > -1e16 and < 1e16" % key):
+        DEFAULTS.replace(**{key: value})
+
+
+def test_every_float_key_takes_any_value_d12_holds():
+    for key in FLOAT_KEYS:
+        for value in (9999999999999998.0, 10 ** 16 - 1):
+            assert d12(getattr(DEFAULTS.replace(**{key: value}), key)) == value
+        with pytest.raises(SchemaError, match=key):
+            DEFAULTS.replace(**{key: 1e16})

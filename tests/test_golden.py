@@ -7,6 +7,12 @@ commit still writes the bytes an earlier commit wrote. It pins the sha256 of
 packaged scenario, of the `synth.backtest` summary over all of them, and of
 the file `formats.save_panel` writes for each scenario's synth panel.
 
+Synth books are symmetric, so on a packaged panel at most one boundary has
+depth within `depth_extreme_band` at a time, and the imbalance and the share of
+bids below the range read 0. The coverage panel (`coverage_panel`) gives its
+books asymmetric ladders that reach past both boundaries, with a level exactly
+on each edge of each band, and its metrics and hypotheses bytes are pinned too.
+
 The digests hold for the numpy build the package is tested with; float
 summation can differ in the last digit on another build. When a change alters
 a report on purpose, re-record the digests and paste them over DIGESTS:
@@ -15,14 +21,19 @@ a report on purpose, re-record the digests and paste them over DIGESTS:
 
 and say in the change's notes which reports moved and why.
 """
+import dataclasses
 import hashlib
 import json
 import os
 import tempfile
+from decimal import Decimal
 
 import pytest
 
 from rangegov import formats, reports, synth
+from rangegov.config import DEFAULTS
+from rangegov.model import BookSnapshot, d12, levels_text
+from rangegov.structure import derive
 
 from conftest import SCENARIO_NAMES
 
@@ -35,6 +46,10 @@ REPORTS = {
 DIGESTS = {
     "backtest":
         "97da74eb1a03c741338f01996871ddcc41ffe79df199714310325450bd6b8454",
+    "coverage/hypotheses":
+        "2844b615f0d5b801df5b2006b508d6f8a28b3a294d829935901d03aaa5187c3e",
+    "coverage/metrics":
+        "738438d72a21251230319eada4f681e49e621e420347e5e795e535f6e644686f",
     "h1-confirm/hypotheses":
         "ac3702d421673989b82eebdf014b32dc2f524b9b44d884e67409cefc8562b86e",
     "h1-confirm/metrics":
@@ -114,6 +129,32 @@ def _panel_sha(panel) -> str:
             return hashlib.sha256(fh.read()).hexdigest()
 
 
+def coverage_panel():
+    """The packaged h2-confirm with each book replaced by a ladder of 50 levels
+    a side, 0.25 apart around its mid, plus a level on each edge of the band
+    around each boundary of the resolved range; bid and ask sizes follow
+    different cycles."""
+    base = synth.generate(synth.load_builtin_scenario("h2-confirm"))[0]
+    rng = derive(base).range
+    band = d12(DEFAULTS.depth_extreme_band)
+    edges = {d12(b * (1 + k * band)) for b in (rng.lower, rng.upper) for k in (-1, 1)}
+    step = Decimal("0.25")
+    books = []
+    for i, snap in enumerate(base.books):
+        mid = (snap.mid / step).quantize(Decimal(1)) * step
+        ladder = {mid + sign * (k + Decimal("0.2")) * step
+                  for k in range(50) for sign in (-1, 1)} | edges
+        bids = sorted((p for p in ladder if p < mid), reverse=True)
+        asks = sorted(p for p in ladder if p > mid)
+        books.append(BookSnapshot(
+            snap.time,
+            levels_text((d12(p), d12(1 + (7 * i + 3 * k) % 17 * Decimal("0.5")))
+                        for k, p in enumerate(bids)),
+            levels_text((d12(p), d12(2 + (5 * i + 11 * k) % 13 * Decimal("0.25")))
+                        for k, p in enumerate(asks))))
+    return dataclasses.replace(base, books=books)
+
+
 def current_digests() -> dict:
     panels = [synth.generate(synth.load_builtin_scenario(name))[0]
               for name in SCENARIO_NAMES]
@@ -123,6 +164,9 @@ def current_digests() -> dict:
     out.update({"%s/panel" % name: _panel_sha(panel)
                 for name, panel in zip(SCENARIO_NAMES, panels)})
     out["backtest"] = _sha(synth.backtest(panels))
+    coverage = coverage_panel()
+    out.update({"coverage/%s" % kind: _sha(REPORTS[kind](coverage))
+                for kind in ("metrics", "hypotheses")})
     return out
 
 

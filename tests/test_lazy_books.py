@@ -2,9 +2,10 @@
 
 `formats.load_panel` parses only each book line's time; a snapshot is built
 by `book_from_line` on first read and then kept. So an analytic command
-builds only the snapshots it reads, a malformed side stops only a command
-that reads it (`validate` reads every one), and a loaded panel is still the
-value its eager twin is.
+builds only the snapshots it reads, and decodes a side whole only where a
+kernel sums every level; a malformed side stops only a command that reads it
+(`validate` reads every one), and a loaded panel is still the value its eager
+twin is.
 """
 import copy
 import json
@@ -16,6 +17,7 @@ import pytest
 from rangegov import formats, reports
 from rangegov.cli import main
 from rangegov.config import DEFAULTS
+from rangegov.liquidity import latest_valid_books
 from rangegov.model import Books, BookSnapshot
 from rangegov.synth import Scenario, Segment, generate, load_builtin_scenario
 
@@ -94,6 +96,48 @@ def test_an_analytic_command_builds_only_the_snapshots_it_reads(
     assert len(read) <= DEFAULTS.depth_trend_snapshots + 3 < len(panel.books)
     if command == "metrics":
         assert len(read) > DEFAULTS.depth_trend_snapshots
+
+
+def _whole_side_reader(command, panel):
+    """The time of the one snapshot whose sides `command` decodes whole: the
+    latest valid one for `metrics`, whose kernels sum every level, and H2's
+    shelf snapshot, the latest valid one at or before the break, for
+    `hypotheses`; None when the command reads no snapshot."""
+    if command == "metrics":
+        return latest_valid_books(panel.books)[0][-1].time
+    h2 = reports.hypotheses_report(panel)["verdicts"]["H2"]
+    if "breakout_bar" not in h2["evidence"]:
+        return None
+    break_close = panel.candles[h2["evidence"]["breakout_bar"]].close_time
+    return latest_valid_books([b for b in panel.books if b.time <= break_close])[0][-1].time
+
+
+@pytest.mark.parametrize("name", ["year", "h2-confirm"])
+@pytest.mark.parametrize("command", ["metrics", "hypotheses"])
+def test_only_the_snapshot_a_kernel_sums_whole_is_decoded_whole(
+        panels, tmp_path, monkeypatch, capsys, name, command):
+    """Depth at the extremes decodes only the levels within the band of a
+    boundary, so of the `depth_trend_snapshots` tail only the snapshot whose
+    sides a kernel sums whole (percentiles, shelf, slippage, imbalance) holds
+    its decoded levels."""
+    read = []
+    getitem = Books.__getitem__
+
+    def recording_read(self, i):
+        got = getitem(self, i)
+        if isinstance(got, BookSnapshot):
+            read.append(got)
+        return got
+
+    monkeypatch.setattr(Books, "__getitem__", recording_read)
+    path, panel = panels[name]
+    assert _run(command, path, tmp_path)[1] is not None
+    capsys.readouterr()
+    whole = _whole_side_reader(command, panel)
+    decoded = {s.time for s in read if {"bid_levels", "ask_levels"} & set(s.__dict__)}
+    assert decoded == ({whole} if whole is not None else set())
+    if whole is not None:   # the tail was read
+        assert len({s.time for s in read}) > DEFAULTS.depth_trend_snapshots
 
 
 def test_an_old_malformed_side_stops_only_validate(panels, tmp_path, capsys):

@@ -2,6 +2,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rangegov.config import DEFAULTS
 from rangegov.liquidity import (
@@ -174,6 +176,80 @@ class TestDepthAtExtremes:
     def test_trend_needs_two_snapshots(self):
         out = extremes_slopes([depth_at_extremes(book([(100, 1)], [(110, 1)]), self.RANGE)])
         assert out["total_slope"] is None
+
+
+def whole_side_depth(snapshot, rng, cfg=DEFAULTS) -> dict:
+    """`depth_at_extremes` as it was before it screened levels: decode every
+    level of both sides and test each exactly."""
+    band = d12(cfg.depth_extreme_band)
+
+    def near(boundary):
+        acc = Decimal(0)
+        for levels in (snapshot.bid_levels, snapshot.ask_levels):
+            for price, size in levels:
+                if boundary > 0 and abs(price - boundary) / boundary <= band:
+                    acc += price * size
+        return acc
+
+    lower = near(rng.lower)
+    upper = near(rng.upper)
+    return {"lower_usd": float(lower), "upper_usd": float(upper),
+            "total_usd": float(lower + upper)}
+
+
+_TICK = Decimal("1e-12")
+# signed canonical numbers: up to 16 integer and 12 fractional digits
+_NUMBER = st.builds(lambda neg, units, ticks: d12(Decimal(units) + ticks * _TICK).copy_sign(
+                        Decimal(-1 if neg else 1)),
+                    st.booleans(),
+                    st.one_of(st.integers(0, 200), st.integers(0, 10 ** 16 - 1)),
+                    st.one_of(st.sampled_from([0, 5 * 10 ** 11]), st.integers(0, 10 ** 12 - 1)))
+# boundaries whose band edges are often exact canonical numbers, and any other
+_BOUNDARY = st.one_of(st.sampled_from(["100", "97", "102.89692275", "1", "0.000000000001",
+                                       "0", "-5"]).map(d12), _NUMBER)
+# the default band, 0, bands `d12` rounds to 0 (5e-13 rounds half to even),
+# one tick, negative and wide ones, and any other below the config bound
+_BAND = st.one_of(st.sampled_from([0.005, 0.0, 4e-13, 5e-13, 6e-13, 1e-12, -0.005, 1.0, 2.5]),
+                  st.floats(-1.0, 1e6, allow_nan=False))
+
+
+@st.composite
+def extremes_cases(draw):
+    """(bids, asks, lower, upper, band): sides in any order, their prices
+    drawn near each boundary's band edges (exactly on one, one tick either
+    side) or anywhere."""
+    band = draw(_BAND)
+    lower, upper = draw(_BOUNDARY), draw(_BOUNDARY)
+    width = d12(band)
+    edges = [b + k * b * width for b in (lower, upper) for k in (-1, 0, 1)]
+    near = sorted({d12(e + j * _TICK) for e in edges if abs(e) < 10 ** 15 for j in (-1, 0, 1)})
+    price = st.one_of(st.sampled_from(near), _NUMBER) if near else _NUMBER
+    side = st.lists(st.tuples(price, _NUMBER), max_size=6).map(levels_text)
+    return draw(side), draw(side), lower, upper, band
+
+
+def side_text(*pairs) -> str:
+    return " ".join("%s:%s" % pair for pair in pairs)
+
+
+@given(extremes_cases())
+@example(("100.5:2 99.999999999999:1", "99.5:3 100.500000000001:4 99.499999999999:5",
+          d12(100), d12(120), 0.005))
+@example((side_text(("97.485", 1)), side_text(("96.515", 2)), d12(97), d12(200), 0.005))
+@example((side_text(("100", 1)), side_text(("100.000000000001", 1)), d12(100), d12(100), 4e-13))
+@example((side_text(("100", 1)), side_text(("1", 1)), d12(0), d12(-5), 0.005))
+@example(("", "", d12(100), d12(110), 0.005))
+@settings(max_examples=200, deadline=None)
+def test_depth_equals_the_whole_side_reference(case):
+    """Exactly the reference's sums, with no side decoded whole (200 drawn
+    cases, about 2 s of tier-1)."""
+    bids, asks, lower, upper, band = case
+    rng = RangeDefinition(lower=lower, upper=upper, established_at=0)
+    cfg = DEFAULTS.replace(depth_extreme_band=band)
+    snap = BookSnapshot(0, bids, asks)
+    assert depth_at_extremes(snap, rng, cfg) == whole_side_depth(BookSnapshot(0, bids, asks),
+                                                                 rng, cfg)
+    assert "bid_levels" not in snap.__dict__ and "ask_levels" not in snap.__dict__
 
 
 class TestFillSlippage:
