@@ -45,13 +45,24 @@ def funding_bias_duration(rates: Sequence) -> list:
     return out
 
 
+def magnitude_classifier(cfg: Config = DEFAULTS):
+    """`classify_magnitude` under `cfg`, with both thresholds quantized once,
+    for a caller that classifies many rates."""
+    elevated = d12(cfg.funding_elevated_abs)
+    neutral = d12(cfg.funding_neutral_abs)
+
+    def classify(rate) -> str:
+        value = abs(d12(rate))
+        if value > elevated:
+            return ELEVATED
+        if value < neutral:
+            return NEUTRAL
+        return NORMAL
+    return classify
+
+
 def classify_magnitude(rate, cfg: Config = DEFAULTS) -> str:
-    value = abs(d12(rate))
-    if value > d12(cfg.funding_elevated_abs):
-        return ELEVATED
-    if value < d12(cfg.funding_neutral_abs):
-        return NEUTRAL
-    return NORMAL
+    return magnitude_classifier(cfg)(rate)
 
 
 def trailing_mean_std(values: np.ndarray, look: int) -> tuple:

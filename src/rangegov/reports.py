@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULTS, FAMILIES, Config
-from .cost import build_funding_state, classify_magnitude
+from .cost import build_funding_state, magnitude_classifier
 from .errors import InsufficientInputsError
 from .hypotheses import evaluate_all
 from .ingestion import annualize_funding, basis_spread
@@ -98,7 +98,8 @@ def _range_block(resolved) -> Optional[dict]:
 def structural_report(series: PanelSeries) -> dict:
     panel, cfg = series.panel, series.cfg
     candles = panel.candles
-    profile = volume_nodes(candles, cfg=cfg) if candles else None
+    profile = volume_nodes(series.close, series.low, series.high, series.volume,
+                           cfg) if candles else None
     footprints = absorption_footprints(candles, cfg=cfg)
     per_bar = [{
         "time": iso(c.open_time),
@@ -138,6 +139,7 @@ def cost_report(series: PanelSeries) -> dict:
     rates = [r.rate_8h for r in records]
     durations = series.funding_bias
     state = build_funding_state(records, durations, cfg)
+    magnitude = magnitude_classifier(cfg)
     rows = []
     for i, rec in enumerate(records):
         basis = None
@@ -151,7 +153,7 @@ def cost_report(series: PanelSeries) -> dict:
             "rate_8h": fmt_dec(rec.rate_8h),
             "annualized_pct": _float(annualize_funding(rec.rate_8h)),
             "run_length": durations[i],
-            "magnitude": classify_magnitude(rec.rate_8h, cfg),
+            "magnitude": magnitude(rec.rate_8h),
             "spike": series.funding_spikes[i],
             "basis": basis,
         })

@@ -20,6 +20,9 @@ from .model import Candle4H, Panel, RangeDefinition, d12, funding_by_bar, oi_by_
 
 # Most bins in a volume profile; a power of two, so widened bins divide the span exactly
 PROFILE_MAX_BINS = 4096
+# Most bar-bin pairs `volume_nodes` expands at a time, so its transient memory
+# stays bounded however many bars and bins a profile has
+PROFILE_CHUNK_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -191,43 +194,57 @@ def wick_series(candles: Sequence[Candle4H]):
     return ups, downs
 
 
-def volume_nodes(candles: Sequence[Candle4H], cfg: Config = DEFAULTS) -> VolumeProfile:
-    """Volume by price bin over the candles.
+def volume_nodes(close: np.ndarray, low: np.ndarray, high: np.ndarray,
+                 volume: np.ndarray, cfg: Config = DEFAULTS) -> VolumeProfile:
+    """Volume by price bin over the bars whose float columns are given (as
+    `derive` holds them: `PanelSeries.close`, `.low`, `.high`, `.volume`).
 
-    Bin width is `volume_bin_frac` of the candles' median close; each bar's
-    volume spreads uniformly over its low..high span.
+    Bin width is `volume_bin_frac` of the median close; each bar's volume
+    spreads uniformly over its low..high span, and a flat bar's goes whole to
+    its low's bin. Each bin adds the shares of the bars in bar order from 0.0,
+    so the profile is the float result of walking every bar's bins in turn; the
+    bar-bin pairs are expanded at most `PROFILE_CHUNK_PAIRS` at a time (or one
+    bar's, if more), in bar order.
     """
-    if not candles:
+    if not len(close):
         raise DataError("no candles for volume profile")
     # by sorting: the float `np.median` gives, without loading `numpy.ma`
-    width = median(float(c.close) for c in candles) * cfg.volume_bin_frac
+    width = median(close.tolist()) * cfg.volume_bin_frac
     if width <= 0:
         raise DataError("degenerate bin width")
-    lo = min(float(c.low) for c in candles)
-    hi = max(float(c.high) for c in candles)
+    lo = float(low.min())
+    hi = float(high.max())
     width = max(width, (hi - lo) / PROFILE_MAX_BINS)   # at most PROFILE_MAX_BINS bins
     n_bins = max(1, math.ceil((hi - lo) / width)) if hi > lo else 1
     edges = [lo + k * width for k in range(n_bins + 1)]
-    volumes = [0.0] * n_bins
+    volumes = np.zeros(n_bins)
 
-    def bin_of(price: float) -> int:
-        k = int((price - lo) // width)
-        return min(max(k, 0), n_bins - 1)
+    def bin_of(price: np.ndarray) -> np.ndarray:
+        # `np.floor_divide` is Python's float `//`
+        return np.clip(np.floor_divide(price - lo, width), 0, n_bins - 1).astype(np.intp)
 
-    for c in candles:
-        vol = float(c.volume)
-        if vol == 0:
-            continue
-        b_lo, b_hi = float(c.low), float(c.high)
-        span = b_hi - b_lo
-        if span <= 0:
-            volumes[bin_of(b_lo)] += vol
-            continue
-        for k in range(bin_of(b_lo), bin_of(b_hi) + 1):
-            seg = min(b_hi, edges[k + 1]) - max(b_lo, edges[k])
-            if seg > 0:
-                volumes[k] += vol * (seg / span)
-    return VolumeProfile(bin_edges=edges, volumes=volumes, bin_width=width)
+    bars = np.flatnonzero(volume != 0)
+    b_lo, b_hi, vol = low[bars], high[bars], volume[bars]
+    span = b_hi - b_lo
+    flat = span <= 0
+    span[flat] = 1.0   # unread: a flat bar's share is its volume
+    first = bin_of(b_lo)
+    count = np.where(flat, 1, bin_of(b_hi) - first + 1)   # the bar's pairs
+    ends = np.cumsum(count)
+    starts = ends - count
+    edge = np.array(edges)
+    i = 0
+    while i < len(bars):
+        # the next bars whose pairs fit in PROFILE_CHUNK_PAIRS, one bar at least
+        j = max(i + 1, int(np.searchsorted(ends, starts[i] + PROFILE_CHUNK_PAIRS, "right")))
+        at = np.repeat(np.arange(i, j), count[i:j])
+        k = first[at] + np.arange(starts[i], ends[j - 1]) - starts[at]
+        seg = np.minimum(b_hi[at], edge[k + 1]) - np.maximum(b_lo[at], edge[k])
+        share = np.where(flat[at], vol[at], vol[at] * (seg / span[at]))
+        keep = flat[at] | (seg > 0)
+        np.add.at(volumes, k[keep], share[keep])   # unbuffered: in pair order
+        i = j
+    return VolumeProfile(bin_edges=edges, volumes=volumes.tolist(), bin_width=width)
 
 
 def absorption_footprints(candles: Sequence[Candle4H], cfg: Config = DEFAULTS) -> list:

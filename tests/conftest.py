@@ -1,5 +1,6 @@
 import importlib.resources as resources
 
+import numpy as np
 import pytest
 
 from rangegov.model import (
@@ -31,6 +32,13 @@ def scenario_panels():
         panel, gt = generate(load_scenario(scenario_path(name)))
         out[name] = (panel, gt)
     return out
+
+
+def profile_columns(candles) -> tuple:
+    """The close, low, high and volume float columns `structure.volume_nodes`
+    reads, as `structure.derive` holds them."""
+    return tuple(np.array([float(getattr(c, name)) for c in candles])
+                 for name in ("close", "low", "high", "volume"))
 
 
 def scenario_to_dict(s: Scenario) -> dict:

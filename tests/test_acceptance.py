@@ -66,7 +66,7 @@ from rangegov.synth import (
     load_scenario,
 )
 
-from conftest import SCENARIO_NAMES, scale_panel, scenario_path
+from conftest import SCENARIO_NAMES, profile_columns, scale_panel, scenario_path
 
 T0 = 1_700_006_400
 BAR = 14_400
@@ -234,7 +234,7 @@ def _check_nodes(rng):
         c = candles[n // 2]
         candles[n // 2] = Candle4H(c.open_time, c.close, c.close, c.close,
                                    c.close, c.volume)
-    prof = volume_nodes(candles)
+    prof = volume_nodes(*profile_columns(candles))
     med = statistics.median(float(c.close) for c in candles)
     width = med * DEFAULTS.volume_bin_frac
     lo = min(float(c.low) for c in candles)
@@ -424,7 +424,7 @@ def test_c5_conservation_normalization_idempotence():
                       segments=segs, base_price=rnd.uniform(50, 5000))
         panel, _ = generate(sc)
 
-        prof = volume_nodes(panel.candles)
+        prof = volume_nodes(*profile_columns(panel.candles))
         total = sum(float(c.volume) for c in panel.candles)
         assert abs(sum(prof.volumes) - total) <= 1e-9 * max(total, 1.0)
 

@@ -211,16 +211,27 @@ def _high_times_1e5(doc):
     doc["candles"][20]["high"] = str(d12(doc["candles"][20]["high"]) * 100000)
 
 
+def _every_bar_spans_the_range(doc):
+    low = min((d12(c["low"]) for c in doc["candles"]))
+    high = max((d12(c["high"]) for c in doc["candles"]))
+    for c in doc["candles"]:
+        c["low"], c["high"] = str(low), str(high)
+
+
 @pytest.mark.parametrize("edit, flags", [
     pytest.param(_high_times_1e5, [], id="one-high-x1e5"),
     pytest.param(None, ["--set", "volume_bin_frac=1e-9"], id="bin-frac-1e-9"),
     pytest.param(None, ["--set", "volume_bin_frac=5e-324"], id="bin-frac-least-float"),
+    pytest.param(_every_bar_spans_the_range, ["--set", "volume_bin_frac=1e-9"],
+                 id="every-bar-spans-the-range-bin-frac-1e-9"),
 ])
 def test_volume_profile_work_is_bounded(panel_file, tmp_path, edit, flags):
     """The profile's bin count grew with the price span over the bin width:
     the first two rows had ended `metrics` in MemoryError under this bound
     (tens of millions of bins), the third in OverflowError (an infinite bin
-    count), while `validate`, `hypotheses` and `regime` exit 0."""
+    count), while `validate`, `hypotheses` and `regime` exit 0. In the last
+    row every bar spans every one of the bins: the most bar-bin pairs a panel
+    can have."""
     from rangegov.structure import PROFILE_MAX_BINS
 
     doc = json.loads(pathlib.Path(panel_file).read_text())

@@ -12,6 +12,9 @@ depth within `depth_extreme_band` at a time, and the imbalance and the share of
 bids below the range read 0. The coverage panel (`coverage_panel`) gives its
 books asymmetric ladders that reach past both boundaries, with a level exactly
 on each edge of each band, and its metrics and hypotheses bytes are pinned too.
+No packaged panel has a flat or a zero-volume bar or a bar across more than a
+few profile bins; the profile panel (`profile_panel`) has each, and lows and
+highs on bin edges, and its metrics bytes are pinned.
 
 The digests hold for the numpy build the package is tested with; float
 summation can differ in the last digit on another build. When a change alters
@@ -26,7 +29,7 @@ import hashlib
 import json
 import os
 import tempfile
-from decimal import Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 
 import pytest
 
@@ -114,6 +117,8 @@ DIGESTS = {
         "acdf9773f5223b5eefc93f163c5bd675b159a56db1fbcea37ed0e9ad8082a34f",
     "h4-falsify/panel":
         "a01ecb6a52787449857d6ac46a1f19bde51b4c9ec8a48a4af972928429043959",
+    "profile/metrics":
+        "45283f028ce7fcc30f754fc280f028ff06c634db134ae924fff2739e12092a5b",
 }
 
 
@@ -155,6 +160,33 @@ def coverage_panel():
     return dataclasses.replace(base, books=books)
 
 
+def profile_panel():
+    """The packaged h1-confirm, whose median close is 100 and lowest low 97, so
+    its volume-profile bins are exactly 0.5 wide from 97, with bars edited to
+    reach each branch of the profile: flat bars (some on a bin edge),
+    zero-volume bars (some flat), lows and highs moved out to the nearest bin
+    edge, and one bar reaching 120, across 46 bins. No close changes."""
+    base = synth.generate(synth.load_builtin_scenario("h1-confirm"))[0]
+    lo, width = Decimal(97), Decimal("0.5")
+
+    def edge(price, rounding):
+        return lo + ((price - lo) / width).to_integral_value(rounding) * width
+
+    candles = list(base.candles)
+    for i, c in enumerate(candles):
+        if i % 37 == 0:
+            c = dataclasses.replace(c, open=c.close, high=c.close, low=c.close)
+        elif i % 41 == 3:
+            c = dataclasses.replace(c, low=d12(edge(c.low, ROUND_FLOOR)))
+        elif i % 43 == 7:
+            c = dataclasses.replace(c, high=d12(edge(c.high, ROUND_CEILING)))
+        if i % 53 == 0 or i % 59 == 5:
+            c = dataclasses.replace(c, volume=d12(0))
+        candles[i] = c
+    candles[290] = dataclasses.replace(candles[290], high=d12(120))
+    return dataclasses.replace(base, candles=candles)
+
+
 def current_digests() -> dict:
     panels = [synth.generate(synth.load_builtin_scenario(name))[0]
               for name in SCENARIO_NAMES]
@@ -167,6 +199,7 @@ def current_digests() -> dict:
     coverage = coverage_panel()
     out.update({"coverage/%s" % kind: _sha(REPORTS[kind](coverage))
                 for kind in ("metrics", "hypotheses")})
+    out["profile/metrics"] = _sha(reports.metrics_report(profile_panel()))
     return out
 
 

@@ -1,16 +1,23 @@
 import math
 from decimal import Decimal
+from statistics import median
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from rangegov import structure
 from rangegov.config import DEFAULTS
 from rangegov.errors import DataError
 from rangegov.model import BAR_SECONDS, Candle4H, RangeDefinition, d12
 from rangegov.structure import (
-    absorption_footprints, derive, derive_range, map_swings, range_persistence,
-    realized_volatility, resolve_range, volume_nodes, wick_series, wick_to_body,
+    PROFILE_MAX_BINS, absorption_footprints, derive, derive_range, map_swings,
+    range_persistence, realized_volatility, resolve_range, volume_nodes, wick_series,
+    wick_to_body,
 )
+
+from conftest import profile_columns
 
 T0 = 1609459200
 
@@ -222,7 +229,7 @@ def test_wick_to_body_doji_sentinel():
 def test_volume_nodes_split_proportionally():
     # one candle spanning exactly two 0.5-wide bins (median close 100)
     c = bar(0, "100", "100.75", "99.75", "100", v="8")
-    profile = volume_nodes([c])
+    profile = volume_nodes(*profile_columns([c]))
     assert profile.bin_width == pytest.approx(0.5)
     assert sum(profile.volumes) == pytest.approx(8.0, rel=1e-12)
     assert profile.volumes[0] == pytest.approx(4.0, rel=1e-12)
@@ -231,7 +238,7 @@ def test_volume_nodes_split_proportionally():
 
 def test_volume_nodes_degenerate_span_single_bin():
     c = flat_bar(0, "100", v="5")
-    profile = volume_nodes([c])
+    profile = volume_nodes(*profile_columns([c]))
     assert sum(profile.volumes) == pytest.approx(5.0)
     assert len(profile.volumes) == 1
 
@@ -248,9 +255,90 @@ def test_volume_nodes_conserve_total_on_random_panels():
             v = abs(rng.normal(50, 20)) + 1
             candles.append(bar(i, repr(float(c)), repr(float(h)), repr(float(lo)),
                                repr(float(c)), repr(float(v))))
-        profile = volume_nodes(candles)
+        profile = volume_nodes(*profile_columns(candles))
         total = sum(float(c.volume) for c in candles)
         assert sum(profile.volumes) == pytest.approx(total, rel=1e-9)
+
+
+def loop_profile(close, low, high, volume, frac):
+    """(edges, volumes, width) as `volume_nodes` computed them by walking each
+    bar's bins in Python, over lists of floats: the reference it must equal."""
+    if not close:
+        raise DataError("no candles for volume profile")
+    width = median(close) * frac
+    if width <= 0:
+        raise DataError("degenerate bin width")
+    lo, hi = min(low), max(high)
+    width = max(width, (hi - lo) / PROFILE_MAX_BINS)
+    n_bins = max(1, math.ceil((hi - lo) / width)) if hi > lo else 1
+    edges = [lo + k * width for k in range(n_bins + 1)]
+    volumes = [0.0] * n_bins
+
+    def bin_of(price):
+        return min(max(int((price - lo) // width), 0), n_bins - 1)
+
+    for b_lo, b_hi, vol in zip(low, high, volume):
+        if vol == 0:
+            continue
+        span = b_hi - b_lo
+        if span <= 0:
+            volumes[bin_of(b_lo)] += vol
+            continue
+        for k in range(bin_of(b_lo), bin_of(b_hi) + 1):
+            seg = min(b_hi, edges[k + 1]) - max(b_lo, edges[k])
+            if seg > 0:
+                volumes[k] += vol * (seg / span)
+    return edges, volumes, width
+
+
+@st.composite
+def profile_cases(draw):
+    """(close, low, high, volume, volume_bin_frac, chunk) for 1-20 bars. Half
+    the cases put prices on a grid of eighths of a power of two, where medians,
+    bin widths and edges are exact and many lows and highs sit on an edge."""
+    if draw(st.booleans()):
+        unit = 2.0 ** draw(st.integers(-14, 24))
+        price = st.integers(1, 64).map(lambda m: unit * m / 8)
+    else:
+        base = draw(st.sampled_from([1e-4, 1.0, 100.0, 1e7]))
+        price = st.floats(base / 2, base * 2)
+    close, low, high, volume = [], [], [], []
+    for _ in range(draw(st.integers(1, 20))):
+        c = draw(price)
+        ends = [c] if draw(st.integers(0, 3)) == 0 else [c, draw(price), draw(price)]
+        close.append(c)
+        low.append(min(ends))
+        high.append(max(ends))
+        volume.append(draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-6, 1e9))))
+    frac = draw(st.one_of(st.sampled_from([0.005, 2.0 ** -7, 1e-9, 5e-324, 1.0]),
+                          st.floats(5e-324, 1.0)))
+    chunk = draw(st.sampled_from([1, 3, 64, structure.PROFILE_CHUNK_PAIRS]))
+    return close, low, high, volume, frac, chunk
+
+
+@given(profile_cases())
+@example(([100.0], [100.0], [100.0], [5.0], 0.005, 1))
+@example(([100.0], [99.75], [100.75], [8.0], 0.005, 1))
+@example(([100.0, 100.0], [97.0, 98.5], [99.0, 103.0], [0.0, 2.0], 0.005, 1))
+@example(([100.0, 101.0, 99.0], [90.0, 90.0, 90.0], [110.0, 110.0, 110.0],
+          [1.0, 2.0, 3.0], 1e-9, 3))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_volume_nodes_equal_the_loop(monkeypatch, case):
+    """Exactly the loop's edges, volumes and width, or its `DataError`, with
+    the pairs expanded in chunks of 1, 3, 64 or the default (150 drawn cases,
+    about 2.5 s of tier-1)."""
+    close, low, high, volume, frac, chunk = case
+    monkeypatch.setattr(structure, "PROFILE_CHUNK_PAIRS", chunk)
+    cfg = DEFAULTS.replace(volume_bin_frac=frac)
+    try:
+        want = loop_profile(close, low, high, volume, frac)
+    except DataError:
+        with pytest.raises(DataError):
+            volume_nodes(*map(np.array, (close, low, high, volume)), cfg)
+        return
+    got = volume_nodes(*map(np.array, (close, low, high, volume)), cfg)
+    assert (got.bin_edges, got.volumes, got.bin_width) == want
 
 
 # --- absorption ------------------------------------------------------------------
