@@ -126,11 +126,7 @@ def _cmd_validate(args) -> int:
     panel = formats.load_panel(args.panel)
     from .quality import run_pipeline
     _, qreport = run_pipeline(panel, cfg, judge_input=True)
-    doc = _stamped(_quality_to_dict(qreport), args)
-    if args.out:
-        formats.write_report(args.out, doc)
-    else:
-        sys.stdout.write(formats.dump_json(doc))
+    formats.write_report(args.out or sys.stdout, _stamped(_quality_to_dict(qreport), args))
     return EXIT_OK if qreport.passed else EXIT_QUALITY
 
 

@@ -11,7 +11,8 @@ import json
 import os
 from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
-from itertools import repeat
+from functools import partial
+from itertools import islice, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
@@ -204,7 +205,8 @@ _CSV_WRITE = {**_WRITE, _flag: lambda flag: "true" if flag else "false",
 
 def _encode(records, fields) -> list:
     """Each record as the object `_decode` reads back with `fields`, built one
-    at a time (columns first would raise a save's peak RSS); null if absent."""
+    at a time; null if absent. `save_panel` calls it on one chunk of a series
+    at a time, so a save holds one chunk's objects, not the whole series."""
     plan = [(key, attrgetter(attr or key), _WRITE.get(read)) for key, read, _, attr in fields]
     # plain loops: a comprehension nested in one builds a function per record
     out = []
@@ -373,11 +375,21 @@ def write_books(path: str, snaps) -> None:
 
 # ------------------------------------------------------------------- panels
 
-def panel_to_dict(panel: Panel) -> dict:
+def _panel_doc(panel: Panel, series) -> dict:
+    """The panel document, each record series as `series(records, fields)`
+    (`fields` None for the book lines): the one statement of its members."""
     return {"schema_version": SCHEMA_VERSION, "kind": "panel", "instrument": panel.instrument,
-            **{key: _encode(getattr(panel, key), fields) if fields else
-               list(map(book_to_line, panel.books)) for key, fields, _ in _SERIES},
+            **{key: series(getattr(panel, key), fields) for key, fields, _ in _SERIES},
             "annotations": panel.annotations}
+
+
+def _series_doc(records, fields) -> list:
+    """A record series as its panel document holds it: objects, or book lines."""
+    return _encode(records, fields) if fields else list(map(book_to_line, records))
+
+
+def panel_to_dict(panel: Panel) -> dict:
+    return _panel_doc(panel, _series_doc)
 
 
 def panel_from_dict(doc: dict, where: str = "panel") -> Panel:
@@ -406,87 +418,126 @@ def panel_from_dict(doc: dict, where: str = "panel") -> Panel:
 
 
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+# depth -> (C encoder, first-member indent, separator, closing indent), built once
+# per depth; an encoder made with no markers dict holds no state between calls
+_LEVELS = {}
+_HOLD_PARTS = 512   # text parts a streamed write gathers before passing them on
+_CHUNK_RECORDS = 256   # records of a series `save_panel` encodes and holds at a time
 
 
 def _is_scalar(value) -> bool:
     return isinstance(value, (str, int, float)) or value is None
 
 
-def dump_json(doc) -> str:
-    """`json.dumps(doc, sort_keys=True, indent=2) + "\\n"`, byte for byte.
+def _level(depth: int) -> tuple:
+    got = _LEVELS.get(depth)
+    if got is None:
+        indent = "\n" + "  " * (depth + 1)
+        got = _LEVELS[depth] = (
+            c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                           None, ": ", "," + indent, True, False, True),
+            indent, "," + indent, "\n" + "  " * depth)
+    return got
+
+
+def _emit(value, depth: int, parts: list, path: set, write) -> None:
+    """Append the text of `value` at `depth` to `parts`. With `write`, first
+    pass it the parts held, at this member boundary, if they are more than
+    `_HOLD_PARTS`. `path` holds the ids of the containers being walked."""
+    if write is not None and len(parts) > _HOLD_PARTS:
+        write("".join(parts))
+        parts.clear()
+    enc, indent, sep, outer = _level(depth)
+    if isinstance(value, dict):
+        members = value.values()
+    elif isinstance(value, (list, tuple)):
+        members = value
+    else:
+        parts.append("".join(enc(value, 0)))
+        return
+    if not value:
+        parts.append("[]" if members is value else "{}")
+        return
+    # the exact-type test is the fast one; subclasses (np.float64) take the second
+    if _SCALAR_TYPES.issuperset(map(type, members)) or all(map(_is_scalar, members)):
+        text = "".join(enc(value, 0))
+        parts.extend((text[0], indent, text[1:-1], outer, text[-1]))
+        return
+    if id(value) in path:
+        raise ValueError("Circular reference detected")
+    path.add(id(value))
+    if members is value:
+        parts.append("[")
+        for i, member in enumerate(value):
+            parts.append(sep if i else indent)
+            _emit(member, depth + 1, parts, path, write)
+        parts.extend((outer, "]"))
+    else:
+        parts.append("{")
+        for i, (key, member) in enumerate(sorted(value.items())):
+            if not _is_scalar(key):
+                raise TypeError("keys must be str, int, float, bool or None, "
+                                "not %s" % key.__class__.__name__)
+            if not isinstance(key, str):
+                key = "".join(enc(key, 0))
+            parts.append(sep if i else indent)
+            parts.append(encode_basestring_ascii(key) + ": ")
+            _emit(member, depth + 1, parts, path, write)
+        parts.extend((outer, "}"))
+    path.remove(id(value))
+
+
+def dump_json(doc, write=None):
+    """`json.dumps(doc, sort_keys=True, indent=2) + "\\n"`, byte for byte; or,
+    given `write`, the same text passed to `write` in pieces as it is encoded,
+    so that no more than about `_HOLD_PARTS` parts are held at a time.
 
     With `indent`, `json.dumps` runs the pure-Python encoder. Here Python
     walks only the containers that hold containers: every scalar, and every
     dict, list or tuple whose members are all scalars, is written by the C
     encoder built for its depth. Errors are those of `json.dumps`: the same
     TypeError for an unserializable value or key, and ValueError for a
-    circular reference. All parts go to one list, joined once.
+    circular reference. Without `write`, all parts go to one list, joined once.
     """
     parts = []
-    levels = {}   # depth -> (C encoder, first-member indent, separator, closing indent)
-    path = set()  # ids of the containers being walked
-
-    def level(depth: int) -> tuple:
-        got = levels.get(depth)
-        if got is None:
-            indent = "\n" + "  " * (depth + 1)
-            got = levels[depth] = (
-                c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
-                               None, ": ", "," + indent, True, False, True),
-                indent, "," + indent, "\n" + "  " * depth)
-        return got
-
-    def emit(value, depth: int) -> None:
-        enc, indent, sep, outer = level(depth)
-        if isinstance(value, dict):
-            members = value.values()
-        elif isinstance(value, (list, tuple)):
-            members = value
-        else:
-            parts.append("".join(enc(value, 0)))
-            return
-        if not value:
-            parts.append("[]" if members is value else "{}")
-            return
-        # the exact-type test is the fast one; subclasses (np.float64) take the second
-        if _SCALAR_TYPES.issuperset(map(type, members)) or all(map(_is_scalar, members)):
-            text = "".join(enc(value, 0))
-            parts.extend((text[0], indent, text[1:-1], outer, text[-1]))
-            return
-        if id(value) in path:
-            raise ValueError("Circular reference detected")
-        path.add(id(value))
-        if members is value:
-            parts.append("[")
-            for i, member in enumerate(value):
-                parts.append(sep if i else indent)
-                emit(member, depth + 1)
-            parts.extend((outer, "]"))
-        else:
-            parts.append("{")
-            for i, (key, member) in enumerate(sorted(value.items())):
-                if not _is_scalar(key):
-                    raise TypeError("keys must be str, int, float, bool or None, "
-                                    "not %s" % key.__class__.__name__)
-                if not isinstance(key, str):
-                    key = "".join(enc(key, 0))
-                parts.append(sep if i else indent)
-                parts.append(encode_basestring_ascii(key) + ": ")
-                emit(member, depth + 1)
-            parts.extend((outer, "}"))
-        path.remove(id(value))
-
-    emit(doc, 0)
-    # `emit` reaches itself through its closure; without this that cycle
-    # would keep `parts` alive until a later garbage collection
-    del emit
+    _emit(doc, 0, parts, set(), write)
     parts.append("\n")
-    return "".join(parts)
+    if write is None:
+        return "".join(parts)
+    write("".join(parts))
+    return None
+
+
+def _write_series(records, fields, write) -> None:
+    """`_series_doc(records, fields)` as a member of the panel document,
+    encoded and passed to `write` `_CHUNK_RECORDS` records at a time."""
+    _, indent, sep, outer = _level(1)
+    head, tail = "[" + indent, "[]"
+    records = iter(records)
+    for chunk in iter(lambda: list(islice(records, _CHUNK_RECORDS)), []):
+        parts = []
+        _emit(_series_doc(chunk, fields), 1, parts, set(), None)
+        # parts are "[", indent, the members, outer, "]"; the series joins the chunks by sep
+        write(head + "".join(parts[2:-2]))
+        head, tail = sep, outer + "]"
+    write(tail)
 
 
 def save_panel(path: str, panel: Panel) -> None:
+    """Write the bytes of `dump_json(panel_to_dict(panel))` as they are
+    encoded, so the write holds one chunk of records beyond the panel."""
+    doc = _panel_doc(panel, lambda records, fields: partial(_write_series, records, fields))
+    _, indent, sep, outer = _level(0)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(panel_to_dict(panel)))
+        for i, (key, value) in enumerate(sorted(doc.items())):
+            fh.write((sep if i else "{" + indent) + encode_basestring_ascii(key) + ": ")
+            if isinstance(value, partial):   # a record series
+                value(fh.write)
+            else:
+                parts = []
+                _emit(value, 1, parts, set(), fh.write)
+                fh.write("".join(parts))
+        fh.write(outer + "}\n")
 
 
 def load_panel(path: str) -> Panel:
@@ -495,11 +546,16 @@ def load_panel(path: str) -> Panel:
 
 # ------------------------------------------------------------------ reports
 
-def write_report(path: str, doc: dict) -> None:
+def write_report(out, doc: dict) -> None:
+    """`doc`, stamped with `schema_version` unless it holds one, written as
+    `dump_json` encodes it to `out`: a file path, or an open text stream."""
     doc = dict(doc)
     doc.setdefault("schema_version", SCHEMA_VERSION)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(doc))
+    if hasattr(out, "write"):
+        dump_json(doc, out.write)
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        dump_json(doc, fh.write)
 
 
 def load_report(path: str) -> dict:

@@ -470,6 +470,15 @@ def test_validate_clean_panel(panel_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_validate_prints_the_report_it_writes(panel_file, tmp_path, capsys):
+    """Without --out the quality report goes to stdout, stamped as every report is."""
+    out = tmp_path / "q.json"
+    assert main(["validate", "--panel", panel_file, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--panel", panel_file]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_validate_rejects_hot_funding(panel_file, tmp_path, capsys):
     panel = load_panel(panel_file)
     hot = dataclasses.replace(panel.funding[0], rate_8h=d12("0.04"))

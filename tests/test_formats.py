@@ -5,12 +5,14 @@ import os
 import pickle
 import tempfile
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rangegov import formats
 from rangegov.config import DEFAULTS
 from rangegov.errors import MissingSeriesError, SchemaError
 from rangegov.formats import (
@@ -437,6 +439,14 @@ def _reference(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _streamed(doc) -> str:
+    """`dump_json`'s write form, passing its parts on at every member boundary."""
+    parts = []
+    with mock.patch.object(formats, "_HOLD_PARTS", 0):
+        assert dump_json(doc, parts.append) is None
+    return "".join(parts)
+
+
 _TEXT = st.text(st.characters(codec=None, exclude_categories=()), max_size=8)
 _FLOATS = st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"),
                                                   -0.0, 1e300, 5e-324]))
@@ -495,7 +505,7 @@ class TestDumpJson:
     @given(st.one_of(_DOCS, _DEEP_DOCS))
     @settings(max_examples=400, deadline=None)
     def test_bytes_equal_json_dumps(self, doc):
-        assert dump_json(doc) == _reference(doc)
+        assert dump_json(doc) == _reference(doc) == _streamed(doc)
 
     @pytest.mark.parametrize("doc", [
         {}, [], (), {"a": {}, "b": [], "c": ()}, [[[[[[[]]]]]]],
@@ -503,7 +513,7 @@ class TestDumpJson:
         {1.5: 1, 2: 2, True: 3}, {None: [None]}, {"v": [np.float64("nan"), -0.0]},
     ])
     def test_edge_documents(self, doc):
-        assert dump_json(doc) == _reference(doc)
+        assert dump_json(doc) == _reference(doc) == _streamed(doc)
 
     @pytest.mark.parametrize("doc", [
         {"a": Decimal("1.5")},
@@ -521,7 +531,7 @@ class TestDumpJson:
     def test_unserializable_raises_as_json_does(self, doc):
         expected = _outcome(_reference, doc)
         assert isinstance(expected, tuple)
-        assert _outcome(dump_json, doc) == expected
+        assert _outcome(dump_json, doc) == _outcome(_streamed, doc) == expected
 
     def test_circular_reference_raises_as_json_does(self):
         loop = {"a": [1]}
@@ -529,7 +539,8 @@ class TestDumpJson:
         inner = [[1]]
         inner[0].append(inner)
         for doc in (loop, {"x": inner}, [inner, 2]):
-            assert _outcome(dump_json, doc) == _outcome(_reference, doc) \
+            assert _outcome(dump_json, doc) == _outcome(_streamed, doc) \
+                == _outcome(_reference, doc) \
                 == (ValueError, "Circular reference detected")
 
     def test_shared_container_is_not_a_cycle(self):

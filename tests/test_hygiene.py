@@ -20,6 +20,8 @@ SERVED_OUTSIDE = {
     "formats.write_oi_csv",
     "formats.write_liquidations_csv",
     "formats.write_books",
+    "formats.panel_to_dict",             # the panel document as one dict, for library users
+                                         # and the tests: the reference `save_panel` streams
     "schemas.REPORT_SCHEMAS",            # the report schemas, for the tests that check reports
     "synth.load_builtin_scenario",       # a packaged scenario by name, for library users
 }
