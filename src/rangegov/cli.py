@@ -11,7 +11,7 @@ Exit codes:
   4   missing series or file
   5   quality rejection (reject-severity flags on ingest/validate, or a
       panel metrics/hypotheses/regime/backtest refuse: see `_load_valid`)
-  6   insufficient inputs (trigger matrix starved, empty backtest set)
+  6   insufficient inputs (trigger matrix starved)
   40+ hypothesis run with falsified verdicts: 40 + count, capped at 49
 """
 from __future__ import annotations
@@ -23,6 +23,8 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from operator import attrgetter
+from typing import NamedTuple
 
 from . import formats
 from .config import FAMILIES, Config, from_env
@@ -56,8 +58,8 @@ _ERRORS = (
 
 
 def _resolve_config(args) -> Config:
-    cfg = from_env(getattr(args, "config", None))
-    for item in getattr(args, "set", None) or []:
+    cfg = from_env(args.config)
+    for item in args.set or []:
         if "=" not in item:
             raise SchemaError("--set expects key=value, got %r" % item)
         key, _, raw = item.partition("=")
@@ -69,11 +71,11 @@ def _resolve_config(args) -> Config:
     return cfg
 
 
-def _stamped(doc: dict, args) -> dict:
-    if getattr(args, "stamp", False):
-        doc = dict(doc)
-        doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-    return doc
+def _write(out, doc: dict, args) -> None:
+    """`doc` as a report to `out`, with the time it was written if --stamp asks."""
+    if args.stamp:
+        doc = dict(doc, generated_at=datetime.now(timezone.utc).isoformat())
+    formats.write_report(out, doc)
 
 
 def _load_valid(path: str, cfg: Config):
@@ -100,13 +102,12 @@ def _quality_to_dict(report) -> dict:
 
 
 # ------------------------------------------------------------- subcommands
+# Each takes the parsed flags and the resolved config (None for `plot`).
 
-def _cmd_ingest(args) -> int:
-    cfg = _resolve_config(args)
+def _cmd_ingest(args, cfg) -> int:
     panel, qreport, _ = formats.ingest_manifest(args.manifest, cfg)
-    doc = _quality_to_dict(qreport)
     if args.quality:
-        formats.write_report(args.quality, _stamped(doc, args))
+        _write(args.quality, _quality_to_dict(qreport), args)
     if not qreport.passed and not args.allow_flagged:
         for f in qreport.flags:
             if f.severity == "reject":
@@ -121,55 +122,39 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
-    cfg = _resolve_config(args)
+def _cmd_validate(args, cfg) -> int:
     panel = formats.load_panel(args.panel)
     from .quality import run_pipeline
     _, qreport = run_pipeline(panel, cfg, judge_input=True)
-    formats.write_report(args.out or sys.stdout, _stamped(_quality_to_dict(qreport), args))
+    _write(args.out or sys.stdout, _quality_to_dict(qreport), args)
     return EXIT_OK if qreport.passed else EXIT_QUALITY
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_report(args, cfg) -> int:
+    """`metrics`, `hypotheses` or `regime`: its report on a panel `validate`
+    accepts, and one line naming the file and what the report found."""
     from . import reports
-    cfg = _resolve_config(args)
     panel = _load_valid(args.panel, cfg)
-    families = [args.family] if args.family else None
-    doc = reports.metrics_report(panel, cfg, families)
-    formats.write_report(args.out, _stamped(doc, args))
-    print("wrote %s" % args.out)
-    return EXIT_OK
+    rc, found = EXIT_OK, ""
+    if args.command == "metrics":
+        doc = reports.metrics_report(panel, cfg, [args.family] if args.family else None)
+    elif args.command == "hypotheses":
+        doc = reports.hypotheses_report(panel, cfg, ["H" + args.h] if args.h else None)
+        falsified = sum(v["outcome"] == "falsified" for v in doc["verdicts"].values())
+        if falsified:
+            rc = min(EXIT_FALSIFIED_BASE + falsified, EXIT_FALSIFIED_CAP)
+        found = " (%d falsified)" % falsified
+    else:
+        doc = reports.regime_report(panel, cfg)
+        found = ": %s, conviction %s" % (doc["regime"]["label"],
+                                         doc["trigger_matrix"]["conviction"])
+    _write(args.out, doc, args)
+    print("wrote %s%s" % (args.out, found))
+    return rc
 
 
-def _cmd_hypotheses(args) -> int:
-    from . import reports
-    cfg = _resolve_config(args)
-    panel = _load_valid(args.panel, cfg)
-    only = ["H%s" % args.h] if args.h else None
-    doc = reports.hypotheses_report(panel, cfg, only)
-    formats.write_report(args.out, _stamped(doc, args))
-    falsified = sum(1 for v in doc["verdicts"].values()
-                    if v["outcome"] == "falsified")
-    print("wrote %s (%d falsified)" % (args.out, falsified))
-    if falsified:
-        return min(EXIT_FALSIFIED_BASE + falsified, EXIT_FALSIFIED_CAP)
-    return EXIT_OK
-
-
-def _cmd_regime(args) -> int:
-    from . import reports
-    cfg = _resolve_config(args)
-    panel = _load_valid(args.panel, cfg)
-    doc = reports.regime_report(panel, cfg)
-    formats.write_report(args.out, _stamped(doc, args))
-    print("wrote %s: %s, conviction %s" % (
-        args.out, doc["regime"]["label"], doc["trigger_matrix"]["conviction"]))
-    return EXIT_OK
-
-
-def _cmd_synth(args) -> int:
+def _cmd_synth(args, cfg) -> int:
     from . import synth
-    cfg = _resolve_config(args)
     scenario = synth.load_scenario(args.scenario)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
@@ -179,19 +164,13 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _cmd_backtest(args) -> int:
+def _cmd_backtest(args, cfg) -> int:
     from . import synth
-    cfg = _resolve_config(args)
-    paths = []
-    for pattern in args.panels:
-        hits = sorted(glob.glob(pattern))
-        paths.extend(hits if hits else [pattern])
-    if not paths:
-        raise MissingSeriesError("no panel files matched")
-    panels = [_load_valid(path, cfg) for path in paths]
-    panels.sort(key=lambda p: p.instrument)
+    # a pattern with no match stays a path, which then exits 4 as a missing file
+    paths = [path for pattern in args.panels for path in sorted(glob.glob(pattern)) or [pattern]]
+    panels = sorted((_load_valid(path, cfg) for path in paths), key=attrgetter("instrument"))
     summary = synth.backtest(panels, cfg)
-    formats.write_report(args.out, _stamped(summary, args))
+    _write(args.out, summary, args)
     gt = summary["ground_truth"]
     diag = "n/a" if gt["diagonal_frac"] is None else "%.3f" % gt["diagonal_frac"]
     print("wrote %s: %d panels, %d graded, diagonal %s" % (
@@ -199,31 +178,67 @@ def _cmd_backtest(args) -> int:
     return EXIT_OK
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args, _cfg) -> int:
     doc = formats.load_report(args.report)
     svg, csv_text = render_plot(doc, args.kind)
     stem, ext = os.path.splitext(args.out)
     svg_path = args.out if ext.lower() == ".svg" else args.out + ".svg"
     csv_path = (stem if ext.lower() == ".svg" else args.out) + ".csv"
-    with open(svg_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(svg)
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text)
+    for path, text in ((svg_path, svg), (csv_path, csv_text)):
+        with formats.replacing(path, newline="") as fh:
+            fh.write(text)
     print("wrote %s and %s" % (svg_path, csv_path))
     return EXIT_OK
 
 
 # ------------------------------------------------------------------ parser
 
-def _add_config_flags(p) -> None:
-    p.add_argument("--config", help="config file path (overrides RG_CONFIG)")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override one config key (repeatable)")
+class _Command(NamedTuple):
+    name: str
+    help: str
+    run: object            # handler(args, cfg) -> exit code
+    flags: dict            # its own flags: flag -> argparse keywords
+    config: bool = True    # takes --config and --set; `main` resolves the config
+    stamp: bool = True     # takes --stamp
 
 
-def _add_stamp(p) -> None:
-    p.add_argument("--stamp", action="store_true",
-                   help="embed a generation timestamp (breaks determinism)")
+_REQUIRED = {"required": True}
+_CONFIG_FLAGS = {
+    "--config": {"help": "config file path (overrides RG_CONFIG)"},
+    "--set": {"action": "append", "metavar": "KEY=VALUE",
+              "help": "override one config key (repeatable)"},
+}
+_STAMP_FLAG = {"--stamp": {"action": "store_true",
+                           "help": "embed a generation timestamp (breaks determinism)"}}
+
+_COMMANDS = (
+    _Command("ingest", "merge and clean everything a manifest points at into one panel file",
+             _cmd_ingest, {
+                 "--manifest": _REQUIRED, "--out": _REQUIRED,
+                 "--quality": {"help": "also write the quality report here"},
+                 "--allow-flagged": {"action": "store_true",
+                                     "help": "keep the panel even on reject-severity flags"}}),
+    _Command("validate", "run the quality pipeline on a panel", _cmd_validate, {
+        "--panel": _REQUIRED, "--out": {"help": "write the report here instead of stdout"}}),
+    _Command("metrics", "per-bar metric tables by family", _cmd_report, {
+        "--panel": _REQUIRED, "--family": {"choices": FAMILIES}, "--out": _REQUIRED}),
+    _Command("hypotheses", "evaluate the falsifiable playbook", _cmd_report, {
+        "--panel": _REQUIRED,
+        "--h": {"choices": ["1", "2", "3", "4"], "help": "evaluate a single hypothesis"},
+        "--out": _REQUIRED}),
+    _Command("regime", "regime label, trigger matrix, advisories", _cmd_report, {
+        "--panel": _REQUIRED, "--out": _REQUIRED}),
+    _Command("synth", "realize a scenario into a panel file", _cmd_synth, {
+        "--scenario": _REQUIRED,
+        "--seed": {"type": int, "help": "override the scenario seed"},
+        "--out": _REQUIRED}, stamp=False),
+    _Command("backtest", "grade hypothesis verdicts across panels", _cmd_backtest, {
+        "--panels": {"nargs": "+", "required": True, "help": "panel files or glob patterns"},
+        "--out": _REQUIRED}),
+    _Command("plot", "render an SVG figure plus its CSV twin", _cmd_plot, {
+        "--report": _REQUIRED, "--kind": {"required": True, "choices": KINDS},
+        "--out": {"required": True, "help": "output path (.svg)"}}, config=False, stamp=False),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,70 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rangegov",
         description="Range-governance analytics for perpetual-futures panels.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="merge and clean everything a manifest "
-                                      "points at into one panel file")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--quality", help="also write the quality report here")
-    p.add_argument("--allow-flagged", action="store_true",
-                   help="keep the panel even on reject-severity flags")
-    _add_config_flags(p)
-    _add_stamp(p)
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("validate", help="run the quality pipeline on a panel")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--out", help="write the report here instead of stdout")
-    _add_config_flags(p)
-    _add_stamp(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("metrics", help="per-bar metric tables by family")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    _add_stamp(p)
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser("hypotheses", help="evaluate the falsifiable playbook")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--h", choices=["1", "2", "3", "4"],
-                   help="evaluate a single hypothesis")
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    _add_stamp(p)
-    p.set_defaults(func=_cmd_hypotheses)
-
-    p = sub.add_parser("regime", help="regime label, trigger matrix, advisories")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    _add_stamp(p)
-    p.set_defaults(func=_cmd_regime)
-
-    p = sub.add_parser("synth", help="realize a scenario into a panel file")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--seed", type=int, help="override the scenario seed")
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("backtest", help="grade hypothesis verdicts across panels")
-    p.add_argument("--panels", nargs="+", required=True,
-                   help="panel files or glob patterns")
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    _add_stamp(p)
-    p.set_defaults(func=_cmd_backtest)
-
-    p = sub.add_parser("plot", help="render an SVG figure plus its CSV twin")
-    p.add_argument("--report", required=True)
-    p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--out", required=True, help="output path (.svg)")
-    p.set_defaults(func=_cmd_plot)
-
+    for cmd in _COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        for flag, keywords in {**cmd.flags, **(_CONFIG_FLAGS if cmd.config else {}),
+                               **(_STAMP_FLAG if cmd.stamp else {})}.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(cmd=cmd)
     return parser
 
 
@@ -305,7 +262,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:   # argparse already printed the message
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        return args.cmd.run(args, _resolve_config(args) if args.cmd.config else None)
     except DataError as exc:
         label, code = next((label, code) for kind, label, code in _ERRORS
                            if isinstance(exc, kind))

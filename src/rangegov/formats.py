@@ -9,10 +9,11 @@ from __future__ import annotations
 import csv
 import json
 import os
+import stat
 from contextlib import contextmanager
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from functools import partial
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
@@ -43,9 +44,9 @@ _NUMBERS = frozenset((str, int, float))   # what a decimal field holds; not a bo
 
 
 def _dec(raw, where: str) -> Decimal:
-    try:   # Decimal(None) raises TypeError
-        return d12(Decimal(raw if type(raw) in _NUMBERS else None))
-    except (InvalidOperation, ValueError, TypeError):
+    try:   # d12 reads a float through its repr, and refuses None
+        return d12(raw if type(raw) in _NUMBERS else None)
+    except ValueError:
         raise SchemaError("%s: bad decimal %r" % (where, raw))
 
 
@@ -167,6 +168,8 @@ def _column(values: list, read, default, stamps: dict) -> list:
     if read is _dec:
         if not types <= _NUMBERS:
             raise TypeError
+        if float in types:   # a JSON number, read through its repr as `d12` reads it
+            values = [repr(raw) if type(raw) is float else raw for raw in values]
         out = list(map(Decimal.quantize, map(Decimal, values), repeat(_Q12)))
         if any(map(Decimal.is_nan, out)):
             raise ValueError
@@ -232,6 +235,44 @@ def _open(path: str, newline=None):
             raise SchemaError("%s: %s" % (path, exc))
 
 
+@contextmanager
+def replacing(path: str, newline=None):
+    """A text file to write `path` through, the one way this package writes a
+    file. It is written under a temporary name in the same directory and
+    renamed over `path` when the block completes; on any exception it is
+    removed, so `path` keeps its old bytes. The file gets the mode that
+    `open(path, "w")` gives. An existing `path` that is not a regular file,
+    such as a device or a FIFO, is written in place."""
+    real = os.path.realpath(path)   # a symlink's target is replaced, not the link
+    try:
+        old = os.stat(real)
+    except FileNotFoundError:
+        old = None   # a new file: 0o666 less the umask, as open() makes it
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        return
+    head, tail = os.path.split(real)
+    for n in count():   # O_EXCL: never a file another writer holds
+        tmp = os.path.join(head, ".%s.%d-%d.tmp" % (tail, os.getpid(), n))
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:   # name the path asked for, as open(path, "w") does
+            raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+            if old is not None:
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
+            yield fh
+        os.replace(tmp, real)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _read_json(path: str):
     with _open(path) as fh:
         return json.load(fh)
@@ -258,7 +299,7 @@ def _write_csv(path: str, records, fields) -> None:
     columns = [[value if value is None or write is None else write(value)
                 for value in map(attrgetter(attr or key), records)]
                for key, read, _, attr in fields for write in (_CSV_WRITE.get(read),)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow([f.key for f in fields])
         w.writerows(zip(*columns))
@@ -368,7 +409,7 @@ def read_books(path: str, stamps=None) -> list:
 
 
 def write_books(path: str, snaps) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for s in snaps:
             fh.write(book_to_line(s) + "\n")
 
@@ -528,7 +569,7 @@ def save_panel(path: str, panel: Panel) -> None:
     encoded, so the write holds one chunk of records beyond the panel."""
     doc = _panel_doc(panel, lambda records, fields: partial(_write_series, records, fields))
     _, indent, sep, outer = _level(0)
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for i, (key, value) in enumerate(sorted(doc.items())):
             fh.write((sep if i else "{" + indent) + encode_basestring_ascii(key) + ": ")
             if isinstance(value, partial):   # a record series
@@ -554,7 +595,7 @@ def write_report(out, doc: dict) -> None:
     if hasattr(out, "write"):
         dump_json(doc, out.write)
         return
-    with open(out, "w", encoding="utf-8") as fh:
+    with replacing(out) as fh:
         dump_json(doc, fh.write)
 
 

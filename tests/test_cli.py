@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -1166,3 +1167,63 @@ def test_config_precedence_env_file_flag(panel_file, tmp_path, monkeypatch,
                         "--out", str(c)]) == 0
     assert _order_usd(str(c)) == 125000
     capsys.readouterr()
+
+
+# ------------------------------------------------------------ shared flags
+
+# each command's own flags; all but plot also take --config and --set, and all
+# but synth and plot take --stamp
+OWN_FLAGS = {
+    "ingest": {"--manifest", "--out", "--quality", "--allow-flagged"},
+    "validate": {"--panel", "--out"},
+    "metrics": {"--panel", "--family", "--out"},
+    "hypotheses": {"--panel", "--h", "--out"},
+    "regime": {"--panel", "--out"},
+    "synth": {"--scenario", "--seed", "--out"},
+    "backtest": {"--panels", "--out"},
+    "plot": {"--report", "--kind", "--out"},
+}
+CONFIG_FLAGS = {"--config", "--set"}
+
+
+@pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+def test_each_command_takes_its_own_flags_and_the_shared_ones(command, capsys):
+    assert main([command, "--help"]) == 0
+    listed = set(re.findall(r"(?m)^  (?:-h, )?(--[a-z][a-z-]*)", capsys.readouterr().out))
+    want = OWN_FLAGS[command] | {"--help"}
+    if command != "plot":
+        want |= CONFIG_FLAGS
+    if command not in ("synth", "plot"):
+        want.add("--stamp")
+    assert listed == want
+
+
+# argv of each command that takes the config; no input is read, because a
+# config error is reported before any
+CONFIG_ARGVS = {
+    "ingest": ["--manifest", "nope.json", "--out", "x.json"],
+    "validate": ["--panel", "nope.json"],
+    "metrics": ["--panel", "nope.json", "--out", "x.json"],
+    "hypotheses": ["--panel", "nope.json", "--out", "x.json"],
+    "regime": ["--panel", "nope.json", "--out", "x.json"],
+    "synth": ["--scenario", "nope.json", "--out", "x.json"],
+    "backtest": ["--panels", "nope.json", "--out", "x.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_ARGVS))
+@pytest.mark.parametrize("flags, message", [
+    (["--set", "bogus"], "--set expects key=value, got 'bogus'"),
+    # a value that is not JSON is kept as its text, which the key then refuses
+    (["--set", "funding_elevated_abs=abc"],
+     "config funding_elevated_abs: want a finite number, got 'abc'"),
+    (["--config", "list.json"], "config overrides must be a JSON object"),
+    (["--config", "absent.json"], "cannot read config absent.json"),
+])
+def test_a_bad_config_exits_3_in_every_command_that_takes_one(command, flags, message,
+                                                              tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1]")
+    assert main([command] + CONFIG_ARGVS[command] + flags) == 3
+    assert "error (schema): " + message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["list.json"]

@@ -11,7 +11,9 @@ exponent), or both raise the same exception with the same message.
 """
 import csv
 import os
+import random
 import tempfile
+from decimal import Decimal
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from rangegov.formats import (
     _dec, _flag, _histogram, _int, _opt, _shares, _time, book_from_line,
 )
 from rangegov.ingestion import RawTick
-from rangegov.model import Candle4H, FundingRecord, LiquidationEvent, OpenInterestRecord
+from rangegov.model import Candle4H, FundingRecord, LiquidationEvent, OpenInterestRecord, d12
 
 # ------------------------------------------------------------------ reference
 
@@ -308,3 +310,46 @@ def test_book_file_decodes_as_line_by_line(lines, bad, at, blank):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("".join(line + "\n" for line in lines))
         assert outcome(formats.read_books, path) == outcome(reference_books, path)
+
+
+# ------------------------------------------------------------- JSON numbers
+
+def _halfway_floats(n: int, seed: int) -> list:
+    """Floats whose shortest text has 13 decimals ending in 5: half way between
+    two 12-decimal values, where the text and the binary expansion round apart."""
+    rng = random.Random(seed)
+    return [float("%d.%012d5" % (rng.randrange(100), rng.randrange(10 ** 12)))
+            for _ in range(n)]
+
+
+def test_a_json_number_decodes_as_d12_reads_it():
+    """A decimal held as a JSON number had been read through its binary
+    expansion: 9.8841079958715 gave 9.884107995871 where `d12`, and the same
+    text in a CSV cell, give 9.884107995872."""
+    assert _dec(9.8841079958715, "x") == Decimal("9.884107995872")
+    for f in _halfway_floats(2000, 11):
+        got, want = _dec(f, "x"), d12(f)
+        assert (got, got.as_tuple().exponent) == (want, want.as_tuple().exponent), f
+
+
+def test_a_panel_of_json_numbers_loads_as_the_same_panel_of_their_text():
+    floats = iter(_halfway_floats(400, 12))
+    as_text, as_numbers = ({"kind": "panel", "schema_version": "1", "instrument": "X",
+                            "funding": [], "open_interest": [], "books": []}
+                           for _ in range(2))
+    for series, keys in (("candles", ("open", "high", "low", "close", "volume")),
+                         ("liquidations", ("price", "size_usd"))):
+        as_text[series], as_numbers[series] = [], []
+        for i in range(20):
+            rec = {"time": "2024-01-01T%02d:00:00Z" % i, "side": "long"}
+            values = {key: next(floats) for key in keys}
+            as_numbers[series].append({**rec, **values})
+            as_text[series].append({**rec, **{k: repr(v) for k, v in values.items()}})
+    numbers = formats.panel_from_dict(as_numbers)
+    text = formats.panel_from_dict(as_text)
+    # repr-equal: every Decimal has the same digits and exponent
+    assert repr(numbers.candles) == repr(text.candles)
+    assert repr(numbers.liquidations) == repr(text.liquidations)
+    # the draw holds values whose binary expansion rounds the other way
+    assert any(d12(Decimal(f)) != d12(f) for rec in as_numbers["candles"] for f in rec.values()
+               if isinstance(f, float))

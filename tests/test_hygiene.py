@@ -2,8 +2,8 @@
 module, and each module-level function, class or assignment is referenced
 somewhere else under `src/`, unless it is listed below with whom it serves.
 No module writes past a frozen dataclass, only the functions listed below
-build a hypothesis verdict or classify an OI window, and every error class
-is raised somewhere."""
+build a hypothesis verdict or classify an OI window, every error class is
+raised somewhere, and only `formats.replacing` opens a file for writing."""
 import ast
 from pathlib import Path
 
@@ -199,3 +199,56 @@ def test_a_planted_unraised_error_fails():
     trees = {path.stem: _tree(path) for path in MODULES}
     trees["errors"].body.append(ast.parse("class StaleError(DataError):\n    pass\n").body[0])
     assert _unraised_errors(trees) == ["StaleError"]
+
+
+# The one function that may open a file for writing: every file the package
+# writes goes through it, so a write that fails leaves the old file in place.
+WRITERS_ALLOWED = {"formats.replacing"}
+
+
+def _write_open_sites(stem: str, tree: ast.Module) -> list:
+    """Where `open` (a bare name or an attribute, `os.open` too) is called with
+    a mode that may write: one holding w, x, a or +, or one that is not a string
+    literal. A call with no mode reads."""
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        if not (isinstance(func, ast.Name) and func.id == "open"
+                or isinstance(func, ast.Attribute) and func.attr == "open"):
+            return False
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (kw.value for kw in node.keywords if kw.arg in ("mode", "flags")), None)
+        if mode is None:
+            return False
+        return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) \
+            or any(c in mode.value for c in "wxa+")
+    return _sites(stem, tree, match)
+
+
+def test_files_are_opened_for_writing_only_in_the_one_writer():
+    trees = {path.stem: _tree(path) for path in MODULES}
+    assert {site for stem, tree in trees.items()
+            for site in _write_open_sites(stem, tree)} == WRITERS_ALLOWED
+
+
+@pytest.mark.parametrize("source", [
+    "def save(path):\n    with open(path, 'w') as fh:\n        fh.write('x')\n",
+    "def save(path):\n    open(path, mode='a', encoding='utf-8').write('x')\n",
+    "def save(path):\n    open(path, 'x').close()\n",
+    "def save(path):\n    open(path, 'r+').write('x')\n",
+    "def save(path, mode):\n    open(path, mode).write('x')\n",
+    "def save(path):\n    os.close(os.open(path, os.O_WRONLY | os.O_CREAT))\n",
+    "class Report:\n    def save(self, path):\n        io.open(path, 'wb').write(b'x')\n",
+])
+def test_a_planted_write_open_fails(source):
+    assert _write_open_sites("cli", ast.parse(source)) != []
+
+
+@pytest.mark.parametrize("source", [
+    "def load(path):\n    return open(path).read()\n",
+    "def load(path):\n    return open(path, 'r', encoding='utf-8').read()\n",
+    "def load(path):\n    return open(path, mode='rb').read()\n",
+])
+def test_a_read_open_passes(source):
+    assert _write_open_sites("cli", ast.parse(source)) == []
