@@ -90,15 +90,7 @@ def _load_valid(path: str, cfg: Config):
 
 
 def _quality_to_dict(report) -> dict:
-    return {
-        "kind": "quality",
-        "checks_run": report.checks_run,
-        "passed": report.passed,
-        "flags": [{"check": f.check, "location": f.location,
-                   "severity": f.severity, "detail": f.detail}
-                  for f in report.flags],
-        "notes": list(report.notes),
-    }
+    return dict(dataclasses.asdict(report), kind="quality", passed=report.passed)
 
 
 # ------------------------------------------------------------- subcommands
@@ -130,27 +122,31 @@ def _cmd_validate(args, cfg) -> int:
     return EXIT_OK if qreport.passed else EXIT_QUALITY
 
 
-def _cmd_report(args, cfg) -> int:
-    """`metrics`, `hypotheses` or `regime`: its report on a panel `validate`
-    accepts, and one line naming the file and what the report found."""
+def _cmd_metrics(args, cfg) -> int:
     from . import reports
     panel = _load_valid(args.panel, cfg)
-    rc, found = EXIT_OK, ""
-    if args.command == "metrics":
-        doc = reports.metrics_report(panel, cfg, [args.family] if args.family else None)
-    elif args.command == "hypotheses":
-        doc = reports.hypotheses_report(panel, cfg, ["H" + args.h] if args.h else None)
-        falsified = sum(v["outcome"] == "falsified" for v in doc["verdicts"].values())
-        if falsified:
-            rc = min(EXIT_FALSIFIED_BASE + falsified, EXIT_FALSIFIED_CAP)
-        found = " (%d falsified)" % falsified
-    else:
-        doc = reports.regime_report(panel, cfg)
-        found = ": %s, conviction %s" % (doc["regime"]["label"],
-                                         doc["trigger_matrix"]["conviction"])
+    _write(args.out, reports.metrics_report(panel, cfg, args.family and [args.family]), args)
+    print("wrote %s" % args.out)
+    return EXIT_OK
+
+
+def _cmd_hypotheses(args, cfg) -> int:
+    from . import reports
+    panel = _load_valid(args.panel, cfg)
+    doc = reports.hypotheses_report(panel, cfg, ["H" + args.h] if args.h else None)
     _write(args.out, doc, args)
-    print("wrote %s%s" % (args.out, found))
-    return rc
+    falsified = sum(v["outcome"] == "falsified" for v in doc["verdicts"].values())
+    print("wrote %s (%d falsified)" % (args.out, falsified))
+    return min(EXIT_FALSIFIED_BASE + falsified, EXIT_FALSIFIED_CAP) if falsified else EXIT_OK
+
+
+def _cmd_regime(args, cfg) -> int:
+    from . import reports
+    doc = reports.regime_report(_load_valid(args.panel, cfg), cfg)
+    _write(args.out, doc, args)
+    print("wrote %s: %s, conviction %s" % (args.out, doc["regime"]["label"],
+                                           doc["trigger_matrix"]["conviction"]))
+    return EXIT_OK
 
 
 def _cmd_synth(args, cfg) -> int:
@@ -220,13 +216,13 @@ _COMMANDS = (
                                      "help": "keep the panel even on reject-severity flags"}}),
     _Command("validate", "run the quality pipeline on a panel", _cmd_validate, {
         "--panel": _REQUIRED, "--out": {"help": "write the report here instead of stdout"}}),
-    _Command("metrics", "per-bar metric tables by family", _cmd_report, {
+    _Command("metrics", "per-bar metric tables by family", _cmd_metrics, {
         "--panel": _REQUIRED, "--family": {"choices": FAMILIES}, "--out": _REQUIRED}),
-    _Command("hypotheses", "evaluate the falsifiable playbook", _cmd_report, {
+    _Command("hypotheses", "evaluate the falsifiable playbook", _cmd_hypotheses, {
         "--panel": _REQUIRED,
         "--h": {"choices": ["1", "2", "3", "4"], "help": "evaluate a single hypothesis"},
         "--out": _REQUIRED}),
-    _Command("regime", "regime label, trigger matrix, advisories", _cmd_report, {
+    _Command("regime", "regime label, trigger matrix, advisories", _cmd_regime, {
         "--panel": _REQUIRED, "--out": _REQUIRED}),
     _Command("synth", "realize a scenario into a panel file", _cmd_synth, {
         "--scenario": _REQUIRED,

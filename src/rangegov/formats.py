@@ -10,7 +10,7 @@ import csv
 import json
 import os
 import stat
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from decimal import Decimal
 from functools import partial
 from itertools import count, islice, repeat
@@ -240,18 +240,21 @@ def replacing(path: str, newline=None):
     """A text file to write `path` through, the one way this package writes a
     file. It is written under a temporary name in the same directory and
     renamed over `path` when the block completes; on any exception it is
-    removed, so `path` keeps its old bytes. The file gets the mode that
-    `open(path, "w")` gives. An existing `path` that is not a regular file,
-    such as a device or a FIFO, is written in place."""
-    real = os.path.realpath(path)   # a symlink's target is replaced, not the link
+    removed, so `path` keeps its old bytes. The file gets the mode, and an
+    existing `path` the refusal, that `open(path, "w")` gives. A `path` that
+    is not a regular file (a FIFO) or is under /dev or /proc is written in place."""
     try:
-        old = os.stat(real)
+        old = os.stat(path)   # the kernel follows /proc fd links; realpath cannot
     except FileNotFoundError:
         old = None   # a new file: 0o666 less the umask, as open() makes it
-    if old is not None and not stat.S_ISREG(old.st_mode):
+    if (old is not None and not stat.S_ISREG(old.st_mode)
+            or os.path.abspath(path).startswith(("/dev/", "/proc/"))):   # /dev/stdout
         with open(path, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
         return
+    if old is not None:   # refused as open() refuses it, though the directory is writable
+        os.close(os.open(path, os.O_WRONLY))
+    real = os.path.realpath(path)   # a symlink's target is replaced, not the link
     head, tail = os.path.split(real)
     for n in count():   # O_EXCL: never a file another writer holds
         tmp = os.path.join(head, ".%s.%d-%d.tmp" % (tail, os.getpid(), n))
@@ -269,7 +272,8 @@ def replacing(path: str, newline=None):
             yield fh
         os.replace(tmp, real)
     except BaseException:
-        os.unlink(tmp)
+        with suppress(OSError):   # the error that stopped the write is the one to see
+            os.unlink(tmp)
         raise
 
 

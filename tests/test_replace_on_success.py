@@ -3,18 +3,23 @@
 `formats.replacing` writes a temporary file beside the target and renames it
 over the target on success. A write that fails part way (an unserializable
 value, a bad record) leaves the old bytes and no stray file. The new file has
-the mode a plain `open(path, "w")` gives it, a symlink's target is replaced,
-and an existing target that is not a regular file (a FIFO, a device such as
-`/dev/stdout`) is written in place.
+the mode a plain `open(path, "w")` gives it, a target the user may not write
+is refused as `open` refuses it, a symlink's target is replaced, and a target
+that is not a regular file (a FIFO) or is under /dev or /proc (`/dev/stdout`,
+whatever stdout is) is written in place.
 """
 import dataclasses
+import errno
 import os
 import stat
+import subprocess
+import sys
 import threading
 from decimal import Decimal
 
 import pytest
 
+import rangegov
 from rangegov import formats
 from rangegov.cli import main
 
@@ -103,6 +108,98 @@ def test_a_fifo_is_written_in_place(tmp_path):
     assert got == [formats.dump_json({"kind": "new", "schema_version": "1"}).encode()]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_a_target_the_user_may_not_write_is_refused_as_open_refuses_it(tmp_path):
+    """A read-only report kept as a reference is not renamed over: whether it
+    is written follows `open(path, "a")`'s permission rule for this user."""
+    path = _old_file(tmp_path)
+    os.chmod(path, 0o444)
+    try:
+        open(path, "a").close()
+        writable = True
+    except PermissionError:
+        writable = False
+    if writable:   # a user who may write any file (root): open would write it
+        formats.write_report(str(path), {"kind": "new"})
+        assert formats.load_report(str(path))["kind"] == "new"
+    else:
+        with pytest.raises(PermissionError):
+            formats.write_report(str(path), {"kind": "new"})
+        assert path.read_bytes() == OLD
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o444
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_a_refused_target_keeps_its_bytes_and_is_named(tmp_path, monkeypatch):
+    """The refusal itself, for a user the kernel denies write to (here
+    simulated, so that it runs as root too)."""
+    path = _old_file(tmp_path)
+    real_open = os.open
+
+    def denying_open(name, flags, *rest):
+        if name == str(path) and flags & (os.O_WRONLY | os.O_RDWR):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
+        return real_open(name, flags, *rest)
+
+    monkeypatch.setattr(os, "open", denying_open)
+    with pytest.raises(PermissionError) as err:
+        formats.write_report(str(path), {"kind": "new"})
+    assert (err.value.errno, err.value.filename) == (errno.EACCES, str(path))
+    assert path.read_bytes() == OLD
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_a_failed_cleanup_does_not_hide_the_write_error(tmp_path, monkeypatch):
+    path = _old_file(tmp_path)
+
+    def unlink(p):
+        raise FileNotFoundError(errno.ENOENT, "gone", p)
+
+    monkeypatch.setattr(os, "unlink", unlink)
+    with pytest.raises(TypeError):
+        formats.write_report(str(path), _report_over_budget())
+    assert path.read_bytes() == OLD
+
+
+def _rangegov(argv, stdout):
+    src = os.path.dirname(os.path.dirname(rangegov.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env.pop("RG_CONFIG", None)
+    return subprocess.run([sys.executable, "-m", "rangegov", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def validated(tmp_path_factory):
+    """A panel file and the report `validate` prints for it to stdout."""
+    panel = str(tmp_path_factory.mktemp("stdout") / "p.json")
+    assert main(["synth", "--scenario", scenario_path("h4-confirm"), "--out", panel]) == 0
+    done = _rangegov(["validate", "--panel", panel], subprocess.PIPE)
+    assert done.returncode == 0, done.stderr
+    return panel, done.stdout
+
+
+@pytest.mark.parametrize("out", ["/dev/stdout", "/dev/fd/1", "/proc/self/fd/1"])
+def test_out_naming_stdout_writes_to_a_pipe(validated, out):
+    """`realpath` reads the link of a pipe as `pipe:[N]`, no path to rename over."""
+    panel, expected = validated
+    done = _rangegov(["validate", "--panel", panel, "--out", out], subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == expected
+
+
+def test_out_naming_stdout_writes_into_the_redirected_file(validated, tmp_path):
+    """The file stdout is open on is written, not renamed over behind it."""
+    panel, expected = validated
+    path = tmp_path / "stdout.json"
+    with open(path, "wb") as fh:
+        inode = os.fstat(fh.fileno()).st_ino
+        done = _rangegov(["validate", "--panel", panel, "--out", "/dev/stdout"], fh)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert os.stat(path).st_ino == inode
+    assert path.read_bytes() == expected
+    assert os.listdir(tmp_path) == ["stdout.json"]
 
 
 def test_a_missing_directory_is_named_as_open_names_it(tmp_path):
