@@ -8,7 +8,7 @@ Exit codes:
   0   success
   2   usage error (unknown flag, missing argument)
   3   schema violation (malformed file, bad config key, bad scenario)
-  4   missing series or file
+  4   a missing series, or a path the command cannot read or write
   5   quality rejection (reject-severity flags on ingest/validate, or a
       panel metrics/hypotheses/regime/backtest refuse: see `_load_valid`)
   6   insufficient inputs (trigger matrix starved)
@@ -27,7 +27,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from . import formats
-from .config import FAMILIES, Config, from_env
+from .config import DEFAULTS, FAMILIES, Config, from_dict
 from .errors import (
     DataError,
     InsufficientInputsError,
@@ -58,7 +58,10 @@ _ERRORS = (
 
 
 def _resolve_config(args) -> Config:
-    cfg = from_env(args.config)
+    """The override file --config names, or else RG_CONFIG's (read as every
+    input file is; the two do not stack), then each --set in turn."""
+    path = args.config or os.environ.get("RG_CONFIG")
+    cfg = from_dict(formats._read_json(path)) if path else DEFAULTS
     for item in args.set or []:
         if "=" not in item:
             raise SchemaError("--set expects key=value, got %r" % item)
@@ -264,6 +267,11 @@ def main(argv=None) -> int:
                            if isinstance(exc, kind))
         print("error (%s): %s" % (label, exc), file=sys.stderr)
         return code
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print("error (file): %s: %s" % (exc.filename, exc.strerror), file=sys.stderr)
+        return EXIT_MISSING
 
 
 if __name__ == "__main__":

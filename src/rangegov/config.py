@@ -4,15 +4,13 @@ Every numeric threshold the metric, hypothesis and advisory layers read
 lives here under a name that states which rule it bounds, and nothing else
 does: the 4H grid and its 6 bars a day, and the 8H funding basis and its 3
 settlements a day, are fixed in `model`. Defaults are the published reference
-values; overrides come from a JSON file (CLI --config or the RG_CONFIG
-environment variable) with exactly these keys.
+values; overrides are a JSON object of exactly these keys, which the CLI
+reads from the file --config or the RG_CONFIG environment variable names.
 """
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-import os
 from dataclasses import dataclass
 
 from .errors import SchemaError
@@ -122,12 +120,14 @@ class Config:
 _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(Config)}
 
 # Every int field is a window, lookback, count or tolerance: at least 1, except
-# where zero means "none" and where a sample std needs two points.
+# where zero means "none", where a sample std needs two points, and where the
+# regime compares the two halves of its window.
 _INT_FLOORS = {
     "timestamp_tolerance_s": 0,
     "max_interpolation_gap": 0,
     "funding_spike_lookback": 2,
     "realized_vol_window": 2,
+    "regime_window": 2,
 }
 # Float fields with an exclusive floor: a kernel bandwidth and a profile bin
 # width divide, and the order the slippage walk fills is read at 12 decimal
@@ -162,18 +162,3 @@ def from_dict(overrides: dict) -> Config:
     if not isinstance(overrides, dict):
         raise SchemaError("config overrides must be a JSON object")
     return DEFAULTS.replace(**overrides)
-
-
-def load(path: str) -> Config:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read config {path}: {exc}") from exc
-    return from_dict(data)
-
-
-def from_env(explicit_path: str | None = None) -> Config:
-    """Resolve config: explicit path wins, then RG_CONFIG, then defaults."""
-    path = explicit_path or os.environ.get("RG_CONFIG")
-    return load(path) if path else DEFAULTS

@@ -604,7 +604,10 @@ def write_report(out, doc: dict) -> None:
 
 
 def load_report(path: str) -> dict:
-    return _read_json(path)
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise SchemaError("%s: report must be an object" % path)
+    return doc
 
 
 # ----------------------------------------------------------------- manifest

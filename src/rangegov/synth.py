@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .config import Config, DEFAULTS
 from .errors import DataError, SchemaError
+from .formats import _read_json
 from .model import (
     BAR_SECONDS,
     BookSnapshot,
@@ -99,12 +100,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read scenario {path}: {exc}") from exc
-    return scenario_from_dict(doc)
+    return scenario_from_dict(_read_json(path))
 
 
 def builtin_scenario_names() -> list:

@@ -1,6 +1,7 @@
 """End-to-end command-line flows, run in process through main(argv)."""
 
 import dataclasses
+import errno
 import json
 import os
 import pathlib
@@ -11,6 +12,7 @@ import sys
 import pytest
 
 import rangegov
+from rangegov import formats
 from rangegov.cli import main
 from rangegov.config import DEFAULTS
 from rangegov.formats import (
@@ -76,6 +78,7 @@ def test_unknown_config_key(panel_file, tmp_path, capsys):
     ("range_window=-3", "config range_window: must be >= 1, got -3"),
     ("funding_spike_lookback=0", "config funding_spike_lookback: must be >= 2, got 0"),
     ("funding_spike_lookback=1", "config funding_spike_lookback: must be >= 2, got 1"),
+    ("regime_window=1", "config regime_window: must be >= 2, got 1"),
     ("funding_spike_sigma=NaN", "config funding_spike_sigma: want a finite number, got nan"),
     ('funding_spike_sigma="2"', "config funding_spike_sigma: want a finite number, got '2'"),
     # `Infinity` had passed: a density of nulls and `"bandwidth": Infinity`,
@@ -189,7 +192,7 @@ def test_config_floors_and_int_for_float_are_accepted(panel_file, tmp_path, caps
     assert main(["metrics", "--panel", panel_file, "--set", "funding_spike_lookback=2",
                  "--set", "timestamp_tolerance_s=0", "--set", "funding_spike_sigma=3",
                  "--set", "kde_bandwidth_frac=1e-9", "--set", "slippage_order_usd=6e-13",
-                 "--out", out]) == 0
+                 "--set", "regime_window=2", "--out", out]) == 0
     capsys.readouterr()
 
 
@@ -633,6 +636,15 @@ def test_regime_report(panel_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_regime_runs_at_the_regime_window_floor(corpus_dir, tmp_path, capsys, name):
+    """The regime compares the two halves of its window, so 2 bars is the
+    least window it can read (1 exits 3, see the config-value rows above)."""
+    assert main(["regime", "--panel", str(corpus_dir / (name + ".json")),
+                 "--set", "regime_window=2", "--out", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+
+
 def test_backtest_over_corpus(corpus_dir, tmp_path, capsys):
     out = tmp_path / "bt.json"
     rc = main(["backtest", "--panels", str(corpus_dir / "*.json"),
@@ -897,6 +909,16 @@ def test_plot_writes_svg_and_csv_twin(panel_file, tmp_path, capsys):
     assert twin.exists()
     assert twin.read_text().splitlines()[0] == "time,close,range_lower,range_upper"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"'])
+def test_plot_refuses_a_report_that_is_not_an_object(tmp_path, capsys, text):
+    report = tmp_path / "m.json"
+    report.write_text(text)
+    assert main(["plot", "--report", str(report), "--kind", "range",
+                 "--out", str(tmp_path / "fig.svg")]) == 3
+    assert capsys.readouterr().err == "error (schema): %s: report must be an object\n" % report
+    assert os.listdir(tmp_path) == ["m.json"]
 
 
 def test_plot_rejects_unknown_kind(panel_file, tmp_path, capsys):
@@ -1218,12 +1240,143 @@ CONFIG_ARGVS = {
     (["--set", "funding_elevated_abs=abc"],
      "config funding_elevated_abs: want a finite number, got 'abc'"),
     (["--config", "list.json"], "config overrides must be a JSON object"),
-    (["--config", "absent.json"], "cannot read config absent.json"),
+    (["--config", "junk.json"], "junk.json: Expecting value: line 1 column 1 (char 0)"),
 ])
 def test_a_bad_config_exits_3_in_every_command_that_takes_one(command, flags, message,
                                                               tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "list.json").write_text("[1]")
+    (tmp_path / "junk.json").write_text("not json")
     assert main([command] + CONFIG_ARGVS[command] + flags) == 3
     assert "error (schema): " + message in capsys.readouterr().err
-    assert sorted(os.listdir(tmp_path)) == ["list.json"]
+    assert sorted(os.listdir(tmp_path)) == ["junk.json", "list.json"]
+
+
+# ------------------------------------------------------------- file faults
+# A path the command cannot use exits 4 in every command, with one error line
+# naming it and no file left behind: an input that is missing, a directory or
+# refused, and an output that is a directory, under a missing directory or
+# refused.
+
+# command -> its path flags, inputs first; --quality is given only when it is the fault
+PATH_FLAGS = {
+    "ingest": ("--manifest", "--out", "--quality"),
+    "validate": ("--panel", "--out"),
+    "metrics": ("--panel", "--out"),
+    "hypotheses": ("--panel", "--out"),
+    "regime": ("--panel", "--out"),
+    "synth": ("--scenario", "--out"),
+    "backtest": ("--panels", "--out"),
+    "plot": ("--report", "--kind", "--out"),
+}
+OUTPUT_FLAGS = ("--out", "--quality")
+INPUT_FAULTS = [(command, flag) for command, flags in PATH_FLAGS.items()
+                for flag in flags if flag not in OUTPUT_FLAGS + ("--kind",)] \
+    + [(command, source) for command in sorted(CONFIG_ARGVS)
+       for source in ("--config", "RG_CONFIG")]
+# (command, output, fault); "twin" is plot's .csv, written beside the .svg
+# that --out names, so it has no directory of its own to be missing
+OUTPUT_FAULTS = [(command, flag, kind) for command, flags in PATH_FLAGS.items()
+                 for flag in flags if flag in OUTPUT_FLAGS
+                 for kind in ("directory", "missing directory", "refused")] \
+    + [("plot", "twin", "directory"), ("plot", "twin", "refused")]
+OLD_BYTES = b'{"kind": "old"}\n'
+
+
+@pytest.fixture(scope="module")
+def good_inputs(corpus_dir, tmp_path_factory):
+    """A readable value for each input flag (and --kind)."""
+    root = tmp_path_factory.mktemp("inputs")
+    panel = str(corpus_dir / "h4-confirm.json")
+    _write_inputs(root, load_panel(panel))
+    report = str(root / "m.json")
+    assert main(["metrics", "--panel", panel, "--out", report]) == 0
+    return {"--manifest": _manifest(root), "--panel": panel, "--panels": panel,
+            "--scenario": scenario_path("h4-confirm"), "--report": report, "--kind": "range"}
+
+
+def _fault_argv(command, good_inputs, work, flag, path) -> list:
+    """`command` reading `good_inputs` and writing into `work`, but for `flag`,
+    which names `path`."""
+    out = str(work / ("fig.svg" if command == "plot" else "out.json"))
+    argv = [command]
+    for name in PATH_FLAGS[command]:
+        if name == flag:
+            argv += [name, path]
+        elif name == "--out":
+            argv += [name, out]
+        elif name != "--quality":
+            argv += [name, good_inputs[name]]
+    return argv + (["--config", path] if flag == "--config" else [])
+
+
+def _tree_of(work) -> list:
+    return sorted(str(p.relative_to(work)) for p in work.rglob("*"))
+
+
+def _assert_one_error(capsys, line) -> None:
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()) == ("", [line])
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "refused"])
+@pytest.mark.parametrize("command, flag", INPUT_FAULTS)
+def test_an_input_path_the_command_cannot_read_exits_4(command, flag, kind, good_inputs,
+                                                       tmp_path, monkeypatch, capsys):
+    path = tmp_path / "in.json"
+    line = "error (missing series): missing file: %s" % path
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "refused":   # as the kernel refuses a user, simulated so it runs as root too
+        path.write_text("{}")
+        line = "error (file): %s: %s" % (path, os.strerror(errno.EACCES))
+
+        def denying_open(target, *args, **kwargs):
+            if target == str(path):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), target)
+            return open(target, *args, **kwargs)
+
+        monkeypatch.setattr(formats, "open", denying_open, raising=False)
+    if flag == "RG_CONFIG":
+        monkeypatch.setenv("RG_CONFIG", str(path))
+    before = _tree_of(tmp_path)
+    assert main(_fault_argv(command, good_inputs, tmp_path, flag, str(path))) == 4
+    _assert_one_error(capsys, line)
+    assert _tree_of(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, flag, kind", OUTPUT_FAULTS)
+def test_an_output_path_the_command_cannot_write_exits_4(command, flag, kind, good_inputs,
+                                                         tmp_path, monkeypatch, capsys):
+    name = {"twin": "fig.csv", "--out": "fig.svg" if command == "plot" else "out.json",
+            "--quality": "quality.json"}[flag]
+    path = tmp_path / "nodir" / name if kind == "missing directory" else tmp_path / name
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "refused":   # as the kernel refuses a user, simulated so it runs as root too
+        path.write_bytes(OLD_BYTES)
+        real_open = os.open
+
+        def denying_open(target, flags, *rest):
+            if target == str(path) and flags & (os.O_WRONLY | os.O_RDWR):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), target)
+            return real_open(target, flags, *rest)
+
+        monkeypatch.setattr(os, "open", denying_open)
+    before = _tree_of(tmp_path) + (["fig.svg"] if flag == "twin" else [])
+    assert main(_fault_argv(command, good_inputs, tmp_path, flag, str(path))) == 4
+    reason = {"directory": errno.EISDIR, "missing directory": errno.ENOENT,
+              "refused": errno.EACCES}[kind]
+    _assert_one_error(capsys, "error (file): %s: %s" % (path, os.strerror(reason)))
+    assert _tree_of(tmp_path) == sorted(before)
+    if kind == "refused":
+        assert path.read_bytes() == OLD_BYTES
+
+
+def test_a_file_fault_prints_no_traceback(tmp_path):
+    path = str(tmp_path / "nodir" / "out.json")
+    done = _run_bounded(["synth", "--scenario", scenario_path("h4-confirm"), "--out", path])
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr.splitlines() == ["error (file): %s: %s"
+                                        % (path, os.strerror(errno.ENOENT))]
+    assert os.listdir(tmp_path) == []

@@ -3,7 +3,8 @@ module, and each module-level function, class or assignment is referenced
 somewhere else under `src/`, unless it is listed below with whom it serves.
 No module writes past a frozen dataclass, only the functions listed below
 build a hypothesis verdict or classify an OI window, every error class is
-raised somewhere, and only `formats.replacing` opens a file for writing."""
+raised somewhere, only `formats.replacing` opens a file for writing, and
+only `formats` reads one."""
 import ast
 from pathlib import Path
 
@@ -252,3 +253,49 @@ def test_a_planted_write_open_fails(source):
 ])
 def test_a_read_open_passes(source):
     assert _write_open_sites("cli", ast.parse(source)) == []
+
+
+# Every input file is read in `formats`, through `formats._open`, so each path
+# a command reads fails the same way. A reader anywhere else is listed here
+# with the reason it may read.
+READERS_ALLOWED = {
+    # a scenario packaged with rangegov, read as a package resource by name,
+    # not from a path the user gives
+    "synth.load_builtin_scenario",
+}
+
+
+def _read_sites(stem: str, tree: ast.Module) -> list:
+    """Where a file is opened (`open`, `os.open`, `io.open`) or read
+    (`json.load`, a path's `read_text` or `read_bytes`)."""
+    def match(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        if isinstance(func, ast.Name):
+            return func.id == "open"
+        return isinstance(func, ast.Attribute) and (
+            func.attr in ("open", "read_text", "read_bytes")
+            or func.attr == "load" and isinstance(func.value, ast.Name)
+            and func.value.id == "json")
+    return _sites(stem, tree, match)
+
+
+def _unlisted_reads(trees: dict) -> list:
+    return sorted(site for stem, tree in trees.items() if stem != "formats"
+                  for site in _read_sites(stem, tree) if site not in READERS_ALLOWED)
+
+
+def test_files_are_read_only_in_formats():
+    trees = {path.stem: _tree(path) for path in MODULES}
+    assert _unlisted_reads(trees) == []
+    assert {site for stem, tree in trees.items() if stem != "formats"
+            for site in _read_sites(stem, tree)} == READERS_ALLOWED
+
+
+@pytest.mark.parametrize("stem, source", [
+    ("config", "def load(path):\n    with open(path) as fh:\n        return json.load(fh)\n"),
+    ("synth", "def load_scenario(path):\n    return json.load(io.open(path))\n"),
+    ("cli", "def read(path):\n    return pathlib.Path(path).read_text()\n"),
+    ("cli", "CONFIG = json.load(sys.stdin)\n"),
+])
+def test_a_planted_reader_fails(stem, source):
+    assert _unlisted_reads({stem: ast.parse(source)}) != []

@@ -10,7 +10,7 @@ import pytest
 from rangegov import synth
 from rangegov.cli import main
 from rangegov.config import DEFAULTS
-from rangegov.errors import SchemaError
+from rangegov.errors import MissingSeriesError, SchemaError
 from rangegov.formats import dump_json, panel_to_dict, save_panel
 from rangegov.quality import run_pipeline
 from rangegov.synth import (
@@ -200,8 +200,15 @@ def test_scenario_dict_round_trip():
 
 
 def test_load_scenario_missing_file(tmp_path):
-    with pytest.raises(SchemaError):
+    with pytest.raises(MissingSeriesError):
         load_scenario(str(tmp_path / "nope.json"))
+
+
+def test_load_scenario_names_a_file_that_is_not_json(tmp_path):
+    p = tmp_path / "junk.json"
+    p.write_text("not json")
+    with pytest.raises(SchemaError, match="^%s: Expecting value" % re.escape(str(p))):
+        load_scenario(str(p))
 
 
 def test_load_scenario_rejects_bad_template(tmp_path):
