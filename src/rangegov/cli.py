@@ -101,7 +101,7 @@ def _quality_to_dict(report) -> dict:
 
 def _cmd_ingest(args, cfg) -> int:
     panel, qreport, _ = formats.ingest_manifest(args.manifest, cfg)
-    if args.quality:
+    if args.quality is not None:   # "" is a path open() refuses, not no path
         _write(args.quality, _quality_to_dict(qreport), args)
     if not qreport.passed and not args.allow_flagged:
         for f in qreport.flags:
@@ -121,7 +121,7 @@ def _cmd_validate(args, cfg) -> int:
     panel = formats.load_panel(args.panel)
     from .quality import run_pipeline
     _, qreport = run_pipeline(panel, cfg, judge_input=True)
-    _write(args.out or sys.stdout, _quality_to_dict(qreport), args)
+    _write(sys.stdout if args.out is None else args.out, _quality_to_dict(qreport), args)
     return EXIT_OK if qreport.passed else EXIT_QUALITY
 
 

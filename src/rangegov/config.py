@@ -2,8 +2,9 @@
 
 Every numeric threshold the metric, hypothesis and advisory layers read
 lives here under a name that states which rule it bounds, and nothing else
-does: the 4H grid and its 6 bars a day, and the 8H funding basis and its 3
-settlements a day, are fixed in `model`. Defaults are the published reference
+does: `model` fixes the 4H grid (6 bars a day) and the 8H funding basis (3
+settlements a day), and `cost` and `regime` each window a report key names
+(`cumulative_7d`, `vol_percentile_90d`). Defaults are the published reference
 values; overrides are a JSON object of exactly these keys, which the CLI
 reads from the file --config or the RG_CONFIG environment variable names.
 """
@@ -29,8 +30,6 @@ class Config:
     funding_spike_lookback: int = 30           # settlements, strictly before t
     funding_spike_sigma_floor: float = 1e-6
     basis_dislocation_abs: float = 0.005       # |(perp-spot)/spot| beyond this dislocates
-    cumulative_short_days: int = 7
-    cumulative_long_days: int = 30
 
     # open interest / positioning
     oi_baseline_days: int = 90                 # moving-average window for "elevated"
@@ -58,7 +57,6 @@ class Config:
     # hypothesis evaluators
     h1_signal_quorum: int = 3                  # of the three compression signals
     h1_tap_oi_drop_limit: float = 0.05         # OI drop on a failed tap stays under this
-    h2_funding_moderation_abs: float = 0.0001
     h2_premoderation_bars: int = 3             # bars before breakout checked for moderation
     h2_shelf_migration_share: float = 0.20
     h2_sustain_closes: int = 3                 # post-break closes that must hold
@@ -96,8 +94,6 @@ class Config:
     stop_band_far: float = 0.02
     leverage_max: float = 100.0
     leverage_min: float = 20.0
-    leverage_vol_days: int = 30                # percentile window for the leverage scale
-    liq_mode_days: int = 90                    # distribution for the liquidation-mode cut
     liq_mode_pctl: float = 0.80                # strictly above -> aggressive
     holding_days: float = 10.0                 # advisory funding-drag horizon
 

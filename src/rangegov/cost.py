@@ -85,6 +85,11 @@ def funding_spike(rates: Sequence, cfg: Config = DEFAULTS) -> list:
     return [None] * look + flags.tolist()
 
 
+# the trailing windows, in settlements, that `cumulative_7d` and `cumulative_30d`
+# sum; the 7-day one is also the window of `reports.cost_report`'s direction
+FUNDING_WINDOW_7D = 7 * SETTLEMENTS_PER_DAY
+FUNDING_WINDOW_30D = 30 * SETTLEMENTS_PER_DAY
+
 def build_funding_state(records: Sequence, durations: Sequence[int],
                         cfg: Config = DEFAULTS) -> Optional[FundingState]:
     """`durations` are the records' `funding_bias_duration` run lengths."""
@@ -93,8 +98,7 @@ def build_funding_state(records: Sequence, durations: Sequence[int],
     rates = [r.rate_8h for r in records]
     last = rates[-1]
 
-    def cum(days: int) -> Optional[float]:
-        window = days * SETTLEMENTS_PER_DAY
+    def cum(window: int) -> Optional[float]:
         if window > len(rates):
             return None
         return float(cumulative_funding(rates, window))
@@ -104,6 +108,6 @@ def build_funding_state(records: Sequence, durations: Sequence[int],
         bias_duration=durations[-1],
         magnitude_class=classify_magnitude(last, cfg),
         annualized_pct=float(annualize_funding(last)),
-        cumulative_7d=cum(cfg.cumulative_short_days),
-        cumulative_30d=cum(cfg.cumulative_long_days),
+        cumulative_7d=cum(FUNDING_WINDOW_7D),
+        cumulative_30d=cum(FUNDING_WINDOW_30D),
     )

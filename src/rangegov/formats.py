@@ -7,6 +7,7 @@ survive a round trip without binary-float drift.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
 import stat
@@ -243,6 +244,8 @@ def replacing(path: str, newline=None):
     removed, so `path` keeps its old bytes. The file gets the mode, and an
     existing `path` the refusal, that `open(path, "w")` gives. A `path` that
     is not a regular file (a FIFO) or is under /dev or /proc is written in place."""
+    if not path:   # refused as open() refuses it, not resolved to the working directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     try:
         old = os.stat(path)   # the kernel follows /proc fd links; realpath cannot
     except FileNotFoundError:
@@ -270,7 +273,10 @@ def replacing(path: str, newline=None):
             if old is not None:
                 os.fchmod(fd, stat.S_IMODE(old.st_mode))
             yield fh
-        os.replace(tmp, real)
+        try:
+            os.replace(tmp, real)
+        except OSError as exc:   # name the path asked for, not the temporary file
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         with suppress(OSError):   # the error that stopped the write is the one to see
             os.unlink(tmp)

@@ -250,7 +250,7 @@ def evaluate_h2(series: PanelSeries) -> HypothesisVerdict:
     known = [f for f in series.funding_by_bar[window[0]:breakout_bar] if f is not None]
     if not known:
         return _not_evaluable(name, window, ["no funding coverage before the break"])
-    moderation = d12(cfg.h2_funding_moderation_abs)
+    moderation = d12(cfg.funding_neutral_abs)
     condition = any(abs(f.rate_8h) < moderation for f in known)
     if not condition:
         return _not_evaluable(name, window,

@@ -15,8 +15,6 @@ from .structure import ols_slope
 
 @dataclass(frozen=True)
 class DepthProfile:
-    side: str                 # bid | ask
-    cumulative: tuple         # (price, cumulative base size from best) pairs
     p25: Decimal              # first price where cumulative share >= 25%
     p75: Decimal
 
@@ -60,18 +58,16 @@ def _side_profile(levels, side: str) -> DepthProfile:
     total = sum(size for _, size in levels)
     if total == 0:
         raise ValueError("empty %s side" % side)
-    cum = []
     running = Decimal(0)
     p25 = p75 = None
     for price, size in levels:
         running += size
-        cum.append((price, running))
         share = running / total
         if p25 is None and share >= Decimal("0.25"):
             p25 = price
         if p75 is None and share >= Decimal("0.75"):
             p75 = price
-    return DepthProfile(side, tuple(cum), p25, p75)
+    return DepthProfile(p25, p75)
 
 
 def depth_percentiles(snapshot: BookSnapshot) -> tuple:

@@ -273,6 +273,10 @@ def percentile_rank(history: Sequence[float], value: float) -> float:
     return min(max(below / (len(vals) - 1), 0.0), 1.0)
 
 
+# the trailing windows, in 4H bars, of `vol_percentile_30d` and `vol_percentile_90d`
+VOL_WINDOW_30D = 30 * BARS_PER_DAY
+VOL_WINDOW_90D = 90 * BARS_PER_DAY
+
 def advise_platform_parameters(vol_history: Sequence[float],
                                cfg: Config = DEFAULTS) -> dict:
     """Leverage cap scaled 100x down to 20x by the 30-day volatility
@@ -282,8 +286,8 @@ def advise_platform_parameters(vol_history: Sequence[float],
     if not vals:
         raise InsufficientInputsError("no volatility history")
     current = vals[-1]
-    short = vals[-(cfg.leverage_vol_days * BARS_PER_DAY):]
-    long = vals[-(cfg.liq_mode_days * BARS_PER_DAY):]
+    short = vals[-VOL_WINDOW_30D:]
+    long = vals[-VOL_WINDOW_90D:]
     rank30 = percentile_rank(short, current)
     rank90 = percentile_rank(long, current)
     leverage = cfg.leverage_max - (cfg.leverage_max - cfg.leverage_min) * rank30

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULTS, FAMILIES, Config
-from .cost import build_funding_state, magnitude_classifier
+from .cost import FUNDING_WINDOW_7D, build_funding_state, magnitude_classifier
 from .errors import InsufficientInputsError
 from .hypotheses import evaluate_all
 from .ingestion import annualize_funding, basis_spread
@@ -28,7 +28,7 @@ from .liquidity import (
     shelf_migration,
     spread,
 )
-from .model import SETTLEMENTS_PER_DAY, Panel, bar_index, d12, fmt_dec, iso
+from .model import Panel, bar_index, d12, fmt_dec, iso
 from .positioning import (
     boundary_cluster_share,
     concentration_gini,
@@ -157,11 +157,10 @@ def cost_report(series: PanelSeries) -> dict:
             "spike": series.funding_spikes[i],
             "basis": basis,
         })
-    # Rising vs moderating: sign of the |rate| slope over the short window.
+    # Rising vs moderating: sign of the |rate| slope over the 7-day window.
     direction = "neutral"
     if state is not None and state.magnitude_class != "neutral":
-        window = cfg.cumulative_short_days * SETTLEMENTS_PER_DAY
-        slope = ols_slope([abs(float(r)) for r in rates[-window:]])
+        slope = ols_slope([abs(float(r)) for r in rates[-FUNDING_WINDOW_7D:]])
         if slope is not None:
             direction = "rising" if slope > 0 else "moderating"
     return {

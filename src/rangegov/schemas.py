@@ -166,6 +166,11 @@ LIQUIDITY_SCHEMA = {
             "type": ["object", "null"],
             "required": ["slope", "r_squared"],
         },
+        "extremes_series": {   # the rows the depth plot draws
+            "type": "array",
+            "items": {"type": "object",
+                      "required": ["time", "lower_usd", "upper_usd", "total_usd"]},
+        },
         "notes": {"type": "array", "items": {"type": "string"}},
     },
 }

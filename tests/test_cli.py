@@ -164,7 +164,9 @@ def test_a_config_value_past_d12_is_refused_in_every_command_and_source(
 
 
 @pytest.mark.parametrize("key", ["h3_structural_closes", "price_mad_sigma", "bars_per_day",
-                                 "settlements_per_day"])
+                                 "settlements_per_day", "cumulative_short_days",
+                                 "cumulative_long_days", "leverage_vol_days", "liq_mode_days",
+                                 "h2_funding_moderation_abs"])
 def test_removed_config_key_is_a_schema_error(panel_file, tmp_path, capsys, key):
     out = str(tmp_path / "m.json")
     cfg_file = tmp_path / "cfg.json"
@@ -1279,7 +1281,10 @@ INPUT_FAULTS = [(command, flag) for command, flags in PATH_FLAGS.items()
 OUTPUT_FAULTS = [(command, flag, kind) for command, flags in PATH_FLAGS.items()
                  for flag in flags if flag in OUTPUT_FLAGS
                  for kind in ("directory", "missing directory", "refused")] \
-    + [("plot", "twin", "directory"), ("plot", "twin", "refused")]
+    + [("plot", "twin", "directory"), ("plot", "twin", "refused")] \
+    + [(command, flag, "empty") for command, flag in
+       (("synth", "--out"), ("metrics", "--out"), ("ingest", "--quality"),
+        ("validate", "--out"))]
 OLD_BYTES = b'{"kind": "old"}\n'
 
 
@@ -1353,6 +1358,10 @@ def test_an_output_path_the_command_cannot_write_exits_4(command, flag, kind, go
     path = tmp_path / "nodir" / name if kind == "missing directory" else tmp_path / name
     if kind == "directory":
         path.mkdir()
+    elif kind == "empty":   # realpath("") is the working directory, here below tmp_path
+        path = ""
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
     elif kind == "refused":   # as the kernel refuses a user, simulated so it runs as root too
         path.write_bytes(OLD_BYTES)
         real_open = os.open
@@ -1366,7 +1375,7 @@ def test_an_output_path_the_command_cannot_write_exits_4(command, flag, kind, go
     before = _tree_of(tmp_path) + (["fig.svg"] if flag == "twin" else [])
     assert main(_fault_argv(command, good_inputs, tmp_path, flag, str(path))) == 4
     reason = {"directory": errno.EISDIR, "missing directory": errno.ENOENT,
-              "refused": errno.EACCES}[kind]
+              "refused": errno.EACCES, "empty": errno.ENOENT}[kind]
     _assert_one_error(capsys, "error (file): %s: %s" % (path, os.strerror(reason)))
     assert _tree_of(tmp_path) == sorted(before)
     if kind == "refused":

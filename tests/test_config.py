@@ -22,6 +22,14 @@ def test_every_key_is_read_outside_config():
     assert unread == []
 
 
+def test_the_readme_states_the_number_of_fields():
+    """The README's "each of its N fields" counts `Config`'s fields; each
+    change that removed keys had to edit that number by hand."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    stated = re.search(r"each of its (\d+) fields", readme.read_text(encoding="utf-8"))
+    assert int(stated.group(1)) == len(dataclasses.fields(Config))
+
+
 def _mistyped(cls) -> list:
     """The fields whose default is not exactly of the annotated type."""
     hints = typing.get_type_hints(cls)

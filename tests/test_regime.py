@@ -4,11 +4,12 @@ from rangegov.config import DEFAULTS
 from rangegov.cost import FundingState
 from rangegov.errors import InsufficientInputsError
 from rangegov.hypotheses import HypothesisVerdict
-from rangegov.model import BARS_PER_DAY, Panel, RangeDefinition, d12
+from rangegov.model import Panel, RangeDefinition, d12
 from rangegov.regime import (
     ALIGNED,
     DIVERGENT,
     NEUTRAL,
+    VOL_WINDOW_30D,
     RegimeLabel,
     advise_platform_parameters,
     assemble_trigger_states,
@@ -146,7 +147,7 @@ def test_shelf_migration_state_reads_the_latest_valid_snapshot(scenario_panels):
 # --- platform advisory -----------------------------------------------------------
 
 def test_leverage_endpoints():
-    n = DEFAULTS.leverage_vol_days * BARS_PER_DAY
+    n = VOL_WINDOW_30D
     rising = [0.01 + 0.0001 * i for i in range(n)]
     assert advise_platform_parameters(rising, DEFAULTS)["max_leverage"] \
         == pytest.approx(DEFAULTS.leverage_min)          # current is the max

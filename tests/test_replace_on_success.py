@@ -209,6 +209,20 @@ def test_a_missing_directory_is_named_as_open_names_it(tmp_path):
     assert err.value.filename == path
 
 
+def test_a_failed_rename_is_named_as_the_target(tmp_path, monkeypatch):
+    path = _old_file(tmp_path)
+
+    def replace(src, dst):
+        raise OSError(errno.EBUSY, os.strerror(errno.EBUSY), src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError) as err:
+        formats.write_report(str(path), {"kind": "new"})
+    assert (err.value.errno, err.value.filename) == (errno.EBUSY, str(path))
+    assert path.read_bytes() == OLD
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
 def test_cli_outputs_leave_no_stray_file(tmp_path, capsys):
     panel = str(tmp_path / "p.json")
     report = str(tmp_path / "m.json")

@@ -27,6 +27,9 @@ from rangegov.schemas import REPORT_SCHEMAS
 from rangegov.structure import derive
 from rangegov.synth import backtest, generate, scenario_from_dict
 
+from conftest import SCENARIO_NAMES
+from test_golden import coverage_panel, profile_panel
+
 _BUILDERS = {
     "structural": structural_report,
     "cost": cost_report,
@@ -53,6 +56,22 @@ def test_metrics_umbrella(rich_panel):
     doc = {**metrics_report(rich_panel, DEFAULTS), "schema_version": "1"}
     jsonschema.validate(doc, REPORT_SCHEMAS["metrics"])
     assert set(doc["families"]) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES + ("coverage", "profile"))
+def test_every_pinned_metrics_report_matches_schema(name, scenario_panels):
+    """The packaged scenarios and the golden coverage panels."""
+    panel = coverage_panel() if name == "coverage" else profile_panel() \
+        if name == "profile" else scenario_panels[name][0]
+    doc = {**metrics_report(panel, DEFAULTS), "schema_version": "1"}
+    jsonschema.validate(doc, REPORT_SCHEMAS["metrics"])
+
+
+def test_an_extremes_row_without_a_boundary_depth_is_refused(rich_panel):
+    doc = {**metrics_report(rich_panel, DEFAULTS), "schema_version": "1"}
+    del doc["families"]["liquidity"]["extremes_series"][0]["lower_usd"]
+    with pytest.raises(jsonschema.ValidationError, match="lower_usd"):
+        jsonschema.validate(doc, REPORT_SCHEMAS["metrics"])
 
 
 def test_hypotheses_report_schema(rich_panel):
