@@ -59,9 +59,10 @@ _ERRORS = (
 
 def _resolve_config(args) -> Config:
     """The override file --config names, or else RG_CONFIG's (read as every
-    input file is; the two do not stack), then each --set in turn."""
-    path = args.config or os.environ.get("RG_CONFIG")
-    cfg = from_dict(formats._read_json(path)) if path else DEFAULTS
+    input file is, so `--config ""` is a missing file; the two do not stack;
+    an empty RG_CONFIG is unset), then each --set in turn."""
+    path = args.config if args.config is not None else os.environ.get("RG_CONFIG") or None
+    cfg = DEFAULTS if path is None else from_dict(formats._read_json(path))
     for item in args.set or []:
         if "=" not in item:
             raise SchemaError("--set expects key=value, got %r" % item)
@@ -181,7 +182,8 @@ def _cmd_plot(args, _cfg) -> int:
     doc = formats.load_report(args.report)
     svg, csv_text = render_plot(doc, args.kind)
     stem, ext = os.path.splitext(args.out)
-    svg_path = args.out if ext.lower() == ".svg" else args.out + ".svg"
+    # "" stays the path, which the write refuses as every output refuses it
+    svg_path = args.out if ext.lower() == ".svg" or not args.out else args.out + ".svg"
     csv_path = (stem if ext.lower() == ".svg" else args.out) + ".csv"
     for path, text in ((svg_path, svg), (csv_path, csv_text)):
         with formats.replacing(path, newline="") as fh:

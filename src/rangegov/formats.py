@@ -181,13 +181,21 @@ def _column(values: list, read, default, stamps: dict) -> list:
     return values if types == _AS_READ.get(read) else [read(raw, None) for raw in values]
 
 
+def _decode_columns(columns: list, fields, make, stamps: dict) -> list:
+    """`make(*fields)` of each record, `columns` holding the raw values of each
+    of `fields` in turn. Raises one of _BAD, unworded, on the first value a
+    reader rejects."""
+    return list(map(make, *(_column(values, read, default, stamps)
+                            for values, (_, read, default, _) in zip(columns, fields))))
+
+
 def _decode(rows: list, fields, make, where_of, stamps: dict) -> list:
     """`make(*fields)` of each record of `rows`, a column at a time; if one fails,
     `_walk` raises the error naming the first bad record, `where_of(its index)`."""
     try:
-        return list(map(make, *(_column(
-            [rec[key] for rec in rows] if default is _REQUIRED else [rec.get(key) for rec in rows],
-            read, default, stamps) for key, read, default, _ in fields)))
+        return _decode_columns([[rec[key] for rec in rows] if default is _REQUIRED
+                                else [rec.get(key) for rec in rows]
+                                for key, _, default, _ in fields], fields, make, stamps)
     except _BAD:
         _walk(rows, where_of, lambda rec, where: [
             read(rec[key], where) if default is _REQUIRED else _opt(rec, key, read, where, default)
@@ -290,17 +298,50 @@ def _read_json(path: str):
 
 # ---------------------------------------------------------------- CSV series
 
+def _stripped(cells) -> list:
+    """A CSV column's cells, stripped; None where a cell is empty, as a record
+    leaves out its field."""
+    return list(map(str.strip, cells)) if "" not in cells else [
+        cell.strip() if cell else None for cell in cells]
+
+
 def _read_csv(path: str, fields, make, prep=None, stamps=None) -> list:
-    """`_decode` of the rows of the CSV file at `path` (sharing the timestamp memo
-    `stamps`, if given), each record its row's nonempty cells, stripped, after `prep`."""
+    """The records of the CSV file at `path`, each its row's nonempty cells,
+    stripped, after `prep` of the columns, decoded as `_decode` decodes them
+    (sharing the timestamp memo `stamps`, if given), but from the columns of the
+    rows: a record is built only if a column fails, when `_decode` reads them
+    again record by record and names the first bad one by its line in the file.
+    A short row has empty cells to the header's width; a name the header repeats
+    takes the last nonempty cell of its columns."""
     with _open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, [])
-        records = [{k: v.strip() for k, v in zip(header, row) if v} for row in filter(None, rows)]
-    for rec in records if prep else ():
-        prep(rec)
-    return _decode(records, fields, make, lambda i: "%s row %d" % (path, i),
-                   {} if stamps is None else stamps)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows, lines = [], []   # each nonempty row, and the line of the file it ends on
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+    width = len(header)
+    if set(map(len, rows)) - {width}:
+        rows = [(row + [""] * width)[:width] for row in rows]
+    raw = {}
+    for i, key in enumerate(header):
+        cells = list(map(itemgetter(i), rows))
+        raw[key] = cells if key not in raw else [new or old for old, new in zip(raw[key], cells)]
+    absent = [None] * len(rows)
+    columns = {key: _stripped(raw[key]) if key in raw else absent for key, *_ in fields}
+    if prep:
+        prep(columns)
+    values = list(columns.values())
+    stamps = {} if stamps is None else stamps
+    try:
+        if any(None in column for column, f in zip(values, fields) if f.default is _REQUIRED):
+            raise KeyError   # a record without a required field
+        return _decode_columns(values, fields, make, stamps)
+    except _BAD:
+        keys = list(columns)
+        return _decode([{k: v for k, v in zip(keys, rec) if v is not None} for rec in zip(*values)],
+                       fields, make, lambda i: "%s line %d" % (path, lines[i]), stamps)
 
 
 def _write_csv(path: str, records, fields) -> None:
@@ -337,14 +378,19 @@ def write_funding_csv(path: str, rows) -> None:
     _write_csv(path, list(map(_FundingRow._make, rows)), _FUNDING_ROW)
 
 
-def _split_cells(rec: dict) -> None:
-    """A row's shares `a;b` and histogram `k:v;...` as a panel holds them; a
-    histogram that is not such pairs stays text, which `_histogram` rejects."""
-    if "holder_shares" in rec:
-        rec["holder_shares"] = rec["holder_shares"].split(";")
-    pairs = [pair.split(":") for pair in rec.get("leverage_histogram", "").split(";")]
-    if "leverage_histogram" in rec and all(len(pair) == 2 for pair in pairs):
-        rec["leverage_histogram"] = dict(pairs)
+def _pairs(cell: str):
+    """A histogram cell `k:v;...` as a panel holds it; one that is not such
+    pairs stays text, which `_histogram` rejects."""
+    pairs = [pair.split(":") for pair in cell.split(";")]
+    return dict(pairs) if all(len(pair) == 2 for pair in pairs) else cell
+
+
+def _split_cells(columns: dict) -> None:
+    """The shares `a;b` and histograms of the rows as a panel holds them."""
+    columns["holder_shares"] = [cell if cell is None else cell.split(";")
+                                for cell in columns["holder_shares"]]
+    columns["leverage_histogram"] = [cell if cell is None else _pairs(cell)
+                                     for cell in columns["leverage_histogram"]]
 
 
 def read_oi_csv(path: str, stamps=None) -> list:
@@ -365,9 +411,12 @@ def write_liquidations_csv(path: str, events) -> None:
 
 
 def read_ticks_csv(path: str, exchange_id: str = "", stamps=None) -> list:
+    def venue(columns: dict) -> None:   # `exchange_id` where a row has none
+        columns["exchange_id"] = [exchange_id if cell is None else cell
+                                  for cell in columns["exchange_id"]]
+
     return _read_csv(path, (_Field("time", _time), _Field("price", _dec), _Field("volume", _dec),
-                            _Field("exchange_id", _text)),
-                     RawTick, lambda rec: rec.setdefault("exchange_id", exchange_id), stamps)
+                            _Field("exchange_id", _text)), RawTick, venue, stamps)
 
 
 # ------------------------------------------------------------ book snapshots
@@ -412,7 +461,7 @@ def _decode_books(lines: list, where_of, stamps: dict) -> Books:
 
 def read_books(path: str, stamps=None) -> list:
     with _open(path) as fh:
-        numbered = [(i, line) for i, line in enumerate(fh) if line.strip()]
+        numbered = [(i, line) for i, line in enumerate(fh, 1) if line.strip()]
     return list(_decode_books([line for _, line in numbered],
                               lambda k: "%s line %d" % (path, numbered[k][0]),
                               {} if stamps is None else stamps))

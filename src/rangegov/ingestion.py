@@ -6,10 +6,10 @@ granularity have to survive 90-period accumulation without drift.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import groupby
-from typing import Sequence
+from operator import gt
+from typing import NamedTuple, Sequence
 
 from .errors import DataError
 from .model import ALLOWED_FUNDING_INTERVALS, BAR_SECONDS, Candle4H, d12
@@ -17,8 +17,7 @@ from .model import ALLOWED_FUNDING_INTERVALS, BAR_SECONDS, Candle4H, d12
 EIGHT_HOURS = 8
 
 
-@dataclass(frozen=True)
-class RawTick:
+class RawTick(NamedTuple):
     time: int
     price: Decimal
     volume: Decimal
@@ -34,21 +33,21 @@ def align_4h(ticks: Sequence[RawTick]) -> list:
     quantized. Only buckets that contain ticks are emitted; gap handling is
     the quality pipeline's job.
     """
-    for i in range(1, len(ticks)):
-        if ticks[i].time < ticks[i - 1].time:
-            raise DataError(f"ticks not time-ascending at index {i}")
+    times = [t.time for t in ticks]
+    if any(map(gt, times, times[1:])):
+        i = next(i for i in range(1, len(times)) if times[i] < times[i - 1])
+        raise DataError(f"ticks not time-ascending at index {i}")
     candles = []
     for key, group in groupby(ticks, key=lambda t: t.time // BAR_SECONDS):
-        bucket = list(group)
-        prices = [t.price for t in bucket]
+        _, prices, volumes, venues = zip(*group)   # a tick is a tuple of its fields
         candles.append(Candle4H(
             open_time=key * BAR_SECONDS,
-            open=bucket[0].price,
+            open=prices[0],
             high=max(prices),
             low=min(prices),
-            close=bucket[-1].price,
-            volume=d12(sum((t.volume for t in bucket), Decimal(0))),
-            exchange_count=max(1, len({t.exchange_id for t in bucket})),
+            close=prices[-1],
+            volume=d12(sum(volumes, Decimal(0))),
+            exchange_count=max(1, len(set(venues))),
         ))
     return candles
 
@@ -87,17 +86,17 @@ def vwap_merge(series_by_exchange: Sequence[Sequence[Candle4H]],
         wsum = total if total > 0 else sum(w, Decimal(0))
         if wsum == 0:
             w, wsum = [Decimal(1)] * len(row), Decimal(len(row))
-
-        def wmean(field):
-            acc = Decimal(0)
-            for c, wi in zip(row, w):
-                acc += getattr(c, field) * wi
-            return d12(acc / wsum)
-
+        # the four weighted sums in one pass over the venues, each in venue order
+        o = h = lo = cl = Decimal(0)
+        for c, wi in zip(row, w):
+            o += c.open * wi
+            h += c.high * wi
+            lo += c.low * wi
+            cl += c.close * wi
         merged.append(Candle4H(
             open_time=t,
-            open=wmean("open"), high=wmean("high"),
-            low=wmean("low"), close=wmean("close"),
+            open=d12(o / wsum), high=d12(h / wsum),
+            low=d12(lo / wsum), close=d12(cl / wsum),
             volume=d12(total),
             exchange_count=sum(c.exchange_count for c in row),
         ))

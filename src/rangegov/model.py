@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
-from functools import cached_property
+from functools import cached_property, partial
 from time import gmtime, strftime
 from typing import Optional, Sequence
 
@@ -185,10 +185,13 @@ class BookSnapshot:
         return (self.best_bid + self.best_ask) / 2
 
     @cached_property
-    def violations(self) -> tuple:
-        """What `validate_record` finds wrong with this snapshot, checked on
-        first read: the analytics judge the same latest snapshots many times."""
-        return tuple(_validate_book(self))
+    def checked(self) -> tuple:
+        """(violations, best bid, best ask): what `validate_record` finds wrong
+        with this snapshot, and the first price of each side as a float (None
+        for an empty side), from one parse of each side on first read, and kept:
+        the analytics judge the same latest snapshots many times, and the
+        book check screens the spread of those floats."""
+        return _check_book(self)
 
 
 class Books(Sequence):
@@ -333,6 +336,10 @@ def _validate_funding(r: FundingRecord, hard_bound: Decimal) -> list:
     return out
 
 
+_ONE = Decimal(1)
+_RECONCILE = Decimal("1e-9")   # how far legs or shares may miss their total
+
+
 def _validate_oi(r: OpenInterestRecord) -> list:
     out = []
     if not isinstance(r.time, int):
@@ -346,14 +353,14 @@ def _validate_oi(r: OpenInterestRecord) -> list:
             out.append(Violation("long_oi_usd", "split legs must be >= 0"))
         else:
             total = r.long_oi_usd + r.short_oi_usd
-            scale = max(abs(r.oi_usd), Decimal(1))
-            if abs(total - r.oi_usd) / scale > Decimal("1e-9"):
+            scale = max(abs(r.oi_usd), _ONE)
+            if abs(total - r.oi_usd) / scale > _RECONCILE:
                 out.append(Violation("oi_usd", "long + short does not reconcile with total"))
     if r.holder_shares is not None:
         shares = [d12(s) for s in r.holder_shares]
         if any(s < 0 for s in shares):
             out.append(Violation("holder_shares", "negative share"))
-        elif shares and abs(sum(shares) - 1) > Decimal("1e-9"):
+        elif shares and abs(sum(shares) - 1) > _RECONCILE:
             out.append(Violation("holder_shares", "shares do not sum to 1"))
         elif not shares:
             out.append(Violation("holder_shares", "empty share list"))
@@ -363,37 +370,45 @@ def _validate_oi(r: OpenInterestRecord) -> list:
     return out
 
 
-def _side_faults(text: str, better) -> list:
-    """The faults of a side, judged on the floats of its numbers; `text` must
-    be in `CANONICAL_LEVELS`. A nonzero number there is at least 1e-12 in size,
-    so its float is above 0 exactly when its decimal is; and float conversion
-    is monotone, so only a float tie needs the decimals to order a pair."""
+def _side_faults(side: str, text: str, better) -> tuple:
+    """The violations of a side and its first price as a float (None if it is
+    empty), from one split of `text`, which must be in `CANONICAL_LEVELS`.
+    There a size is not positive exactly when its text is `0` or starts with
+    `-`. Prices are judged on their floats: a nonzero price is at least 1e-12
+    in size, so its float is above 0 exactly when its decimal is; and float
+    conversion is monotone, so only a float tie needs the decimals to order a pair."""
     numbers = text.replace(":", " ").split()
-    values = list(map(float, numbers))
-    prices, texts = values[::2], numbers[::2]
+    texts, sizes = numbers[::2], numbers[1::2]
+    prices = list(map(float, texts))
     out = []
     if prices and min(prices) <= 0:
-        out.append("non-positive price")
-    if prices and min(values[1::2]) <= 0:
-        out.append("non-positive size")
+        out.append(Violation(side, "non-positive price"))
+    if "0" in sizes or "-" in " ".join(sizes):
+        out.append(Violation(side, "non-positive size"))
     if not (all(map(better, prices, prices[1:])) or all(
             better(a, b) or (a == b and better(Decimal(x), Decimal(y)))
             for a, b, x, y in zip(prices, prices[1:], texts, texts[1:]))):
-        out.append("levels not strictly ordered best-first")
-    return out
+        out.append(Violation(side, "levels not strictly ordered best-first"))
+    return out, prices[0] if prices else None
 
 
-def _validate_book(b: BookSnapshot) -> list:
+def _check_book(b: BookSnapshot) -> tuple:
+    """`BookSnapshot.checked`. The book is crossed where the float of the best
+    bid is above the best ask's, and, on a float tie, where the decimals say so."""
     out = []
     if not isinstance(b.time, int):
         out.append(Violation("time", "not an integer timestamp"))
-    sides = (("bids", b.bids, operator.gt), ("asks", b.asks, operator.lt))
-    out.extend(Violation(side, "empty") for side, text, _ in sides if not text)
-    for side, text, better in sides:
-        out.extend(Violation(side, reason) for reason in _side_faults(text, better))
-    if b.bids and b.asks and b.best_bid >= b.best_ask:
+    if not b.bids:
+        out.append(Violation("bids", "empty"))
+    if not b.asks:
+        out.append(Violation("asks", "empty"))
+    bid_faults, bid = _side_faults("bids", b.bids, operator.gt)
+    ask_faults, ask = _side_faults("asks", b.asks, operator.lt)
+    out += bid_faults + ask_faults
+    if bid is not None and ask is not None and (
+            bid > ask or bid == ask and b.best_bid >= b.best_ask):
         out.append(Violation("bids", "crossed book: best bid >= best ask"))
-    return out
+    return tuple(out), bid, ask
 
 
 def _validate_liquidation(e: LiquidationEvent) -> list:
@@ -418,7 +433,7 @@ def validate_record(record, funding_hard_bound: float = DEFAULTS.funding_hard_bo
     if isinstance(record, OpenInterestRecord):
         return _validate_oi(record)
     if isinstance(record, BookSnapshot):
-        return list(record.violations)
+        return list(record.checked[0])
     if isinstance(record, LiquidationEvent):
         return _validate_liquidation(record)
     raise DataError(f"unknown record type: {type(record).__name__}")
@@ -441,17 +456,20 @@ def validate_panel(panel: Panel,
             break
     bound = d12(funding_hard_bound)
     span = (panel.start_time, panel.end_time)
-    for name, records, check, key in (
-            ("candles", panel.candles, _validate_candle, None),
-            ("funding", panel.funding, lambda r: _validate_funding(r, bound),
-             lambda r: r.settle_time),
-            ("open_interest", panel.open_interest, _validate_oi, lambda r: r.time),
-            ("books", panel.books.times, lambda t: (), lambda t: t),   # no snapshot built
-            ("liquidations", panel.liquidations, _validate_liquidation, lambda r: r.time)):
+    for name, records, check, ts in (
+            ("candles", panel.candles, _validate_candle, ()),
+            ("funding", panel.funding, partial(_validate_funding, hard_bound=bound),
+             [r.settle_time for r in panel.funding]),
+            ("open_interest", panel.open_interest, _validate_oi,
+             [r.time for r in panel.open_interest]),
+            ("books", (), None, panel.books.times),   # no snapshot built
+            ("liquidations", panel.liquidations, _validate_liquidation,
+             [r.time for r in panel.liquidations])):
         for i, r in enumerate(records):
-            out.extend(Violation(f"{name}[{i}].{v.field}", v.reason) for v in check(r))
-        ts = [key(r) for r in records] if key else []
-        if any(b < a for a, b in zip(ts, ts[1:])):
+            problems = check(r)
+            if problems:   # a valid record builds nothing here
+                out.extend(Violation(f"{name}[{i}].{v.field}", v.reason) for v in problems)
+        if any(map(operator.gt, ts, ts[1:])):
             out.append(Violation(name, "timestamps not ascending"))
         if ts and (ts[0] < span[0] or ts[-1] > span[1]):
             out.append(Violation(name, "outside the candle span"))

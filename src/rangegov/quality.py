@@ -140,10 +140,20 @@ def check_oi_sanity(oi_records: Sequence, liquidations: Sequence,
 
 
 def check_book_integrity(snapshots: Sequence, cfg: Config = DEFAULTS):
-    """Drop invalid or wide-spread snapshots. Returns (kept, flags)."""
+    """Drop invalid or wide-spread snapshots. Returns (kept, flags).
+
+    A valid snapshot's spread is its best ask less its best bid over their
+    mean. Two positive prices give a float spread within 2**-49 of the exact
+    one, so a snapshot whose float spread (`BookSnapshot.checked`) is below
+    the limit by more than 1e-9 of it, relative, plus 2**-48 is kept on the
+    floats; any other is judged, and its flag worded, on the decimals."""
     limit = d12(cfg.book_spread_exclusion)
+    below = float(limit) - 1e-9 * abs(float(limit)) - 2 ** -48
 
     def wide(snap) -> Optional[str]:
+        _, bid, ask = snap.checked
+        if (ask - bid) / ((ask + bid) / 2) < below:
+            return None
         spread = (snap.best_ask - snap.best_bid) / snap.mid
         if spread > limit:
             return f"spread {fmt_dec(d12(spread))} beyond {fmt_dec(limit)}"

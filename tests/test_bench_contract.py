@@ -11,6 +11,8 @@ import inspect
 import json
 import os
 
+from test_ingest import VENUES, inputs, source  # noqa: F401 (fixtures)
+
 from rangegov.config import DEFAULTS
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -113,3 +115,31 @@ def test_the_layers_the_tracer_times_load_with_the_entry_modules():
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []
+
+
+def test_a_traced_ingest_counts_ticks_and_merged_bars_and_times_each_layer(inputs, capsys):
+    """`ingest` of the three-venue fixture of tests/test_ingest.py, traced:
+    the tick and bar counters equal the tick rows and the merged bars, and
+    each layer that the per-layer bench metrics of `daily-chain` read off
+    `ingest` records a span, so a faster path cannot blank one of them."""
+    from rangegov import cli, formats
+
+    ticks = sum(len((inputs / path).read_text().splitlines()) - 1
+                for _, _, path, _, _ in VENUES if path.endswith("_ticks.csv"))
+    tracer = _tracer()
+    rec = tracer.Recorder()
+    uninstall = tracer.install(rec)
+    try:
+        assert cli.main(["ingest", "--manifest", str(inputs / "manifest.json"),
+                         "--out", str(inputs / "panel.json")]) == 0
+    finally:
+        uninstall()
+    summary = rec.summary()
+    merged = [c for c in formats.load_panel(str(inputs / "panel.json")).candles
+              if not c.interpolated]
+    assert ticks > 0 and summary["counts"]["ingestion.ticks_in"] == ticks
+    assert summary["counts"]["ingestion.bars_out"] == len(merged) > 0
+    for name in ("formats.read_ticks_csv", "formats.read_books", "ingestion.align_4h",
+                 "ingestion.vwap_merge", "quality.run_pipeline"):
+        assert summary["spans"][name][0] >= 1, name
+    capsys.readouterr()

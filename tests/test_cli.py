@@ -1254,6 +1254,30 @@ def test_a_bad_config_exits_3_in_every_command_that_takes_one(command, flags, me
     assert sorted(os.listdir(tmp_path)) == ["junk.json", "list.json"]
 
 
+@pytest.mark.parametrize("command", sorted(CONFIG_ARGVS))
+@pytest.mark.parametrize("rg_config", [None, "", "/nonexistent/rg.json"])
+def test_an_empty_config_path_exits_4_whatever_rg_config_holds(command, rg_config, tmp_path,
+                                                               monkeypatch, capsys):
+    """`--config ""` names a file that is missing, as `--panel ""` does: it
+    had been read as no --config, running on the defaults or on RG_CONFIG."""
+    monkeypatch.chdir(tmp_path)
+    if rg_config is not None:
+        monkeypatch.setenv("RG_CONFIG", rg_config)
+    assert main([command] + CONFIG_ARGVS[command] + ["--config", ""]) == 4
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()) == ("", ["error (missing series): missing file: "])
+    assert os.listdir(tmp_path) == []
+
+
+def test_an_empty_rg_config_is_unset(panel_file, tmp_path, monkeypatch, capsys):
+    plain, empty = tmp_path / "plain.json", tmp_path / "empty.json"
+    assert main(["metrics", "--panel", panel_file, "--out", str(plain)]) == 0
+    monkeypatch.setenv("RG_CONFIG", "")
+    assert main(["metrics", "--panel", panel_file, "--out", str(empty)]) == 0
+    assert empty.read_bytes() == plain.read_bytes()
+    capsys.readouterr()
+
+
 # ------------------------------------------------------------- file faults
 # A path the command cannot use exits 4 in every command, with one error line
 # naming it and no file left behind: an input that is missing, a directory or
@@ -1284,7 +1308,7 @@ OUTPUT_FAULTS = [(command, flag, kind) for command, flags in PATH_FLAGS.items()
     + [("plot", "twin", "directory"), ("plot", "twin", "refused")] \
     + [(command, flag, "empty") for command, flag in
        (("synth", "--out"), ("metrics", "--out"), ("ingest", "--quality"),
-        ("validate", "--out"))]
+        ("validate", "--out"), ("plot", "--out"))]
 OLD_BYTES = b'{"kind": "old"}\n'
 
 

@@ -103,15 +103,15 @@ def reference_csv(path, build):
     with open(path, encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh)
         header = next(rows, [])
-        return _records((("%s row %d" % (path, i),
+        return _records((("%s line %d" % (path, rows.line_num),
                           {k: v.strip() for k, v in zip(header, row) if v})
-                         for i, row in enumerate(filter(None, rows))), build)
+                         for row in filter(None, rows)), build)
 
 
 def reference_books(path):
     with open(path, encoding="utf-8") as fh:
         return _records((("%s line %d" % (path, i), line)
-                         for i, line in enumerate(fh) if line.strip()), book_from_line, str)
+                         for i, line in enumerate(fh, 1) if line.strip()), book_from_line, str)
 
 
 CSV_READERS = {

@@ -137,7 +137,33 @@ class TestCsvRoundTrips:
             read_liquidations_csv(path)
 
 
+    @pytest.mark.parametrize("text, message", [
+        # header, a row, a blank line, then the bad row on line 4
+        ("time,open,high,low,close,volume\n2023-11-15T00:00:00Z,1,2,0.5,1,9\n\n"
+         "2023-11-15T04:00:00Z,1,x,0.5,1,9\n", "line 4: bad decimal 'x'"),
+        # a short row is missing the fields past its last cell
+        ("time,open,high,low,close,volume\n\n\n2023-11-15T04:00:00Z,1,2\n",
+         "line 4 missing field 'low'"),
+        # a quoted cell over two lines: the row is named by the line it ends on
+        ('time,open,high,low,close,volume\n"2023-11-15T00:00:00Z",1,2,0.5,1,"9\n"\n'
+         "2023-11-15T04:00:00Z,1,2,0.5,1,-\n", "line 4: bad decimal '-'"),
+    ])
+    def test_an_error_names_the_1_based_line_of_the_file(self, tmp_path, text, message):
+        path = tmp_path / "alpha.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError) as err:
+            read_candles_csv(str(path))
+        assert str(err.value) == "%s %s" % (path, message)
+
+
 class TestBookLines:
+    def test_an_error_names_the_1_based_line_of_the_file(self, tmp_path):
+        path = tmp_path / "books.txt"
+        path.write_text("2023-11-15T00:00:00Z|99:1|101:1\n\nx|99:1|101:1\n")
+        with pytest.raises(SchemaError) as err:
+            read_books(str(path))
+        assert str(err.value) == "%s line 3: bad timestamp 'x'" % path
+
     def test_round_trip(self):
         snap = make_panel(1).books[0]
         assert book_from_line(book_to_line(snap)) == snap
