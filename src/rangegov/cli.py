@@ -17,7 +17,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import glob
 import json
 import os
@@ -94,7 +93,8 @@ def _load_valid(path: str, cfg: Config):
 
 
 def _quality_to_dict(report) -> dict:
-    return dict(dataclasses.asdict(report), kind="quality", passed=report.passed)
+    return {"kind": "quality", "passed": report.passed, "checks_run": report.checks_run,
+            "flags": [f._asdict() for f in report.flags], "notes": list(report.notes)}
 
 
 # ------------------------------------------------------------- subcommands
@@ -157,7 +157,7 @@ def _cmd_synth(args, cfg) -> int:
     from . import synth
     scenario = synth.load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
+        scenario = scenario._replace(seed=args.seed)
     panel, _ = synth.generate(scenario, cfg)
     formats.save_panel(args.out, panel)
     print("wrote %s: %d bars" % (args.out, len(panel.candles)))

@@ -10,9 +10,8 @@ reads from the file --config or the RG_CONFIG environment variable names.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SchemaError
 
@@ -20,8 +19,7 @@ from .errors import SchemaError
 FAMILIES = ("structural", "cost", "positioning", "liquidity")
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     # funding (8H basis, fractions per period)
     funding_elevated_abs: float = 0.0005       # |rate| above this is elevated
     funding_neutral_abs: float = 0.0001        # |rate| below this is neutral
@@ -108,12 +106,12 @@ class Config:
             raise SchemaError(f"unknown config keys: {sorted(bad)}")
         for name, value in overrides.items():
             _check(name, value)
-        return dataclasses.replace(self, **overrides)
+        return self._replace(**overrides)
 
 
 # each field's type (int or float), read from its default, whose type the
 # tests hold to the field's annotation
-_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(Config)}
+_FIELD_TYPES = {name: type(default) for name, default in Config._field_defaults.items()}
 
 # Every int field is a window, lookback, count or tolerance: at least 1, except
 # where zero means "none", where a sample std needs two points, and where the

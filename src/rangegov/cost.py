@@ -1,8 +1,7 @@
 """Funding-side cost metrics on the normalized 8H basis."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -16,8 +15,7 @@ NORMAL = "normal"
 NEUTRAL = "neutral"
 
 
-@dataclass(frozen=True)
-class FundingState:
+class FundingState(NamedTuple):
     bias_sign: str           # positive | negative | neutral
     bias_duration: int       # consecutive same-sign settlements at the end
     magnitude_class: str

@@ -9,9 +9,8 @@ not-evaluable with notes saying why.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,23 +33,21 @@ CONFIRMED = "confirmed"
 FALSIFIED = "falsified"
 NOT_EVALUABLE = "not-evaluable"
 
-@dataclass(frozen=True)
-class Signal:
+class Signal(NamedTuple):
     name: str
     met: Optional[bool]          # None = not measured
     measured: Optional[float]
     threshold: str
 
 
-@dataclass(frozen=True)
-class HypothesisVerdict:
+class HypothesisVerdict(NamedTuple):
     hypothesis: str
     window: tuple                # (start bar, end bar), inclusive
     condition_met: bool
     signals: tuple
     outcome: str
     notes: tuple = ()
-    evidence: dict = field(default_factory=dict)
+    evidence: dict = {}   # read, never written: the default is one dict for all
 
 
 def _not_evaluable(name: str, window: tuple, notes, signals=(), condition=False,

@@ -2,9 +2,8 @@
 slippage simulation, imbalance, impact regression."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -13,22 +12,19 @@ from .model import BookSnapshot, RangeDefinition, d12, iso, validate_record
 from .structure import ols_slope
 
 
-@dataclass(frozen=True)
-class DepthProfile:
+class DepthProfile(NamedTuple):
     p25: Decimal              # first price where cumulative share >= 25%
     p75: Decimal
 
 
-@dataclass(frozen=True)
-class ShelfMigration:
+class ShelfMigration(NamedTuple):
     ask_above_share: float    # notional share of asks strictly above prior upper
     bid_below_share: float
     signal_up: bool
     signal_down: bool
 
 
-@dataclass(frozen=True)
-class SlippageResult:
+class SlippageResult(NamedTuple):
     slippage: float           # signed cost: positive = worse than mid
     filled_usd: float
     partial: bool

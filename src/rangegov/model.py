@@ -5,6 +5,9 @@ Conventions, fixed across the package:
   - prices, rates and sizes are Decimal, quantized to 12 fractional digits
   - candles sit on the 4H UTC grid (open_time % 14400 == 0)
   - open interest is USD-denominated
+  - a record is a `NamedTuple`, changed into a new one by `record._replace(...)`;
+    a panel, which coerces its series and keeps a memo, is a frozen dataclass
+    changed by `dataclasses.replace`
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from functools import cached_property, partial
 from time import gmtime, strftime
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .config import DEFAULTS
 from .errors import DataError, SchemaError
@@ -57,6 +60,16 @@ def fmt_dec(value: Decimal) -> str:
     return text
 
 
+def median(values):
+    """The middle of `values` (at least one) once sorted, or the mean
+    `(a + b) / 2` of the two middle ones for an even count, as
+    `statistics.median` gives it."""
+    data = sorted(values)
+    n = len(data)
+    i = n // 2
+    return data[i] if n % 2 else (data[i - 1] + data[i]) / 2
+
+
 def iso(ts: int) -> str:
     return strftime("%Y-%m-%dT%H:%M:%SZ", gmtime(ts))
 
@@ -73,14 +86,12 @@ def parse_iso(text: str) -> int:
     return int(dt.timestamp())
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     field: str
     reason: str
 
 
-@dataclass(frozen=True)
-class Candle4H:
+class Candle4H(NamedTuple):
     open_time: int
     open: Decimal
     high: Decimal
@@ -99,8 +110,7 @@ class Candle4H:
         return (self.high + self.low + self.close) / 3
 
 
-@dataclass(frozen=True)
-class FundingRecord:
+class FundingRecord(NamedTuple):
     settle_time: int
     rate_8h: Decimal           # normalized to the 8H basis
     source_interval_hours: int = 8
@@ -109,8 +119,7 @@ class FundingRecord:
     index_price: Optional[Decimal] = None
 
 
-@dataclass(frozen=True)
-class OpenInterestRecord:
+class OpenInterestRecord(NamedTuple):
     time: int
     oi_usd: Decimal
     long_oi_usd: Optional[Decimal] = None
@@ -230,16 +239,14 @@ class Books(Sequence):
         return Books, (list(self),)
 
 
-@dataclass(frozen=True)
-class LiquidationEvent:
+class LiquidationEvent(NamedTuple):
     time: int
     price: Decimal
     size_usd: Decimal
     side: str                  # "long" or "short" (the side being liquidated)
 
 
-@dataclass(frozen=True)
-class RangeDefinition:
+class RangeDefinition(NamedTuple):
     lower: Decimal
     upper: Decimal
     established_at: int        # open_time of the bar that completed validation
@@ -437,6 +444,19 @@ def validate_record(record, funding_hard_bound: float = DEFAULTS.funding_hard_bo
     if isinstance(record, LiquidationEvent):
         return _validate_liquidation(record)
     raise DataError(f"unknown record type: {type(record).__name__}")
+
+
+def record_checker(funding_hard_bound: float):
+    """`validate_record` under one funding bound, quantized once, for a
+    caller that checks many records."""
+    bound = d12(funding_hard_bound)
+
+    def check(record) -> list:
+        if isinstance(record, FundingRecord):
+            return _validate_funding(record, bound)
+        return validate_record(record)
+
+    return check
 
 
 def validate_panel(panel: Panel,

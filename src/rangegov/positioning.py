@@ -3,9 +3,8 @@ holder concentration."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -20,8 +19,7 @@ NEITHER = "neither"
 VOL_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class OiEvent:
+class OiEvent(NamedTuple):
     label: str
     oi_change_frac: float
     mix_shift_pp: Optional[float]    # long-share shift in fractional points
@@ -35,8 +33,7 @@ def trapezoid(y, x) -> float:
     return float((d * (y[1:] + y[:-1]) / 2.0).sum())
 
 
-@dataclass(frozen=True)
-class LiquidationDensity:
+class LiquidationDensity(NamedTuple):
     prices: tuple
     density: tuple                   # normalized: trapezoid integral over grid = 1
     bandwidth: float

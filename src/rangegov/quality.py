@@ -12,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from decimal import Decimal
-from statistics import median
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .config import Config, DEFAULTS
 from .errors import SchemaError
 from .model import (
-    BAR_SECONDS, BookSnapshot, Candle4H, FundingRecord, Panel, d12, fmt_dec, iso,
-    validate_panel, validate_record,
+    BAR_SECONDS, BookSnapshot, Candle4H, FundingRecord, Panel, d12, fmt_dec, iso, median,
+    record_checker, validate_panel,
 )
 
 REJECT = "reject"
@@ -27,8 +26,7 @@ FLAG = "flag"
 INTERPOLATED = "interpolated"
 
 
-@dataclass(frozen=True)
-class QualityFlag:
+class QualityFlag(NamedTuple):
     check: str
     location: str
     severity: str
@@ -70,7 +68,8 @@ def _snap_records(records: Sequence, key: str, grid_of, label: str,
             report.flags.append(QualityFlag(
                 "timestamp_alignment", f"{label}@{iso(ts)}", FLAG,
                 f"{dev}s off the {grid}s grid; resampled to {iso(snapped)}"))
-            r = replace(r, **{key: snapped})
+            r = replace(r, **{key: snapped}) if isinstance(r, BookSnapshot) \
+                else r._replace(**{key: snapped})
         out.append(r)
     return out
 
@@ -87,8 +86,9 @@ def screen_records(records: Sequence, cfg: Config = DEFAULTS, also=None):
     for which `also(record)` names a reason. Returns (kept, flags), one flag
     per dropped record: `excluded: <its first reason>`."""
     kept, flags = [], []
+    validate = record_checker(cfg.funding_hard_bound)
     for r in records:
-        problems = validate_record(r, cfg.funding_hard_bound)
+        problems = validate(r)
         reason = problems[0].reason if problems else (also(r) if also else None)
         if not reason:
             kept.append(r)

@@ -3,8 +3,7 @@ advisories. Everything here is advisory output; nothing places orders."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,14 +29,12 @@ NEUTRAL = "neutral"
 CORE_TRIGGERS = ("funding", "shelf_migration", "oi_rotation")
 
 
-@dataclass(frozen=True)
-class RegimeLabel:
+class RegimeLabel(NamedTuple):
     label: str
     evidence: tuple          # (criterion, value, met) triples
 
 
-@dataclass(frozen=True)
-class TriggerMatrix:
+class TriggerMatrix(NamedTuple):
     entries: tuple           # (name, state) pairs
     conviction: str          # low | medium | high
     expansion_probability_band: str   # baseline | elevated

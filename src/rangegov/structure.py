@@ -6,8 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from statistics import median
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -15,7 +14,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import Config, DEFAULTS
 from .cost import funding_bias_duration, funding_spike
 from .errors import DataError
-from .model import Candle4H, Panel, RangeDefinition, d12, funding_by_bar, oi_by_bar
+from .model import (Candle4H, Panel, RangeDefinition, d12, funding_by_bar, median,
+                    oi_by_bar)
 
 
 # Most bins in a volume profile; a power of two, so widened bins divide the span exactly
@@ -25,16 +25,14 @@ PROFILE_MAX_BINS = 4096
 PROFILE_CHUNK_PAIRS = 1 << 18
 
 
-@dataclass(frozen=True)
-class SwingPoint:
-    index: int
+class SwingPoint(NamedTuple):
+    index: int         # bar index; shadows `tuple.index`, which nothing calls here
     kind: str          # "high" or "low"
     price: Decimal
     time: int
 
 
-@dataclass(frozen=True)
-class VolumeProfile:
+class VolumeProfile(NamedTuple):
     bin_edges: list    # n_bins + 1 ascending floats
     volumes: list      # n_bins floats, same units as candle volume
     bin_width: float
@@ -45,8 +43,7 @@ class VolumeProfile:
         return (self.bin_edges[i] + self.bin_edges[i + 1]) / 2
 
 
-@dataclass(frozen=True)
-class AbsorptionEvent:
+class AbsorptionEvent(NamedTuple):
     time: int
     price: float
     size_usd: float

@@ -12,9 +12,8 @@ Identical scripts serialize byte-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .config import Config, DEFAULTS
 from .errors import DataError, SchemaError
@@ -43,21 +42,19 @@ TEMPLATES = ("range", "compression", "breakout", "spike-revert",
              "cascade", "trend", "noise")
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     template: str
     length: int
-    overrides: dict = field(default_factory=dict)
+    overrides: dict = {}   # read, never written: the default is one dict for all
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     seed: int
     segments: tuple
     base_price: float = 100.0
     instrument: str = "SYNTH-PERP"
-    ground_truth: dict = field(default_factory=dict)
+    ground_truth: dict = {}   # read, never written: the default is one dict for all
 
 
 def _integer(value, least: int, what: str) -> int:

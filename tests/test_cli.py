@@ -487,7 +487,7 @@ def test_validate_prints_the_report_it_writes(panel_file, tmp_path, capsys):
 
 def test_validate_rejects_hot_funding(panel_file, tmp_path, capsys):
     panel = load_panel(panel_file)
-    hot = dataclasses.replace(panel.funding[0], rate_8h=d12("0.04"))
+    hot = panel.funding[0]._replace(rate_8h=d12("0.04"))
     bad = dataclasses.replace(panel, funding=[hot] + list(panel.funding[1:]))
     path = tmp_path / "hot.json"
     save_panel(str(path), bad)
@@ -1030,13 +1030,13 @@ def test_ingest_rejects_then_allows_flagged(panel_file, tmp_path, capsys):
 # plot run no numpy, metrics no masked arrays, and synth runs only the
 # generator, not the analytics
 NEVER_LOADED = {
-    "ingest": ("numpy",),
-    "metrics": ("numpy.ma",),
-    "validate": ("numpy",),
-    "plot": ("numpy",),
+    "ingest": ("numpy", "statistics"),
+    "metrics": ("numpy.ma", "statistics"),
+    "validate": ("numpy", "statistics"),
+    "plot": ("numpy", "statistics"),
     "synth": ("numpy", "rangegov.hypotheses", "rangegov.structure", "rangegov.liquidity",
               "rangegov.positioning", "rangegov.cost", "rangegov.regime",
-              "rangegov.reports"),
+              "rangegov.reports", "statistics"),
 }
 _LOADED = ("import json, sys\n"
            "import rangegov.cli\n"

@@ -357,7 +357,7 @@ def broken_panels(draw):
     records = list(getattr(panel, name))
     i = draw(st.integers(0, len(records) - 1))
     key = draw(st.sampled_from(sorted(BREAKS[name])))
-    records[i] = dataclasses.replace(records[i], **{key: draw(st.sampled_from(BREAKS[name][key]))})
+    records[i] = records[i]._replace(**{key: draw(st.sampled_from(BREAKS[name][key]))})
     return dataclasses.replace(panel, **{name: records}), draw(st.sampled_from([0.0375, 0.5]))
 
 

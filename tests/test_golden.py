@@ -175,15 +175,15 @@ def profile_panel():
     candles = list(base.candles)
     for i, c in enumerate(candles):
         if i % 37 == 0:
-            c = dataclasses.replace(c, open=c.close, high=c.close, low=c.close)
+            c = c._replace(open=c.close, high=c.close, low=c.close)
         elif i % 41 == 3:
-            c = dataclasses.replace(c, low=d12(edge(c.low, ROUND_FLOOR)))
+            c = c._replace(low=d12(edge(c.low, ROUND_FLOOR)))
         elif i % 43 == 7:
-            c = dataclasses.replace(c, high=d12(edge(c.high, ROUND_CEILING)))
+            c = c._replace(high=d12(edge(c.high, ROUND_CEILING)))
         if i % 53 == 0 or i % 59 == 5:
-            c = dataclasses.replace(c, volume=d12(0))
+            c = c._replace(volume=d12(0))
         candles[i] = c
-    candles[290] = dataclasses.replace(candles[290], high=d12(120))
+    candles[290] = candles[290]._replace(high=d12(120))
     return dataclasses.replace(base, candles=candles)
 
 

@@ -1,10 +1,11 @@
 """Every name in the package earns its place: each import is used in its
 module, and each module-level function, class or assignment is referenced
 somewhere else under `src/`, unless it is listed below with whom it serves.
-No module writes past a frozen dataclass, only the functions listed below
-build a hypothesis verdict or classify an OI window, every error class is
-raised somewhere, only `formats.replacing` opens a file for writing, and
-only `formats` reads one."""
+No module writes past a frozen dataclass, a class is a dataclass only for
+a need a `NamedTuple` cannot meet, only the functions listed below build a
+hypothesis verdict or classify an OI window, every error class is raised
+somewhere, only `formats.replacing` opens a file for writing, and only
+`formats` reads one."""
 import ast
 from pathlib import Path
 
@@ -31,6 +32,47 @@ SERVED_OUTSIDE = {
 # series into tuples as it is built, and `derive` keeping its memo on a panel.
 # Anywhere else it could edit a panel after the freeze.
 SETATTR_ALLOWED = {"model.Panel.__post_init__", "structure.derive"}
+
+# The only dataclasses, each with the need a `NamedTuple` cannot meet. A plain
+# record is a `NamedTuple`: it loads faster, builds faster and pickles whole.
+DATACLASSES_ALLOWED = {
+    "model.BookSnapshot": "a per-instance cache: each side decoded on first read",
+    "model.Panel": "coercion and a memo: series become tuples as it is built, and "
+                   "`derive` keeps its memo on it",
+    "structure.PanelSeries": "a memo: `verdicts` fills as reports read it, compared by identity",
+    "structure._Derived": "a memo: what `derive` computed, kept on a panel",
+    "quality.QualityReport": "mutable state: the pipeline adds checks and flags as it runs",
+}
+
+
+def _dataclass_sites(stem: str, tree: ast.Module) -> set:
+    """Where `dataclass` or `dataclasses.dataclass` is read: a decorated class
+    holds its decorator, so the class is named."""
+    return set(_sites(stem, tree, lambda node: isinstance(node, ast.Name)
+                      and node.id == "dataclass"
+                      or isinstance(node, ast.Attribute) and node.attr == "dataclass"))
+
+
+def test_a_class_is_a_dataclass_only_where_listed():
+    trees = {path.stem: _tree(path) for path in MODULES}
+    assert set().union(*(_dataclass_sites(stem, tree) for stem, tree in trees.items())) \
+        == set(DATACLASSES_ALLOWED)
+
+
+@pytest.mark.parametrize("source", [
+    "@dataclass(frozen=True)\nclass Tick:\n    time: int\n",
+    "@dataclass\nclass Tick:\n    time: int\n",
+    "@dataclasses.dataclass(frozen=True, eq=False)\nclass Tick:\n    time: int\n",
+    "def build():\n    @dataclass\n    class Tick:\n        time: int\n    return Tick\n",
+])
+def test_a_planted_record_dataclass_fails(source):
+    assert _dataclass_sites("ingestion", ast.parse(source)) - set(DATACLASSES_ALLOWED)
+
+
+def test_a_named_tuple_record_passes():
+    source = "class Tick(NamedTuple):\n    time: int\n    price: float = 0.0\n"
+    assert _dataclass_sites("ingestion", ast.parse(source)) == set()
+
 
 # The only functions that may call each name: every verdict is built by one of
 # two builders, and every OI window is read for rotation by one reader.

@@ -1,14 +1,17 @@
+import statistics
 from dataclasses import replace
 from datetime import datetime, timezone
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rangegov.errors import DataError
 from rangegov.model import (
     BAR_SECONDS, BookSnapshot, Candle4H, FundingRecord, LiquidationEvent,
     OpenInterestRecord, Panel, bar_index, d12, fmt_dec,
-    funding_by_bar, iso, levels_text, oi_by_bar, validate_panel, validate_record,
+    funding_by_bar, iso, levels_text, median, oi_by_bar, validate_panel, validate_record,
 )
 
 T0 = 1609459200  # 2021-01-01T00:00:00Z, a 4H grid point
@@ -178,3 +181,23 @@ def test_asof_walk_on_unsorted_records_is_the_plain_pointer_walk():
         expected.append(panel.open_interest[j] if j >= 0 else None)
     assert oi_by_bar(panel) == expected
     assert [r and r.oi_usd for r in expected] == [None, None, 2, 2, 4, 5]
+
+
+# `model.median` replaces `statistics.median`, whose import every command paid
+# for at start-up: the same value, and type, on every input either reads
+_D12 = st.decimals(min_value=-10 ** 15, max_value=10 ** 15, places=12,
+                   allow_nan=False, allow_infinity=False)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+@pytest.mark.parametrize("numbers", [_D12, _FLOATS], ids=["d12", "float"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_median_is_the_statistics_median(numbers, parity, data):
+    values = data.draw(st.lists(numbers, min_size=1, max_size=40))
+    if (len(values) % 2 == 1) != (parity == "odd"):
+        values = values + [data.draw(numbers)]
+    got, want = median(values), statistics.median(values)
+    assert got == want and type(got) is type(want)
+    assert median(iter(values)) == want

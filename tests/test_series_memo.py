@@ -104,12 +104,12 @@ def test_a_rebound_function_computes_afresh(scenario_panels, monkeypatch):
 
 def _replace_candle(panel):
     c = panel.candles[-1]
-    panel.candles[-1] = dataclasses.replace(c, close=c.high)
+    panel.candles[-1] = c._replace(close=c.high)
 
 
 def _append_candle(panel):
     c = panel.candles[-1]
-    panel.candles.append(dataclasses.replace(c, open_time=c.open_time + BAR_SECONDS))
+    panel.candles.append(c._replace(open_time=c.open_time + BAR_SECONDS))
 
 
 def _set(name, value):
@@ -179,7 +179,7 @@ def test_a_panel_with_one_changed_candle_derives_afresh(scenario_panels, calls):
     c = panel.candles[-1]
     assert c.close != c.high
     changed = dataclasses.replace(panel, candles=panel.candles[:-1] + (
-        dataclasses.replace(c, close=c.high),))
+        c._replace(close=c.high),))
     series = derive(changed, DEFAULTS)
     assert calls["map_swings"] == 2 and changed._derived is not panel._derived
     assert series.close[-1] == float(c.high) != derive(panel, DEFAULTS).close[-1]

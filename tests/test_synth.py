@@ -1,6 +1,5 @@
 """Scenario generator and batch backtest behaviour."""
 
-import dataclasses
 import hashlib
 import json
 import re
@@ -243,7 +242,7 @@ def test_generate_rejects_empty_scenario():
 
 
 def test_generate_names_the_first_violation():
-    scenario = dataclasses.replace(load_builtin_scenario("h4-confirm"), base_price=-100.0)
+    scenario = load_builtin_scenario("h4-confirm")._replace(base_price=-100.0)
     with pytest.raises(SchemaError, match=r"invalid panel: candles\[0\]\.open must be > 0"):
         generate(scenario)
 

@@ -134,7 +134,7 @@ def test_every_record_series_has_a_table():
 def test_table_names_every_field_of_its_record(key):
     fields, make = next((fields, make) for k, fields, make in formats._SERIES if k == key)
     attrs = [f.attr or f.key for f in fields]
-    assert sorted(attrs) == sorted(f.name for f in dataclasses.fields(RECORDS[key]))
+    assert sorted(attrs) == sorted(RECORDS[key]._fields)
     # and `make` puts the value read for each field in the attribute it names
     values = [object() for _ in fields]
     record = make(*values)
