@@ -12,9 +12,9 @@ from operator import gt
 from typing import NamedTuple, Sequence
 
 from .errors import DataError
-from .model import ALLOWED_FUNDING_INTERVALS, BAR_SECONDS, Candle4H, d12
-
-EIGHT_HOURS = 8
+from .model import (
+    ALLOWED_FUNDING_INTERVALS, ANNUALIZE_PCT, BAR_SECONDS, SETTLE_SECONDS, Candle4H, d12,
+)
 
 
 class RawTick(NamedTuple):
@@ -107,12 +107,12 @@ def normalize_funding(raw_rate, interval_hours: int) -> Decimal:
     """Rescale a per-interval funding rate onto the 8H basis."""
     if interval_hours not in ALLOWED_FUNDING_INTERVALS:
         raise DataError(f"unsupported funding interval: {interval_hours}h")
-    return d12(d12(raw_rate) * EIGHT_HOURS / interval_hours)
+    return d12(d12(raw_rate) * (SETTLE_SECONDS // 3600) / interval_hours)
 
 
 def annualize_funding(rate_8h) -> Decimal:
     """Simple (non-compounding) annualization, in percent per year."""
-    return d12(d12(rate_8h) * 3 * 365 * 100)
+    return d12(d12(rate_8h) * ANNUALIZE_PCT)
 
 
 def cumulative_funding(rates: Sequence, window: int) -> Decimal:

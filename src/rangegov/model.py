@@ -27,6 +27,7 @@ BAR_SECONDS = 14400
 BARS_PER_DAY = 86400 // BAR_SECONDS
 SETTLE_SECONDS = 28800   # one 8H funding period
 SETTLEMENTS_PER_DAY = 86400 // SETTLE_SECONDS
+ANNUALIZE_PCT = SETTLEMENTS_PER_DAY * 365 * 100   # an 8H rate to simple percent per year
 ALLOWED_FUNDING_INTERVALS = (4, 8, 12)
 
 _Q12 = Decimal("0.000000000001")

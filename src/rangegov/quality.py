@@ -1,5 +1,11 @@
 """Data quality rules and the panel-level cleaning pipeline.
 
+`run_pipeline` runs seven checks, which a report's `checks_run` counts. Each
+stage returns what it kept and its flags, and the pipeline builds one
+`QualityReport` from them, the flags in stage order: gap fill, funding bounds,
+funding timestamps, book integrity, book timestamps, wash trading, OI sanity,
+panel rules (timestamp alignment is one check, run on funding and on books).
+
 Severity classes: "reject" (record or panel unusable), "flag" (kept, suspect),
 "interpolated" (synthesized by gap fill). The pipeline builds a cleaned panel
 with what it can fix (resampled timestamps, excluded books, filled gaps), so a
@@ -9,7 +15,7 @@ runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from decimal import Decimal
 from typing import NamedTuple, Optional, Sequence
@@ -33,20 +39,14 @@ class QualityFlag(NamedTuple):
     detail: str
 
 
-@dataclass
-class QualityReport:
-    checks_run: int = 0
-    flags: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+class QualityReport(NamedTuple):
+    checks_run: int
+    flags: list
+    notes: list
 
     @property
     def passed(self) -> bool:
         return not any(f.severity == REJECT for f in self.flags)
-
-    def extend(self, other: "QualityReport") -> None:
-        self.checks_run += other.checks_run
-        self.flags.extend(other.flags)
-        self.notes.extend(other.notes)
 
 
 def snap_to_grid(ts: int, grid_seconds: int) -> int:
@@ -54,24 +54,24 @@ def snap_to_grid(ts: int, grid_seconds: int) -> int:
     return ts - rem if rem <= grid_seconds - rem else ts + (grid_seconds - rem)
 
 
-def _snap_records(records: Sequence, key: str, grid_of, label: str,
-                  report: QualityReport, cfg: Config) -> list:
+def _snap_records(records: Sequence, key: str, grid_of, label: str, cfg: Config):
     """Records with their `key` timestamp snapped to the `grid_of(record)`
-    grid when further off it than the tolerance (inclusive), each flagged."""
-    out = []
+    grid when further off it than the tolerance (inclusive). Returns
+    (records, flags), one flag per snapped record."""
+    out, flags = [], []
     for r in records:
         ts = getattr(r, key)
         grid = grid_of(r)
         snapped = snap_to_grid(ts, grid)
         dev = abs(snapped - ts)
         if dev > cfg.timestamp_tolerance_s:
-            report.flags.append(QualityFlag(
+            flags.append(QualityFlag(
                 "timestamp_alignment", f"{label}@{iso(ts)}", FLAG,
                 f"{dev}s off the {grid}s grid; resampled to {iso(snapped)}"))
             r = replace(r, **{key: snapped}) if isinstance(r, BookSnapshot) \
                 else r._replace(**{key: snapped})
         out.append(r)
-    return out
+    return out, flags
 
 
 # the check, location label, severity and time field of each screened record type
@@ -107,10 +107,8 @@ def check_oi_sanity(oi_records: Sequence, liquidations: Sequence,
     `daily_net_flow_usd` maps 'YYYY-MM-DD' to signed USD flow. Without it the
     check reports itself as not evaluated.
     """
-    report = QualityReport(checks_run=1)
     if not daily_net_flow_usd:
-        report.notes.append("oi_sanity: not evaluated (no trade-flow series)")
-        return report
+        return QualityReport(1, [], ["oi_sanity: not evaluated (no trade-flow series)"])
 
     def day(ts: int) -> str:
         return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%d")
@@ -125,6 +123,7 @@ def check_oi_sanity(oi_records: Sequence, liquidations: Sequence,
 
     days = sorted(last_by_day)
     limit = d12(cfg.oi_flow_discrepancy)
+    flags = []
     for prev, cur in zip(days, days[1:]):
         if cur not in daily_net_flow_usd:
             continue
@@ -133,10 +132,10 @@ def check_oi_sanity(oi_records: Sequence, liquidations: Sequence,
         expected = d12(daily_net_flow_usd[cur]) - liq_by_day.get(cur, Decimal(0))
         scale = max(abs(oi_prev), Decimal(1))
         if abs(delta - expected) / scale > limit:
-            report.flags.append(QualityFlag(
+            flags.append(QualityFlag(
                 "oi_sanity", f"oi@{cur}", FLAG,
                 f"dOI {fmt_dec(delta)} vs flow-implied {fmt_dec(expected)}"))
-    return report
+    return QualityReport(1, flags, [])
 
 
 def check_book_integrity(snapshots: Sequence, cfg: Config = DEFAULTS):
@@ -185,8 +184,8 @@ def fill_gaps(candles: Sequence, cfg: Config = DEFAULTS):
     other break in the 4H grid stays for `validate_panel` to reject.
 
     Returns (candles, flags). Interpolated bars carry zero volume and, across
-    all four prices, the midpoint of the previous bar's close and the next
-    bar's open.
+    all four prices, the point on the line from the previous bar's close to
+    the next bar's open at their time: for a single missing bar, the midpoint.
     """
     out = list(candles[:1])
     flags = []
@@ -194,15 +193,16 @@ def fill_gaps(candles: Sequence, cfg: Config = DEFAULTS):
         prev = out[-1]
         steps, rem = divmod(nxt.open_time - prev.open_time, BAR_SECONDS)
         if rem == 0 and 1 < steps <= cfg.max_interpolation_gap + 1:
+            gap = "single" if steps == 2 else str(steps - 1)
             for k in range(1, steps):
-                mid = d12((prev.close + nxt.open) / 2)
+                price = d12((prev.close * (steps - k) + nxt.open * k) / steps)
                 t = prev.open_time + k * BAR_SECONDS
-                out.append(Candle4H(t, mid, mid, mid, mid, d12(0),
+                out.append(Candle4H(t, price, price, price, price, d12(0),
                                     exchange_count=prev.exchange_count,
                                     interpolated=True))
                 flags.append(QualityFlag(
                     "gap_fill", f"candle@{iso(t)}", INTERPOLATED,
-                    f"single-bar gap filled at {fmt_dec(mid)}"))
+                    f"{gap}-bar gap filled at {fmt_dec(price)}"))
         out.append(nxt)
     return out, flags
 
@@ -212,51 +212,36 @@ def run_pipeline(panel: Panel, cfg: Config = DEFAULTS, judge_input: bool = False
     panel a new one built from the panel given. The last check, `panel_rules`,
     judges the cleaned panel, or with `judge_input` the panel as given, which
     is what `validate` reports on."""
-    report = QualityReport()
-
     candles, gap_flags = fill_gaps(panel.candles, cfg)
-    report.checks_run += 1
-    report.flags.extend(gap_flags)
-
-    report.checks_run += 1
     funding, funding_flags = screen_records(panel.funding, cfg)
-    report.flags.extend(funding_flags)
-
-    report.checks_run += 1
-    funding2 = _snap_records(funding, "settle_time",
-                             lambda r: r.source_interval_hours * 3600,
-                             "funding", report, cfg)
-    funding2.sort(key=lambda r: r.settle_time)
-
-    report.checks_run += 1
+    funding, funding_time_flags = _snap_records(
+        funding, "settle_time", lambda r: r.source_interval_hours * 3600, "funding", cfg)
+    funding.sort(key=lambda r: r.settle_time)
     books, book_flags = check_book_integrity(panel.books, cfg)
-    report.flags.extend(book_flags)
+    books, book_time_flags = _snap_records(books, "time", lambda s: 3600, "book", cfg)
     first_at: dict = {}
-    for snap in _snap_records(books, "time", lambda s: 3600, "book", report, cfg):
+    for snap in books:
         first_at.setdefault(snap.time, snap)
-    books2 = sorted(first_at.values(), key=lambda s: s.time)
-
-    report.checks_run += 1
-    report.flags.extend(check_wash_trading(candles, cfg))
-
+    wash_flags = check_wash_trading(candles, cfg)
     try:
         flows = {day: usd for day, usd in panel.annotations.get("daily_net_flow_usd") or ()}
     except (TypeError, ValueError) as exc:
         raise SchemaError("annotations.daily_net_flow_usd must be a list of [day, usd] "
                           "rows: %s" % exc) from exc
-    report.extend(check_oi_sanity(panel.open_interest, panel.liquidations, flows, cfg))
+    oi = check_oi_sanity(panel.open_interest, panel.liquidations, flows, cfg)
 
     cleaned = Panel(
         instrument=panel.instrument,
         candles=candles,
-        funding=funding2,
+        funding=funding,
         open_interest=panel.open_interest,
-        books=books2,
+        books=sorted(first_at.values(), key=lambda s: s.time),
         liquidations=panel.liquidations,
         annotations=dict(panel.annotations),
     )
-    report.checks_run += 1
-    report.flags.extend(QualityFlag("panel_rules", v.field, REJECT, v.reason)
-                        for v in validate_panel(panel if judge_input else cleaned,
-                                                cfg.funding_hard_bound))
-    return cleaned, report
+    rule_flags = [QualityFlag("panel_rules", v.field, REJECT, v.reason)
+                  for v in validate_panel(panel if judge_input else cleaned,
+                                          cfg.funding_hard_bound)]
+    return cleaned, QualityReport(
+        7, gap_flags + funding_flags + funding_time_flags + book_flags + book_time_flags
+        + wash_flags + oi.flags + rule_flags, oi.notes)

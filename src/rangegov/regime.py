@@ -12,7 +12,7 @@ from .cost import ELEVATED, NEUTRAL as MAG_NEUTRAL, classify_magnitude
 from .errors import InsufficientInputsError
 from .hypotheses import CONFIRMED, FALSIFIED, oi_rotation_event
 from .liquidity import latest_valid_books, shelf_migration
-from .model import (BARS_PER_DAY, SETTLEMENTS_PER_DAY, Panel,
+from .model import (ANNUALIZE_PCT, BARS_PER_DAY, SETTLEMENTS_PER_DAY, Panel,
                     RangeDefinition, d12)
 from .positioning import COLLAPSE, ROTATION, boundary_cluster_share
 from .structure import PanelSeries, absorption_footprints, derive, ols_slope
@@ -216,7 +216,7 @@ def recommend_action(regime: RegimeLabel, position: str, funding_state,
         return v.outcome if v is not None else None
 
     drag_periods = int(cfg.holding_days * SETTLEMENTS_PER_DAY)
-    rate = abs(float(funding_state.annualized_pct)) / (3 * 365 * 100) \
+    rate = abs(float(funding_state.annualized_pct)) / ANNUALIZE_PCT \
         if funding_state is not None else 0.0
     drag = rate * drag_periods
 

@@ -304,8 +304,7 @@ class PanelSeries:
         return self.resolved[0] if self.resolved else None
 
 
-@dataclass(frozen=True, eq=False)
-class _Derived:
+class _Derived(NamedTuple):
     """The fields `derive` computed for a panel, kept on it as `_derived`.
     It never holds the panel or a series, so the panel is freed as soon as
     its last reference goes."""

@@ -53,7 +53,7 @@ from rangegov.model import (
     iso,
     levels_text,
 )
-from rangegov.quality import QualityReport, _snap_records
+from rangegov.quality import _snap_records
 
 T0 = 1700006400   # 2023-11-15T00:00:00Z, on the 4H grid
 
@@ -268,15 +268,14 @@ class TestLazyBookLevels:
         assert thawed.asks == "100.5:4 101:11"
         assert thawed == eager and thawed.ask_levels == eager.ask_levels
 
-        report = QualityReport()
-        (snapped,) = _snap_records([book_from_line(line)], "time", lambda s: 3600,
-                                   "book", report, DEFAULTS)
+        (snapped,), flags = _snap_records([book_from_line(line)], "time", lambda s: 3600,
+                                          "book", DEFAULTS)
         assert snapped.time == T0
         assert "bid_levels" not in snapped.__dict__   # the copy carries text only
         assert (snapped.bids, snapped.asks) == (eager.bids, eager.asks)
         assert (snapped.bid_levels, snapped.ask_levels) == \
             (eager.bid_levels, eager.ask_levels)
-        assert [f.check for f in report.flags] == ["timestamp_alignment"]
+        assert [f.check for f in flags] == ["timestamp_alignment"]
 
 
 SERIES = ("candles", "funding", "open_interest", "books", "liquidations")

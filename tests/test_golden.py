@@ -14,7 +14,10 @@ books asymmetric ladders that reach past both boundaries, with a level exactly
 on each edge of each band, and its metrics and hypotheses bytes are pinned too.
 No packaged panel has a flat or a zero-volume bar or a bar across more than a
 few profile bins; the profile panel (`profile_panel`) has each, and lows and
-highs on bin edges, and its metrics bytes are pinned.
+highs on bin edges, and its metrics bytes are pinned. No packaged panel raises
+a quality flag; the quality panel (`quality_panel`) raises one of each of the
+seven checks, and the `validate` and `ingest --quality` reports of
+`quality.run_pipeline` over it are pinned, with the panel it cleans.
 
 The digests hold for the numpy build the package is tested with; float
 summation can differ in the last digit on another build. When a change alters
@@ -34,8 +37,10 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 import pytest
 
 from rangegov import formats, reports, synth
+from rangegov.cli import _quality_to_dict
 from rangegov.config import DEFAULTS
-from rangegov.model import BookSnapshot, d12, levels_text
+from rangegov.model import BookSnapshot, d12, fmt_dec, iso, levels_text
+from rangegov.quality import run_pipeline
 from rangegov.structure import derive
 
 from conftest import SCENARIO_NAMES
@@ -119,6 +124,12 @@ DIGESTS = {
         "a01ecb6a52787449857d6ac46a1f19bde51b4c9ec8a48a4af972928429043959",
     "profile/metrics":
         "45283f028ce7fcc30f754fc280f028ff06c634db134ae924fff2739e12092a5b",
+    "quality/ingest":
+        "c9ecd451655d21700eb898aee331913a4c4252111dbacbf34863eb7cb66d7118",
+    "quality/panel":
+        "72ace0c45bff1131fafe6a34c31fe7c4577a67ed4df45dd1fc299f3f455d8b66",
+    "quality/validate":
+        "254d48f4d67c054b4f4c52fac72f871f8c939bbacd42e36a69dbc2a784f58175",
 }
 
 
@@ -187,6 +198,41 @@ def profile_panel():
     return dataclasses.replace(base, candles=candles)
 
 
+def quality_panel():
+    """The packaged h1-confirm edited so each quality check has work: one
+    missing bar (gap fill) and a two-bar hole (left for `panel_rules`), a
+    funding rate at the hard bound, a funding record and a book snapshot more
+    than 30 s off their grids, a crossed and a wide snapshot, a volume spike
+    with a flat body, and a day's trade flow per day for a week, one of which
+    disagrees with the change in open interest."""
+    base = synth.generate(synth.load_builtin_scenario("h1-confirm"))[0]
+    candles = list(base.candles)
+    c = candles[200]
+    candles[200] = c._replace(close=c.open, high=max(c.high, c.open),
+                              low=min(c.low, c.open), volume=d12(c.volume * 10))
+    del candles[300:302], candles[100]
+
+    funding = list(base.funding)
+    funding[10] = funding[10]._replace(rate_8h=d12("0.0375"))
+    funding[20] = funding[20]._replace(settle_time=funding[20].settle_time + 45)
+
+    books = list(base.books)
+    books[30] = dataclasses.replace(books[30], time=books[30].time + 100)
+    for i, (bid, ask) in ((40, ("100.2", "100.1")), (50, ("99", "101"))):
+        books[i] = BookSnapshot(books[i].time, levels_text(((d12(bid), d12(5)),)),
+                                levels_text(((d12(ask), d12(5)),)))
+
+    last = {}
+    for r in base.open_interest:
+        last[iso(r.time)[:10]] = r.oi_usd
+    days = sorted(last)[:8]
+    flows = [[day, fmt_dec(last[day] - last[prev] + (10 ** 8 if day == days[4] else 0))]
+             for prev, day in zip(days, days[1:])]
+    return dataclasses.replace(
+        base, candles=candles, funding=funding, books=books,
+        annotations={**base.annotations, "daily_net_flow_usd": flows})
+
+
 def current_digests() -> dict:
     panels = [synth.generate(synth.load_builtin_scenario(name))[0]
               for name in SCENARIO_NAMES]
@@ -200,6 +246,11 @@ def current_digests() -> dict:
     out.update({"coverage/%s" % kind: _sha(REPORTS[kind](coverage))
                 for kind in ("metrics", "hypotheses")})
     out["profile/metrics"] = _sha(reports.metrics_report(profile_panel()))
+    quality = quality_panel()
+    cleaned, report = run_pipeline(quality)
+    out["quality/ingest"] = _sha(_quality_to_dict(report))
+    out["quality/validate"] = _sha(_quality_to_dict(run_pipeline(quality, judge_input=True)[1]))
+    out["quality/panel"] = _panel_sha(cleaned)
     return out
 
 

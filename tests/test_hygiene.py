@@ -40,8 +40,6 @@ DATACLASSES_ALLOWED = {
     "model.Panel": "coercion and a memo: series become tuples as it is built, and "
                    "`derive` keeps its memo on it",
     "structure.PanelSeries": "a memo: `verdicts` fills as reports read it, compared by identity",
-    "structure._Derived": "a memo: what `derive` computed, kept on a panel",
-    "quality.QualityReport": "mutable state: the pipeline adds checks and flags as it runs",
 }
 
 

@@ -1,6 +1,7 @@
 from dataclasses import replace
 from decimal import Decimal
 
+from rangegov.config import DEFAULTS
 from rangegov.model import (
     BAR_SECONDS, BookSnapshot, Candle4H, FundingRecord, OpenInterestRecord,
     Panel, d12, iso, levels_text,
@@ -82,6 +83,16 @@ def test_fill_gaps_single_bar_midpoint():
     assert mid.close == Decimal("101") and mid.open == mid.high == mid.low == mid.close
     assert mid.volume == 0 and mid.interpolated
     assert len(flags) == 1 and flags[0].severity == INTERPOLATED
+
+
+def test_fill_gaps_interpolates_a_longer_gap_linearly():
+    a = candle(T0, close="100")
+    c = Candle4H(T0 + 3 * BAR_SECONDS, d12("130"), d12("130"), d12("130"),
+                 d12("130"), d12("5"))
+    filled, flags = fill_gaps([a, c], DEFAULTS.replace(max_interpolation_gap=2))
+    assert [b.close for b in filled[1:3]] == [Decimal("110"), Decimal("120")]
+    assert all(b.open == b.high == b.low == b.close and b.interpolated for b in filled[1:3])
+    assert [f.detail for f in flags] == ["2-bar gap filled at 110", "2-bar gap filled at 120"]
 
 
 def test_fill_gaps_leaves_long_gaps_open():
