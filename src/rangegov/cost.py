@@ -44,8 +44,9 @@ def funding_bias_duration(rates: Sequence) -> list:
 
 
 def magnitude_classifier(cfg: Config = DEFAULTS):
-    """`classify_magnitude` under `cfg`, with both thresholds quantized once,
-    for a caller that classifies many rates."""
+    """The magnitude class of a funding rate under `cfg`, with both thresholds
+    quantized once: above `funding_elevated_abs` in size is elevated, below
+    `funding_neutral_abs` is neutral, and a rate on either threshold is normal."""
     elevated = d12(cfg.funding_elevated_abs)
     neutral = d12(cfg.funding_neutral_abs)
 
@@ -57,10 +58,6 @@ def magnitude_classifier(cfg: Config = DEFAULTS):
             return NEUTRAL
         return NORMAL
     return classify
-
-
-def classify_magnitude(rate, cfg: Config = DEFAULTS) -> str:
-    return magnitude_classifier(cfg)(rate)
 
 
 def trailing_mean_std(values: np.ndarray, look: int) -> tuple:
@@ -104,7 +101,7 @@ def build_funding_state(records: Sequence, durations: Sequence[int],
     return FundingState(
         bias_sign="positive" if last > 0 else "negative" if last < 0 else "neutral",
         bias_duration=durations[-1],
-        magnitude_class=classify_magnitude(last, cfg),
+        magnitude_class=magnitude_classifier(cfg)(last),
         annualized_pct=float(annualize_funding(last)),
         cumulative_7d=cum(FUNDING_WINDOW_7D),
         cumulative_30d=cum(FUNDING_WINDOW_30D),

@@ -432,32 +432,29 @@ def _validate_liquidation(e: LiquidationEvent) -> list:
     return out
 
 
-def validate_record(record, funding_hard_bound: float = DEFAULTS.funding_hard_bound) -> list:
-    """Per-field validation. Returns a list of Violations; empty means valid."""
-    if isinstance(record, Candle4H):
-        return _validate_candle(record)
-    if isinstance(record, FundingRecord):
-        return _validate_funding(record, d12(funding_hard_bound))
-    if isinstance(record, OpenInterestRecord):
-        return _validate_oi(record)
-    if isinstance(record, BookSnapshot):
-        return list(record.checked[0])
-    if isinstance(record, LiquidationEvent):
-        return _validate_liquidation(record)
-    raise DataError(f"unknown record type: {type(record).__name__}")
-
-
-def record_checker(funding_hard_bound: float):
-    """`validate_record` under one funding bound, quantized once, for a
-    caller that checks many records."""
-    bound = d12(funding_hard_bound)
+def record_checker(funding_hard_bound: float = DEFAULTS.funding_hard_bound):
+    """The per-field check of every record type, with the funding bound
+    quantized once: `check(record)` returns a list of Violations, empty when
+    the record is valid, and raises `DataError` for a type it does not know."""
+    checks = {
+        Candle4H: _validate_candle,
+        FundingRecord: partial(_validate_funding, hard_bound=d12(funding_hard_bound)),
+        OpenInterestRecord: _validate_oi,
+        BookSnapshot: lambda b: list(b.checked[0]),
+        LiquidationEvent: _validate_liquidation,
+    }
 
     def check(record) -> list:
-        if isinstance(record, FundingRecord):
-            return _validate_funding(record, bound)
-        return validate_record(record)
+        rule = checks.get(type(record))
+        if rule is None:
+            raise DataError(f"unknown record type: {type(record).__name__}")
+        return rule(record)
 
     return check
+
+
+# per-field validation under the default funding bound
+validate_record = record_checker()
 
 
 def validate_panel(panel: Panel,
@@ -475,17 +472,14 @@ def validate_panel(panel: Panel,
             out.append(Violation(f"candles[{i}].open_time",
                                  f"not contiguous on the 4H grid: {iso(b)} follows {iso(a)}"))
             break
-    bound = d12(funding_hard_bound)
+    check = record_checker(funding_hard_bound)
     span = (panel.start_time, panel.end_time)
-    for name, records, check, ts in (
-            ("candles", panel.candles, _validate_candle, ()),
-            ("funding", panel.funding, partial(_validate_funding, hard_bound=bound),
-             [r.settle_time for r in panel.funding]),
-            ("open_interest", panel.open_interest, _validate_oi,
-             [r.time for r in panel.open_interest]),
-            ("books", (), None, panel.books.times),   # no snapshot built
-            ("liquidations", panel.liquidations, _validate_liquidation,
-             [r.time for r in panel.liquidations])):
+    for name, records, ts in (
+            ("candles", panel.candles, ()),
+            ("funding", panel.funding, [r.settle_time for r in panel.funding]),
+            ("open_interest", panel.open_interest, [r.time for r in panel.open_interest]),
+            ("books", (), panel.books.times),   # no snapshot built
+            ("liquidations", panel.liquidations, [r.time for r in panel.liquidations])):
         for i, r in enumerate(records):
             problems = check(r)
             if problems:   # a valid record builds nothing here

@@ -232,8 +232,13 @@ _PLOTS = {
 
 
 def render_plot(report: dict, kind: str):
-    """(svg text, csv text) for the requested kind."""
+    """(svg text, csv text) for the requested kind. A report is outside
+    input: a field the plotter cannot read as it expects is a `SchemaError`."""
     if kind not in _PLOTS:
         raise SchemaError("unknown plot kind: %r (expected one of %s)"
                           % (kind, "/".join(KINDS)))
-    return _PLOTS[kind](report)
+    try:
+        return _PLOTS[kind](report)
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise SchemaError("report cannot be drawn as %r: %s: %s"
+                          % (kind, type(exc).__name__, exc)) from exc

@@ -82,9 +82,9 @@ _SCREENS = {
 
 
 def screen_records(records: Sequence, cfg: Config = DEFAULTS, also=None):
-    """Drop each funding or book record that `validate_record` rejects, or
-    for which `also(record)` names a reason. Returns (kept, flags), one flag
-    per dropped record: `excluded: <its first reason>`."""
+    """Drop each funding or book record that `record_checker(cfg.funding_hard_bound)`
+    rejects, or for which `also(record)` names a reason. Returns (kept, flags),
+    one flag per dropped record: `excluded: <its first reason>`."""
     kept, flags = [], []
     validate = record_checker(cfg.funding_hard_bound)
     for r in records:

@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .config import Config, DEFAULTS
-from .cost import ELEVATED, NEUTRAL as MAG_NEUTRAL, classify_magnitude
+from .cost import ELEVATED, NEUTRAL as MAG_NEUTRAL, magnitude_classifier
 from .errors import InsufficientInputsError
 from .hypotheses import CONFIRMED, FALSIFIED, oi_rotation_event
 from .liquidity import latest_valid_books, shelf_migration
@@ -157,7 +157,7 @@ def assemble_trigger_states(series: PanelSeries) -> dict:
     panel, rng, cfg = series.panel, series.range, series.cfg
     states: dict = {}
     if panel.funding:
-        mag = classify_magnitude(panel.funding[-1].rate_8h, cfg)
+        mag = magnitude_classifier(cfg)(panel.funding[-1].rate_8h)
         states["funding"] = ALIGNED if mag == MAG_NEUTRAL else \
             DIVERGENT if mag == ELEVATED else NEUTRAL
     else:

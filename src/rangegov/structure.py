@@ -4,7 +4,6 @@ per-panel series every report and evaluator reads (`derive`)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import NamedTuple, Optional, Sequence
 
@@ -273,8 +272,7 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class PanelSeries:
+class PanelSeries(NamedTuple):
     """Everything the reports derive from one panel under one config.
 
     Built only by `derive`, once per panel: every later `derive` of the same

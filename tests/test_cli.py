@@ -356,6 +356,27 @@ def test_malformed_panel_field_is_a_schema_error(panel_file, tmp_path, capsys, e
     assert not (tmp_path / "m.json").exists()
 
 
+def test_a_bare_time_book_line_out_of_order_is_judged_by_the_gate_first(
+        corpus_dir, tmp_path, capsys):
+    """A book line that is only a valid time, earlier than the line before it:
+    `validate` reads the line and refuses its shape (3), while an analytic
+    command's panel gate, which reads every time before any snapshot is built,
+    refuses the order (5)."""
+    with open(corpus_dir / "h1-confirm.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["books"][10] = doc["books"][8].split("|")[0]
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--panel", str(path)]) == 3
+    assert capsys.readouterr().err == \
+        "error (schema): %s: books[10]: want time|bids|asks, got 1 fields\n" % path
+    out = tmp_path / "m.json"
+    assert main(["metrics", "--panel", str(path), "--out", str(out)]) == 5
+    assert capsys.readouterr().err == \
+        "error (quality): %s: books timestamps not ascending\n" % path
+    assert not out.exists()
+
+
 def test_directory_path_is_a_missing_file(panel_file, tmp_path, capsys):
     assert main(["validate", "--panel", str(tmp_path)]) == 4
     assert "missing file: %s" % tmp_path in capsys.readouterr().err
@@ -920,6 +941,36 @@ def test_plot_refuses_a_report_that_is_not_an_object(tmp_path, capsys, text):
     assert main(["plot", "--report", str(report), "--kind", "range",
                  "--out", str(tmp_path / "fig.svg")]) == 3
     assert capsys.readouterr().err == "error (schema): %s: report must be an object\n" % report
+    assert os.listdir(tmp_path) == ["m.json"]
+
+
+@pytest.fixture(scope="module")
+def h1_metrics(corpus_dir, tmp_path_factory):
+    """The metrics report of packaged `h1-confirm`, as a JSON text."""
+    out = tmp_path_factory.mktemp("h1-metrics") / "m.json"
+    assert main(["metrics", "--panel", str(corpus_dir / "h1-confirm.json"),
+                 "--out", str(out)]) == 0
+    return out.read_text()
+
+
+@pytest.mark.parametrize("kind, edit", [
+    pytest.param("range", lambda f: f["structural"]["per_bar"][2].pop("close"),
+                 id="per-bar-row-without-close"),
+    pytest.param("range", lambda f: f["structural"].update(per_bar="x"),
+                 id="per-bar-a-string"),
+    pytest.param("funding", lambda f: f.update(cost=5), id="cost-a-number"),
+])
+def test_plot_refuses_a_report_it_cannot_draw(h1_metrics, tmp_path, capsys, kind, edit):
+    doc = json.loads(h1_metrics)
+    edit(doc["families"])
+    report = tmp_path / "m.json"
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["plot", "--report", str(report), "--kind", kind,
+                 "--out", str(tmp_path / "fig.svg")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error (schema): report cannot be drawn as %r: " % kind), err
+    assert "Traceback" not in err
     assert os.listdir(tmp_path) == ["m.json"]
 
 

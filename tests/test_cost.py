@@ -11,9 +11,9 @@ from rangegov.cost import (
     NEUTRAL,
     NORMAL,
     build_funding_state,
-    classify_magnitude,
     funding_bias_duration,
     funding_spike,
+    magnitude_classifier,
     trailing_mean_std,
 )
 from rangegov.model import FundingRecord, SETTLE_SECONDS, d12
@@ -44,28 +44,31 @@ class TestBiasDuration:
         assert funding_bias_duration(rates) == funding_bias_duration(scaled)
 
 
+classify = magnitude_classifier(DEFAULTS)
+
+
 class TestMagnitude:
     def test_elevated(self):
-        assert classify_magnitude(0.0006) == ELEVATED
-        assert classify_magnitude(-0.0006) == ELEVATED
+        assert classify(0.0006) == ELEVATED
+        assert classify(-0.0006) == ELEVATED
 
     def test_neutral(self):
-        assert classify_magnitude(0.00005) == NEUTRAL
+        assert classify(0.00005) == NEUTRAL
 
     def test_normal_between(self):
-        assert classify_magnitude(0.0003) == NORMAL
+        assert classify(0.0003) == NORMAL
 
     def test_boundaries_are_strict(self):
         # exactly at a threshold falls in the middle class
-        assert classify_magnitude(0.0005) == NORMAL
-        assert classify_magnitude(0.0001) == NORMAL
+        assert classify(0.0005) == NORMAL
+        assert classify(0.0001) == NORMAL
 
     @given(st.floats(min_value=0, max_value=0.01),
            st.floats(min_value=0, max_value=0.01))
     def test_monotone_in_abs_rate(self, a, b):
         lo, hi = sorted([a, b])
         order = {NEUTRAL: 0, NORMAL: 1, ELEVATED: 2}
-        assert order[classify_magnitude(lo)] <= order[classify_magnitude(hi)]
+        assert order[classify(lo)] <= order[classify(hi)]
 
 
 class TestSpike:

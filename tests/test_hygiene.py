@@ -39,7 +39,6 @@ DATACLASSES_ALLOWED = {
     "model.BookSnapshot": "a per-instance cache: each side decoded on first read",
     "model.Panel": "coercion and a memo: series become tuples as it is built, and "
                    "`derive` keeps its memo on it",
-    "structure.PanelSeries": "a memo: `verdicts` fills as reports read it, compared by identity",
 }
 
 

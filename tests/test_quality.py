@@ -1,10 +1,12 @@
 from dataclasses import replace
 from decimal import Decimal
 
+import pytest
+
 from rangegov.config import DEFAULTS
 from rangegov.model import (
     BAR_SECONDS, BookSnapshot, Candle4H, FundingRecord, OpenInterestRecord,
-    Panel, d12, iso, levels_text,
+    Panel, d12, iso, levels_text, record_checker, validate_panel,
 )
 from rangegov.quality import (
     FLAG, INTERPOLATED, REJECT, check_book_integrity, check_oi_sanity,
@@ -44,6 +46,21 @@ def test_funding_hard_bound_rejects_inclusive():
     kept, flags = screen_records(records)
     assert kept == records[1:]
     assert len(flags) == 1 and flags[0].severity == REJECT
+
+
+@pytest.mark.parametrize("rate, valid", [
+    ("0.01", False), ("-0.01", False), ("0.0099", True), ("-0.0099", True)])
+def test_one_funding_bound_reaches_every_gate(rate, valid):
+    """`record_checker`, the panel gate and the quality screen judge a rate by
+    the same configured bound: at 0.01, a rate of that size is rejected and
+    one of 0.0099 passes; both pass the default bound."""
+    record = FundingRecord(T0, d12(rate))
+    panel = Panel("X", [candle(T0 + i * BAR_SECONDS) for i in range(3)], [record])
+    assert record_checker()(record) == [] and validate_panel(panel) == []
+    assert (record_checker(0.01)(record) == []) is valid
+    assert (validate_panel(panel, 0.01) == []) is valid
+    kept, flags = screen_records([record], DEFAULTS.replace(funding_hard_bound=0.01))
+    assert (kept, len(flags)) == (([record], 0) if valid else ([], 1))
 
 
 def book(time, bid="99.9", ask="100.1", size="5"):

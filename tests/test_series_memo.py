@@ -58,14 +58,14 @@ def _verdict_bytes(verdicts) -> str:
 
 
 def assert_same_series(got: PanelSeries, want: PanelSeries):
-    for f in dataclasses.fields(PanelSeries):
-        if f.name in ("panel", "verdicts"):
+    for name in PanelSeries._fields:
+        if name in ("panel", "verdicts"):
             continue
-        a, b = getattr(got, f.name), getattr(want, f.name)
+        a, b = getattr(got, name), getattr(want, name)
         if isinstance(a, np.ndarray):
             np.testing.assert_array_equal(a, b)
         else:
-            assert a == b, f.name
+            assert a == b, name
 
 
 def test_three_reports_derive_and_evaluate_once(scenario_panels, calls):

@@ -399,9 +399,8 @@ def test_derive_holds_what_each_function_computes(scenario_panels):
 
 
 def test_derived_series_is_frozen(scenario_panels):
-    import dataclasses
     series = derive(scenario_panels["h1-confirm"][0], DEFAULTS)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         series.resolved = None
     with pytest.raises(ValueError):
         series.close[0] = 1.0
