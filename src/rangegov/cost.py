@@ -1,6 +1,7 @@
 """Funding-side cost metrics on the normalized 8H basis."""
 from __future__ import annotations
 
+from itertools import groupby
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -25,38 +26,25 @@ class FundingState(NamedTuple):
 
 
 def funding_bias_duration(rates: Sequence) -> list:
-    """Run length of strictly same-sign settlements; zero rates reset."""
+    """Run length of strictly same-sign settlements, each rate read as it is;
+    zero rates reset."""
     out = []
-    run = 0
-    prev_sign = 0
-    for r in rates:
-        value = d12(r)
-        sign = 1 if value > 0 else -1 if value < 0 else 0
-        if sign == 0:
-            run = 0
-        elif sign == prev_sign:
-            run += 1
-        else:
-            run = 1
-        prev_sign = sign
-        out.append(run)
+    for sign, group in groupby((r > 0) - (r < 0) for r in rates):
+        n = len(list(group))
+        out.extend(range(1, n + 1) if sign else [0] * n)
     return out
 
 
 def magnitude_classifier(cfg: Config = DEFAULTS):
-    """The magnitude class of a funding rate under `cfg`, with both thresholds
-    quantized once: above `funding_elevated_abs` in size is elevated, below
-    `funding_neutral_abs` is neutral, and a rate on either threshold is normal."""
+    """The magnitude class of a funding rate, read as it is, under `cfg`, with
+    both thresholds quantized once: above `funding_elevated_abs` in size is
+    elevated, below `funding_neutral_abs` neutral, and on either one normal."""
     elevated = d12(cfg.funding_elevated_abs)
     neutral = d12(cfg.funding_neutral_abs)
 
     def classify(rate) -> str:
-        value = abs(d12(rate))
-        if value > elevated:
-            return ELEVATED
-        if value < neutral:
-            return NEUTRAL
-        return NORMAL
+        value = abs(rate)
+        return ELEVATED if value > elevated else NEUTRAL if value < neutral else NORMAL
     return classify
 
 
@@ -68,10 +56,10 @@ def trailing_mean_std(values: np.ndarray, look: int) -> tuple:
 
 
 def funding_spike(rates: Sequence, cfg: Config = DEFAULTS) -> list:
-    """Per-settlement spike flags vs the trailing window, which sits strictly
-    before the tested value. None until enough history."""
+    """Per-settlement spike flags of each rate's float vs the trailing window,
+    which sits strictly before the tested value. None until enough history."""
     look = cfg.funding_spike_lookback
-    values = np.array([float(d12(r)) for r in rates])
+    values = np.array([float(r) for r in rates])
     if len(values) <= look:
         return [None] * len(values)
     mean, std = trailing_mean_std(values, look)

@@ -189,17 +189,22 @@ def _decode_columns(columns: list, fields, make, stamps: dict) -> list:
                             for values, (_, read, default, _) in zip(columns, fields))))
 
 
+def _word(rows: list, fields, where_of) -> None:
+    """`_walk` of `rows`: the error naming the first bad record, `where_of(its index)`."""
+    _walk(rows, where_of, lambda rec, where: [
+        read(rec[key], where) if default is _REQUIRED else _opt(rec, key, read, where, default)
+        for key, read, default, _ in fields])
+
+
 def _decode(rows: list, fields, make, where_of, stamps: dict) -> list:
-    """`make(*fields)` of each record of `rows`, a column at a time; if one fails,
-    `_walk` raises the error naming the first bad record, `where_of(its index)`."""
+    """`make(*fields)` of each record of `rows`, a column at a time; if one
+    fails, `_word` words the error."""
     try:
         return _decode_columns([[rec[key] for rec in rows] if default is _REQUIRED
                                 else [rec.get(key) for rec in rows]
                                 for key, _, default, _ in fields], fields, make, stamps)
     except _BAD:
-        _walk(rows, where_of, lambda rec, where: [
-            read(rec[key], where) if default is _REQUIRED else _opt(rec, key, read, where, default)
-            for key, read, default, _ in fields])
+        _word(rows, fields, where_of)
         raise
 
 
@@ -309,7 +314,7 @@ def _read_csv(path: str, fields, make, prep=None, stamps=None) -> list:
     """The records of the CSV file at `path`, each its row's nonempty cells,
     stripped, after `prep` of the columns, decoded as `_decode` decodes them
     (sharing the timestamp memo `stamps`, if given), but from the columns of the
-    rows: a record is built only if a column fails, when `_decode` reads them
+    rows: a record is built only if a column fails, when `_word` reads them
     again record by record and names the first bad one by its line in the file.
     A short row has empty cells to the header's width; a name the header repeats
     takes the last nonempty cell of its columns."""
@@ -339,9 +344,9 @@ def _read_csv(path: str, fields, make, prep=None, stamps=None) -> list:
             raise KeyError   # a record without a required field
         return _decode_columns(values, fields, make, stamps)
     except _BAD:
-        keys = list(columns)
-        return _decode([{k: v for k, v in zip(keys, rec) if v is not None} for rec in zip(*values)],
-                       fields, make, lambda i: "%s line %d" % (path, lines[i]), stamps)
+        _word([{k: v for k, v in zip(columns, rec) if v is not None} for rec in zip(*values)],
+              fields, lambda i: "%s line %d" % (path, lines[i]))
+        raise
 
 
 def _write_csv(path: str, records, fields) -> None:

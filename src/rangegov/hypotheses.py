@@ -463,6 +463,7 @@ def evaluate_h4(series: PanelSeries) -> HypothesisVerdict:
 
     funding = series.funding_by_bar
     oi_records = series.oi_by_bar
+    decline = d12(cfg.h4_funding_decline_frac)
     taps = []
     for i, c in enumerate(panel.candles):
         for side, extreme, boundary in (("up", c.high, rng.upper),
@@ -484,7 +485,7 @@ def evaluate_h4(series: PanelSeries) -> HypothesisVerdict:
             decline_met: Optional[bool] = None
             if f0 is not None and f0.rate_8h != 0:
                 base = abs(f0.rate_8h)
-                cut = base * (1 - d12(cfg.h4_funding_decline_frac))
+                cut = base * (1 - decline)
                 later = [funding[i + k] for k in (1, 2) if i + k < n]
                 known = [f for f in later if f is not None]
                 if known:

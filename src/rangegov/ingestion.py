@@ -103,31 +103,31 @@ def vwap_merge(series_by_exchange: Sequence[Sequence[Candle4H]],
     return merged
 
 
-def normalize_funding(raw_rate, interval_hours: int) -> Decimal:
-    """Rescale a per-interval funding rate onto the 8H basis."""
+def normalize_funding(raw_rate: Decimal, interval_hours: int) -> Decimal:
+    """Rescale a per-interval funding rate, a `Decimal` as read, onto the 8H basis."""
     if interval_hours not in ALLOWED_FUNDING_INTERVALS:
         raise DataError(f"unsupported funding interval: {interval_hours}h")
-    return d12(d12(raw_rate) * (SETTLE_SECONDS // 3600) / interval_hours)
+    return d12(raw_rate * (SETTLE_SECONDS // 3600) / interval_hours)
 
 
-def annualize_funding(rate_8h) -> Decimal:
-    """Simple (non-compounding) annualization, in percent per year."""
-    return d12(d12(rate_8h) * ANNUALIZE_PCT)
+def annualize_funding(rate_8h: Decimal) -> Decimal:
+    """Simple (non-compounding) annualization of a held 8H rate, in percent per year."""
+    return d12(rate_8h * ANNUALIZE_PCT)
 
 
-def cumulative_funding(rates: Sequence, window: int) -> Decimal:
-    """Plain sum of the trailing `window` per-period rates."""
+def cumulative_funding(rates: Sequence[Decimal], window: int) -> Decimal:
+    """Plain sum of the trailing `window` per-period rates, as records hold them."""
     if window <= 0:
         raise DataError("window must be positive")
     if window > len(rates):
         raise DataError(f"window {window} exceeds {len(rates)} available periods")
-    return d12(sum((d12(r) for r in rates[-window:]), Decimal(0)))
+    return d12(sum(rates[-window:], Decimal(0)))
 
 
-def basis_spread(perp_price, spot_price, dislocation_abs):
-    """(perp - spot) / spot and a strict-threshold dislocation flag."""
-    spot = d12(spot_price)
-    if spot <= 0:
+def basis_spread(perp_price: Decimal, spot_price: Decimal, dislocation_abs: Decimal):
+    """(perp - spot) / spot of the held prices, and whether it is strictly
+    beyond `dislocation_abs`, a `d12`."""
+    if spot_price <= 0:
         raise DataError("spot price must be > 0")
-    frac = d12((d12(perp_price) - spot) / spot)
-    return frac, abs(frac) > d12(dislocation_abs)
+    frac = d12((perp_price - spot_price) / spot_price)
+    return frac, abs(frac) > dislocation_abs

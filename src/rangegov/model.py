@@ -2,7 +2,9 @@
 
 Conventions, fixed across the package:
   - timestamps are integer epoch seconds, UTC
-  - prices, rates and sizes are Decimal, quantized to 12 fractional digits
+  - prices, rates and sizes are Decimal at 12 fractional digits: `d12` runs where a
+    number enters (decode, `synth`, ingest arithmetic), where a result is stored, and
+    once per `Config` threshold per call; a rule takes a record's Decimals as they are
   - candles sit on the 4H UTC grid (open_time % 14400 == 0)
   - open interest is USD-denominated
   - a record is a `NamedTuple`, changed into a new one by `record._replace(...)`;

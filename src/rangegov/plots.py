@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import csv
+import math
 
 from .errors import MissingSeriesError, SchemaError
 
@@ -24,9 +25,12 @@ _TEXT = "#222222"
 
 def _num(v) -> float:
     try:
-        return float(v)
-    except (TypeError, ValueError):
+        out = float(v)
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    if type(v) is bool or not math.isfinite(out):
         raise SchemaError("non-numeric value in plotted series: %r" % (v,))
+    return out
 
 
 def _fmt(v: float) -> str:

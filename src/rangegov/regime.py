@@ -193,13 +193,13 @@ def assemble_trigger_states(series: PanelSeries) -> dict:
 
 def range_position(close, rng: Optional[RangeDefinition],
                    cfg: Config = DEFAULTS) -> str:
+    """Where `close`, a candle close as the record holds it, sits in `rng`."""
     if rng is None:
         return "no-range"
-    c = d12(close)
     prox = d12(cfg.position_proximity_frac)
-    if abs(c - rng.upper) / rng.upper <= prox or c > rng.upper:
+    if abs(close - rng.upper) / rng.upper <= prox or close > rng.upper:
         return "near_upper"
-    if abs(c - rng.lower) / rng.lower <= prox or c < rng.lower:
+    if abs(close - rng.lower) / rng.lower <= prox or close < rng.lower:
         return "near_lower"
     return "interior"
 

@@ -140,13 +140,13 @@ def cost_report(series: PanelSeries) -> dict:
     durations = series.funding_bias
     state = build_funding_state(records, durations, cfg)
     magnitude = magnitude_classifier(cfg)
+    dislocation = d12(cfg.basis_dislocation_abs)
     rows = []
     for i, rec in enumerate(records):
         basis = None
         if rec.mark_price is not None and rec.index_price is not None \
                 and rec.index_price > 0:
-            value, dislocated = basis_spread(rec.mark_price, rec.index_price,
-                                             d12(cfg.basis_dislocation_abs))
+            value, dislocated = basis_spread(rec.mark_price, rec.index_price, dislocation)
             basis = {"value": _float(value), "dislocated": dislocated}
         rows.append({
             "time": iso(rec.settle_time),

@@ -974,6 +974,21 @@ def test_plot_refuses_a_report_it_cannot_draw(h1_metrics, tmp_path, capsys, kind
     assert os.listdir(tmp_path) == ["m.json"]
 
 
+@pytest.mark.parametrize("close", ["nan", "1e400", True, 10 ** 400],
+                         ids=["nan", "1e400", "true", "a-401-digit-integer"])
+def test_plot_refuses_a_close_that_is_not_a_finite_number(h1_metrics, tmp_path, capsys, close):
+    doc = json.loads(h1_metrics)
+    doc["families"]["structural"]["per_bar"][2]["close"] = close
+    report = tmp_path / "m.json"
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["plot", "--report", str(report), "--kind", "range",
+                 "--out", str(tmp_path / "fig.svg")]) == 3
+    assert capsys.readouterr().err \
+        == "error (schema): non-numeric value in plotted series: %r\n" % (close,)
+    assert os.listdir(tmp_path) == ["m.json"]
+
+
 def test_plot_rejects_unknown_kind(panel_file, tmp_path, capsys):
     report = tmp_path / "m.json"
     assert main(["metrics", "--panel", panel_file, "--out", str(report)]) == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rangegov import cost, ingestion
 from rangegov.config import DEFAULTS
 from rangegov.cost import (
     ELEVATED,
@@ -15,6 +16,9 @@ from rangegov.cost import (
     funding_spike,
     magnitude_classifier,
     trailing_mean_std,
+)
+from rangegov.ingestion import (
+    annualize_funding, basis_spread, cumulative_funding, normalize_funding,
 )
 from rangegov.model import FundingRecord, SETTLE_SECONDS, d12
 
@@ -49,26 +53,26 @@ classify = magnitude_classifier(DEFAULTS)
 
 class TestMagnitude:
     def test_elevated(self):
-        assert classify(0.0006) == ELEVATED
-        assert classify(-0.0006) == ELEVATED
+        assert classify(d12(0.0006)) == ELEVATED
+        assert classify(d12(-0.0006)) == ELEVATED
 
     def test_neutral(self):
-        assert classify(0.00005) == NEUTRAL
+        assert classify(d12(0.00005)) == NEUTRAL
 
     def test_normal_between(self):
-        assert classify(0.0003) == NORMAL
+        assert classify(d12(0.0003)) == NORMAL
 
     def test_boundaries_are_strict(self):
         # exactly at a threshold falls in the middle class
-        assert classify(0.0005) == NORMAL
-        assert classify(0.0001) == NORMAL
+        assert classify(d12(0.0005)) == NORMAL
+        assert classify(d12(0.0001)) == NORMAL
 
     @given(st.floats(min_value=0, max_value=0.01),
            st.floats(min_value=0, max_value=0.01))
     def test_monotone_in_abs_rate(self, a, b):
         lo, hi = sorted([a, b])
         order = {NEUTRAL: 0, NORMAL: 1, ELEVATED: 2}
-        assert order[classify(lo)] <= order[classify(hi)]
+        assert order[classify(d12(lo))] <= order[classify(d12(hi))]
 
 
 class TestSpike:
@@ -204,3 +208,31 @@ class TestFundingState:
             state = _state(rates)
             if state.bias_sign != "neutral":
                 assert state.bias_duration >= 1
+
+
+RATES = [d12(r) for r in (0.0003, -0.0006, 0.0, 0.00005, 0.0001)] * 8
+
+
+@pytest.mark.parametrize("call, quantized", [
+    pytest.param(lambda: funding_bias_duration(RATES), 0, id="funding_bias_duration"),
+    pytest.param(lambda: funding_spike(RATES), 0, id="funding_spike"),
+    pytest.param(lambda: list(map(magnitude_classifier(DEFAULTS), RATES)), 2,
+                 id="magnitude_classifier"),   # its two thresholds, once
+    pytest.param(lambda: normalize_funding(RATES[0], 4), 1, id="normalize_funding"),
+    pytest.param(lambda: annualize_funding(RATES[0]), 1, id="annualize_funding"),
+    pytest.param(lambda: cumulative_funding(RATES, 30), 1, id="cumulative_funding"),
+    pytest.param(lambda: basis_spread(d12(30150), d12(30000), d12(0.005)), 1,
+                 id="basis_spread"),
+])
+def test_a_rule_takes_each_rate_as_the_record_holds_it(monkeypatch, call, quantized):
+    """`d12` runs only on a result or a threshold, never on a rate as read: the
+    number of calls does not grow with the number of rates."""
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return d12(value)
+    for module in (cost, ingestion):
+        monkeypatch.setattr(module, "d12", counted)
+    call()
+    assert len(calls) == quantized, calls

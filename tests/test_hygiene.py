@@ -4,8 +4,8 @@ somewhere else under `src/`, unless it is listed below with whom it serves.
 No module writes past a frozen dataclass, a class is a dataclass only for
 a need a `NamedTuple` cannot meet, only the functions listed below build a
 hypothesis verdict or classify an OI window, every error class is raised
-somewhere, only `formats.replacing` opens a file for writing, and only
-`formats` reads one."""
+somewhere, only `formats.replacing` opens a file for writing, only
+`formats` reads one, and no `d12` quantizes what is already quantized."""
 import ast
 from pathlib import Path
 
@@ -338,3 +338,72 @@ def test_files_are_read_only_in_formats():
 ])
 def test_a_planted_reader_fails(stem, source):
     assert _unlisted_reads({stem: ast.parse(source)}) != []
+
+
+# `d12` runs where a number enters and once per threshold per call, so no
+# `d12` quantizes another's result, and none quantizes a `Config` threshold
+# on every pass of a loop or comprehension.
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _is_d12(node) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return isinstance(func, ast.Name) and func.id == "d12" \
+        or isinstance(func, ast.Attribute) and func.attr == "d12"
+
+
+def _repeated(loop) -> list:
+    """The parts of a loop or comprehension that run once per pass."""
+    if isinstance(loop, (ast.For, ast.AsyncFor)):
+        return loop.body
+    if isinstance(loop, ast.While):
+        return [loop.test, *loop.body]
+    first, *rest = loop.generators   # the first iterable is read once
+    return [getattr(loop, f) for f in ("elt", "key", "value") if hasattr(loop, f)] \
+        + first.ifs + rest
+
+
+def _requantized(stem: str, tree: ast.Module) -> list:
+    """`stem:line` of each `d12` inside another's argument, and of each
+    `d12(cfg.<key>)` that a loop or comprehension runs once per pass."""
+    out = set()
+    for node in ast.walk(tree):
+        if _is_d12(node):
+            out.update("%s:%d" % (stem, inner.lineno) for arg in node.args
+                       for inner in ast.walk(arg) if _is_d12(inner))
+        elif isinstance(node, _LOOPS):
+            out.update("%s:%d" % (stem, inner.lineno) for part in _repeated(node)
+                       for inner in ast.walk(part) if _is_d12(inner)
+                       and any(isinstance(arg, ast.Attribute) and isinstance(arg.value, ast.Name)
+                               and arg.value.id == "cfg" for arg in inner.args))
+    return sorted(out)
+
+
+def test_each_number_is_quantized_once():
+    assert [site for path in MODULES for site in _requantized(path.stem, _tree(path))] == []
+
+
+@pytest.mark.parametrize("source", [
+    "def annualize_funding(rate_8h):\n    return d12(d12(rate_8h) * ANNUALIZE_PCT)\n",
+    "def cumulative_funding(rates, window):\n"
+    "    return d12(sum((d12(r) for r in rates[-window:]), Decimal(0)))\n",
+    "def cost_report(records, cfg):\n    for rec in records:\n"
+    "        basis_spread(rec.mark_price, rec.index_price, d12(cfg.basis_dislocation_abs))\n",
+    "def taps(rates, cfg):\n    return [r * (1 - model.d12(cfg.h4_funding_decline_frac))"
+    " for r in rates]\n",
+    "def taps(rates, cfg):\n    while rates:\n        rates = rates[1:]\n"
+    "        cut = d12(cfg.h4_funding_decline_frac)\n",
+])
+def test_a_planted_requantization_fails(source):
+    assert _requantized("cost", ast.parse(source)) != []
+
+
+@pytest.mark.parametrize("source", [
+    "def cost_report(records, cfg):\n    bound = d12(cfg.basis_dislocation_abs)\n"
+    "    for rec in records:\n        basis_spread(rec.mark_price, rec.index_price, bound)\n",
+    "def annualize_funding(rate_8h):\n    return d12(rate_8h * ANNUALIZE_PCT)\n",
+    "def depth(levels):\n    return [d12(level) for level in levels]\n",
+])
+def test_a_single_quantization_passes(source):
+    assert _requantized("cost", ast.parse(source)) == []

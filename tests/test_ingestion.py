@@ -146,11 +146,11 @@ def test_vwap_merge_matches_scalar_oracle():
 
 
 def test_normalize_funding_rescales_to_8h():
-    assert normalize_funding("0.0001", 4) == Decimal("0.0002")
-    assert normalize_funding("0.0003", 12) == Decimal("0.0002")
-    assert normalize_funding("0.00025", 8) == Decimal("0.00025")
+    assert normalize_funding(d12("0.0001"), 4) == Decimal("0.0002")
+    assert normalize_funding(d12("0.0003"), 12) == Decimal("0.0002")
+    assert normalize_funding(d12("0.00025"), 8) == Decimal("0.00025")
     with pytest.raises(DataError):
-        normalize_funding("0.0001", 6)
+        normalize_funding(d12("0.0001"), 6)
 
 
 def test_normalize_funding_round_trips_at_source_granularity():
@@ -165,17 +165,17 @@ def test_normalize_funding_round_trips_at_source_granularity():
 
 
 def test_annualize_funding_reference_points():
-    assert annualize_funding("0.0005") == Decimal("54.75")
-    assert annualize_funding("0.0008") == Decimal("87.6")
-    assert annualize_funding("-0.0002") == Decimal("-21.9")
+    assert annualize_funding(d12("0.0005")) == Decimal("54.75")
+    assert annualize_funding(d12("0.0008")) == Decimal("87.6")
+    assert annualize_funding(d12("-0.0002")) == Decimal("-21.9")
 
 
 def test_cumulative_funding_is_plain_sum():
-    assert cumulative_funding(["0.0008"] * 30, 30) == Decimal("0.024")
-    assert cumulative_funding(["0.0005"] * 90, 90) == Decimal("0.045")
-    assert cumulative_funding(["0.001", "0.002", "0.003"], 2) == Decimal("0.005")
+    assert cumulative_funding([d12("0.0008")] * 30, 30) == Decimal("0.024")
+    assert cumulative_funding([d12("0.0005")] * 90, 90) == Decimal("0.045")
+    assert cumulative_funding([d12("0.001"), d12("0.002"), d12("0.003")], 2) == Decimal("0.005")
     with pytest.raises(DataError):
-        cumulative_funding(["0.001"], 2)
+        cumulative_funding([d12("0.001")], 2)
 
 
 def test_cumulative_funding_matches_float_oracle():
@@ -184,15 +184,15 @@ def test_cumulative_funding_matches_float_oracle():
         n = int(rng.integers(2, 120))
         rates = np.round(rng.uniform(-0.002, 0.002, size=n), 8)
         window = int(rng.integers(1, n + 1))
-        got = float(cumulative_funding([repr(float(r)) for r in rates], window))
+        got = float(cumulative_funding([d12(float(r)) for r in rates], window))
         want = float(rates[-window:].sum())
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_basis_spread_flags_strictly_beyond_half_percent():
-    frac, flag = basis_spread("30150", "30000", "0.005")
+    frac, flag = basis_spread(d12("30150"), d12("30000"), d12("0.005"))
     assert frac == Decimal("0.005") and flag is False
-    frac, flag = basis_spread("29700", "30000", "0.005")
+    frac, flag = basis_spread(d12("29700"), d12("30000"), d12("0.005"))
     assert frac == Decimal("-0.01") and flag is True
     with pytest.raises(DataError):
-        basis_spread("100", "0", "0.005")
+        basis_spread(d12("100"), d12("0"), d12("0.005"))
