@@ -8,17 +8,17 @@ Conventions, fixed across the package:
   - candles sit on the 4H UTC grid (open_time % 14400 == 0)
   - open interest is USD-denominated
   - a record is a `NamedTuple`, changed into a new one by `record._replace(...)`;
-    a panel, which coerces its series and keeps a memo, is a frozen dataclass
-    changed by `dataclasses.replace`
+    no class is a dataclass: a panel, which coerces its series and keeps a memo,
+    and a book snapshot, which keeps what it decoded, are `__slots__` classes
+    whose fields cannot be assigned, changed the same way (`panel._replace(...)`)
 """
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
-from functools import cached_property, partial
+from functools import partial
 from time import gmtime, strftime
 from typing import NamedTuple, Optional, Sequence
 
@@ -166,44 +166,103 @@ def _best_price(text: str) -> Decimal:
     return d12(text.replace(":", " ").split(None, 1)[0])
 
 
-@dataclass(frozen=True)
-class BookSnapshot:
+class _Value:
+    """A value whose `_fields` are slots set once, by `__init__`: `==` and
+    `repr` read the fields, no one can assign them, and `_replace` and a
+    pickle or a copy build a new one through `__init__`, as a record's
+    `_replace` does. What else an instance keeps is left out of all of them."""
+    __slots__ = ()
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % pair for pair in zip(self._fields, self._values())))
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def _replace(self, **changes):
+        return self.__class__(**dict(zip(self._fields, self._values()), **changes))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+
+class BookSnapshot(_Value):
     """Each side must be canonical text (`CANONICAL_LEVELS`), as `levels_text`
     writes it and `book_from_line` loads it. It is decoded on first read, so
     copies, `==` and `hash` compare text and decode nothing; the verdict of
     `validate_record` and the best prices are read from the text and kept."""
-    time: int
-    bids: str   # best first, descending prices
-    asks: str   # best first, ascending prices
+    _fields = ("time", "bids", "asks")
+    __slots__ = _fields + ("_bid_levels", "_ask_levels", "_best_bid", "_best_ask", "_checked")
 
-    @cached_property
+    def __init__(self, time: int, bids: str, asks: str):
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "bids", bids)    # best first, descending prices
+        object.__setattr__(self, "asks", asks)    # best first, ascending prices
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def _keep(self, slot: str, value):
+        """`value`, kept in `slot` for every later read."""
+        object.__setattr__(self, slot, value)
+        return value
+
+    @property
     def bid_levels(self) -> tuple:
-        return _levels(self.bids)
+        try:
+            return self._bid_levels
+        except AttributeError:
+            return self._keep("_bid_levels", _levels(self.bids))
 
-    @cached_property
+    @property
     def ask_levels(self) -> tuple:
-        return _levels(self.asks)
+        try:
+            return self._ask_levels
+        except AttributeError:
+            return self._keep("_ask_levels", _levels(self.asks))
 
-    @cached_property
+    @property
     def best_bid(self) -> Decimal:
-        return _best_price(self.bids)
+        try:
+            return self._best_bid
+        except AttributeError:
+            return self._keep("_best_bid", _best_price(self.bids))
 
-    @cached_property
+    @property
     def best_ask(self) -> Decimal:
-        return _best_price(self.asks)
+        try:
+            return self._best_ask
+        except AttributeError:
+            return self._keep("_best_ask", _best_price(self.asks))
 
     @property
     def mid(self) -> Decimal:
         return (self.best_bid + self.best_ask) / 2
 
-    @cached_property
+    @property
     def checked(self) -> tuple:
         """(violations, best bid, best ask): what `validate_record` finds wrong
         with this snapshot, and the first price of each side as a float (None
         for an empty side), from one parse of each side on first read, and kept:
         the analytics judge the same latest snapshots many times, and the
         book check screens the spread of those floats."""
-        return _check_book(self)
+        try:
+            return self._checked
+        except AttributeError:
+            return self._keep("_checked", _check_book(self))
 
 
 class Books(Sequence):
@@ -265,35 +324,25 @@ class RangeDefinition(NamedTuple):
         return self.upper / self.lower - 1
 
 
-@dataclass(frozen=True)
-class Panel:
+class Panel(_Value):
     """One instrument's aligned series. Candles are the clock.
 
     A panel is a value: each series is a tuple (books a `Books`), however it was
-    given, and no field can be assigned. A changed one is new (`dataclasses.replace`)."""
-    instrument: str
-    candles: tuple = ()
-    funding: tuple = ()
-    open_interest: tuple = ()
-    books: Books = ()
-    liquidations: tuple = ()
-    annotations: dict = field(default_factory=dict)
+    given, and no field can be assigned. A changed one is new (`panel._replace`)."""
+    _fields = ("instrument", "candles", "funding", "open_interest", "books",
+               "liquidations", "annotations")
+    # `_derived` is what `structure.derive` computed for this panel; not a
+    # field, so `==`, `repr`, `_replace`, a pickle and a copy leave it out
+    __slots__ = _fields + ("_derived", "__weakref__")
 
-    # what `structure.derive` computed for this panel; not a field, so `==`,
-    # `repr` and `dataclasses.replace` ignore it, and `__getstate__` leaves it
-    # out of a pickle or a copy, whose records are other objects
-    _derived = None
-
-    def __post_init__(self):
-        for name in ("candles", "funding", "open_interest", "liquidations"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not isinstance(self.books, Books):
-            object.__setattr__(self, "books", Books(self.books))
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_derived", None)
-        return state
+    def __init__(self, instrument: str, candles=(), funding=(), open_interest=(),
+                 books=(), liquidations=(), annotations: Optional[dict] = None):
+        for name, value in zip(self._fields, (
+                instrument, tuple(candles), tuple(funding), tuple(open_interest),
+                books if isinstance(books, Books) else Books(books), tuple(liquidations),
+                {} if annotations is None else annotations)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_derived", None)
 
     @property
     def start_time(self) -> int:

@@ -15,7 +15,6 @@ runs.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from datetime import datetime, timezone
 from decimal import Decimal
 from typing import NamedTuple, Optional, Sequence
@@ -68,8 +67,7 @@ def _snap_records(records: Sequence, key: str, grid_of, label: str, cfg: Config)
             flags.append(QualityFlag(
                 "timestamp_alignment", f"{label}@{iso(ts)}", FLAG,
                 f"{dev}s off the {grid}s grid; resampled to {iso(snapped)}"))
-            r = replace(r, **{key: snapped}) if isinstance(r, BookSnapshot) \
-                else r._replace(**{key: snapped})
+            r = r._replace(**{key: snapped})
         out.append(r)
     return out, flags
 

@@ -91,6 +91,30 @@ def derive_range(candles: Sequence[Candle4H], swings: Sequence[SwingPoint],
         end = n - 1
     if end < 0 or end >= n:
         raise DataError("anchor outside the panel")
+    return _range_at(candles, swings, cfg, end,
+                     d12(cfg.range_min_width), d12(cfg.range_touch_tolerance))
+
+
+def resolve_range(candles: Sequence[Candle4H], swings: Sequence[SwingPoint],
+                  cfg: Config = DEFAULTS):
+    """Most recent anchor where a range derives, walking back from the end.
+
+    `swings` are the candles' `map_swings` at `cfg.swing_lookback`.
+    Evaluation tails (taps, breakouts) legitimately distort trailing swing
+    extremes, so the established structure is the latest one that validates.
+    Returns (range, anchor_index) or None.
+    """
+    min_width, tol = d12(cfg.range_min_width), d12(cfg.range_touch_tolerance)
+    for end in range(len(candles) - 1, 2 * cfg.swing_lookback, -1):
+        rng = _range_at(candles, swings, cfg, end, min_width, tol)
+        if rng is not None:
+            return rng, end
+    return None
+
+
+def _range_at(candles, swings, cfg: Config, end: int, min_width: Decimal, tol: Decimal):
+    """`derive_range` at bar `end` of the candles, with `cfg.range_min_width`
+    and `cfg.range_touch_tolerance` already quantized."""
     start = max(0, end - cfg.range_window + 1)
     confirmed = end - cfg.swing_lookback
     sw_high = [s for s in swings if s.kind == "high" and start <= s.index <= confirmed]
@@ -101,10 +125,9 @@ def derive_range(candles: Sequence[Candle4H], swings: Sequence[SwingPoint],
     lower = min(s.price for s in sw_low)
     if lower <= 0 or upper <= lower:
         return None
-    if upper / lower - 1 <= d12(cfg.range_min_width):
+    if upper / lower - 1 <= min_width:
         return None
 
-    tol = d12(cfg.range_touch_tolerance)
     ups = downs = 0
     established_at = None
     for i in range(start, end + 1):
@@ -120,22 +143,6 @@ def derive_range(candles: Sequence[Candle4H], swings: Sequence[SwingPoint],
         return None
     return RangeDefinition(lower=lower, upper=upper, established_at=established_at,
                            touch_count_lower=downs, touch_count_upper=ups)
-
-
-def resolve_range(candles: Sequence[Candle4H], swings: Sequence[SwingPoint],
-                  cfg: Config = DEFAULTS):
-    """Most recent anchor where a range derives, walking back from the end.
-
-    `swings` are the candles' `map_swings` at `cfg.swing_lookback`.
-    Evaluation tails (taps, breakouts) legitimately distort trailing swing
-    extremes, so the established structure is the latest one that validates.
-    Returns (range, anchor_index) or None.
-    """
-    for end in range(len(candles) - 1, 2 * cfg.swing_lookback, -1):
-        rng = derive_range(candles, swings, cfg, end=end)
-        if rng is not None:
-            return rng, end
-    return None
 
 
 def realized_volatility(candles: Sequence[Candle4H], window: int) -> np.ndarray:

@@ -34,6 +34,14 @@ def scenario_panels():
     return out
 
 
+def filled(value) -> set:
+    """The slots beyond its fields that a panel or a book snapshot has filled:
+    what a snapshot decoded and kept (`_bid_levels`, `_checked`, ...), and a
+    panel's `_derived` memo once `structure.derive` has kept one."""
+    return {name for name in type(value).__slots__ if name not in value._fields
+            and not name.startswith("__") and getattr(value, name, None) is not None}
+
+
 def profile_columns(candles) -> tuple:
     """The close, low, high and volume float columns `structure.volume_nodes`
     reads, as `structure.derive` holds them."""

@@ -29,6 +29,8 @@ from rangegov.model import (
 )
 from rangegov.quality import check_book_integrity
 
+from conftest import filled
+
 T0 = 1609459200
 
 
@@ -175,7 +177,7 @@ def test_text_check_matches_decode_first(bids, asks):
     snap = BookSnapshot(T0, bids, asks)
     got = validate_record(snap)
     assert validate_record(snap) == got and validate_record(snap) is not got   # kept, copied out
-    assert "bid_levels" not in snap.__dict__ and "ask_levels" not in snap.__dict__
+    assert "_bid_levels" not in filled(snap) and "_ask_levels" not in filled(snap)
     assert formats.book_from_line(formats.book_to_line(snap)) == snap   # held verbatim
     assert got == decode_first(BookSnapshot(T0, bids, asks))
     assert validate_record(formats.book_from_line(formats.book_to_line(snap))) == got
@@ -208,7 +210,7 @@ def test_screening_books_decodes_no_side():
         books = formats.load_panel(path).books
     kept, flags = check_book_integrity(books)
     assert len(kept) >= 100 and not flags
-    assert not [s for s in kept if {"bid_levels", "ask_levels"} & set(vars(s))]
+    assert not [s for s in kept if {"_bid_levels", "_ask_levels"} & filled(s)]
 
 
 def test_each_loaded_side_is_matched_once(monkeypatch):

@@ -1,6 +1,5 @@
 """End-to-end command-line flows, run in process through main(argv)."""
 
-import dataclasses
 import errno
 import json
 import os
@@ -509,7 +508,7 @@ def test_validate_prints_the_report_it_writes(panel_file, tmp_path, capsys):
 def test_validate_rejects_hot_funding(panel_file, tmp_path, capsys):
     panel = load_panel(panel_file)
     hot = panel.funding[0]._replace(rate_8h=d12("0.04"))
-    bad = dataclasses.replace(panel, funding=[hot] + list(panel.funding[1:]))
+    bad = panel._replace(funding=[hot] + list(panel.funding[1:]))
     path = tmp_path / "hot.json"
     save_panel(str(path), bad)
     out = tmp_path / "q.json"
@@ -1094,15 +1093,16 @@ def test_ingest_rejects_then_allows_flagged(panel_file, tmp_path, capsys):
 
 # command -> modules its child process must not load: ingest, validate and
 # plot run no numpy, metrics no masked arrays, and synth runs only the
-# generator, not the analytics
+# generator, not the analytics; without numpy, nothing loads `inspect`, since
+# no module imports `dataclasses`
 NEVER_LOADED = {
-    "ingest": ("numpy", "statistics"),
+    "ingest": ("numpy", "statistics", "dataclasses", "inspect"),
     "metrics": ("numpy.ma", "statistics"),
-    "validate": ("numpy", "statistics"),
-    "plot": ("numpy", "statistics"),
+    "validate": ("numpy", "statistics", "dataclasses", "inspect"),
+    "plot": ("numpy", "statistics", "dataclasses", "inspect"),
     "synth": ("numpy", "rangegov.hypotheses", "rangegov.structure", "rangegov.liquidity",
               "rangegov.positioning", "rangegov.cost", "rangegov.regime",
-              "rangegov.reports", "statistics"),
+              "rangegov.reports", "statistics", "dataclasses", "inspect"),
 }
 _LOADED = ("import json, sys\n"
            "import rangegov.cli\n"
@@ -1147,7 +1147,7 @@ def test_commands_never_import_what_they_do_not_run(panel_file, tmp_path, capsys
 def test_synth_of_a_packaged_scenario_never_imports_numpy(name, tmp_path):
     # no packaged scenario scripts a noise segment, so none needs the generator
     argv = ["synth", "--scenario", scenario_path(name), "--out", str(tmp_path / "s.json")]
-    assert _run_and_list_loaded(argv, ["numpy"]) == [0, []]
+    assert _run_and_list_loaded(argv, ["numpy", "inspect"]) == [0, []]
 
 
 def test_synth_of_a_noise_scenario_imports_numpy(tmp_path):

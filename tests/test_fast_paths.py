@@ -15,7 +15,6 @@ kept books, flags and violations (`repr` equal), or the same exception and
 message.
 """
 import csv
-import dataclasses
 import operator
 import os
 import tempfile
@@ -358,7 +357,7 @@ def broken_panels(draw):
     i = draw(st.integers(0, len(records) - 1))
     key = draw(st.sampled_from(sorted(BREAKS[name])))
     records[i] = records[i]._replace(**{key: draw(st.sampled_from(BREAKS[name][key]))})
-    return dataclasses.replace(panel, **{name: records}), draw(st.sampled_from([0.0375, 0.5]))
+    return panel._replace(**{name: records}), draw(st.sampled_from([0.0375, 0.5]))
 
 
 @given(broken_panels())

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import os
@@ -54,6 +53,8 @@ from rangegov.model import (
     levels_text,
 )
 from rangegov.quality import _snap_records
+
+from conftest import filled
 
 T0 = 1700006400   # 2023-11-15T00:00:00Z, on the 4H grid
 
@@ -257,11 +258,11 @@ class TestLazyBookLevels:
                              levels_text(((d12("100.5"), d12(4)), (d12(101), d12(11)))))
         lazy = book_from_line(line)
         assert lazy == eager and hash(lazy) == hash(eager)
-        assert "bid_levels" not in lazy.__dict__   # == and hash decode nothing
+        assert "_bid_levels" not in filled(lazy)   # == and hash decode nothing
         assert lazy.bid_levels is lazy.bid_levels
         assert lazy.bid_levels == eager.bid_levels
         assert book_to_line(lazy) == line == book_to_line(eager)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             lazy.bids = ""
 
         thawed = pickle.loads(pickle.dumps(book_from_line(line)))
@@ -271,7 +272,7 @@ class TestLazyBookLevels:
         (snapped,), flags = _snap_records([book_from_line(line)], "time", lambda s: 3600,
                                           "book", DEFAULTS)
         assert snapped.time == T0
-        assert "bid_levels" not in snapped.__dict__   # the copy carries text only
+        assert "_bid_levels" not in filled(snapped)   # the copy carries text only
         assert (snapped.bids, snapped.asks) == (eager.bids, eager.asks)
         assert (snapped.bid_levels, snapped.ask_levels) == \
             (eager.bid_levels, eager.ask_levels)
@@ -331,7 +332,7 @@ class TestPanelDocument:
         save_panel(path, panel)
         built = {
             "constructor": panel,
-            "replace": dataclasses.replace(panel, candles=list(panel.candles)),
+            "replace": panel._replace(candles=list(panel.candles)),
             "load_panel": load_panel(path),
             "run_pipeline": run_pipeline(panel)[0],
             "generate": generate(load_builtin_scenario("h1-confirm"))[0],
@@ -340,7 +341,7 @@ class TestPanelDocument:
             for name in SERIES:
                 assert type(getattr(p, name)) is (Books if name == "books" else tuple), \
                     (how, name)
-                with pytest.raises(dataclasses.FrozenInstanceError):
+                with pytest.raises(AttributeError):
                     setattr(p, name, ())
         cleaned = built["run_pipeline"]
         assert cleaned.open_interest is panel.open_interest

@@ -27,7 +27,6 @@ a report on purpose, re-record the digests and paste them over DIGESTS:
 
 and say in the change's notes which reports moved and why.
 """
-import dataclasses
 import hashlib
 import json
 import os
@@ -168,7 +167,7 @@ def coverage_panel():
                         for k, p in enumerate(bids)),
             levels_text((d12(p), d12(2 + (5 * i + 11 * k) % 13 * Decimal("0.25")))
                         for k, p in enumerate(asks))))
-    return dataclasses.replace(base, books=books)
+    return base._replace(books=books)
 
 
 def profile_panel():
@@ -195,7 +194,7 @@ def profile_panel():
             c = c._replace(volume=d12(0))
         candles[i] = c
     candles[290] = candles[290]._replace(high=d12(120))
-    return dataclasses.replace(base, candles=candles)
+    return base._replace(candles=candles)
 
 
 def quality_panel():
@@ -217,7 +216,7 @@ def quality_panel():
     funding[20] = funding[20]._replace(settle_time=funding[20].settle_time + 45)
 
     books = list(base.books)
-    books[30] = dataclasses.replace(books[30], time=books[30].time + 100)
+    books[30] = books[30]._replace(time=books[30].time + 100)
     for i, (bid, ask) in ((40, ("100.2", "100.1")), (50, ("99", "101"))):
         books[i] = BookSnapshot(books[i].time, levels_text(((d12(bid), d12(5)),)),
                                 levels_text(((d12(ask), d12(5)),)))
@@ -228,8 +227,8 @@ def quality_panel():
     days = sorted(last)[:8]
     flows = [[day, fmt_dec(last[day] - last[prev] + (10 ** 8 if day == days[4] else 0))]
              for prev, day in zip(days, days[1:])]
-    return dataclasses.replace(
-        base, candles=candles, funding=funding, books=books,
+    return base._replace(
+        candles=candles, funding=funding, books=books,
         annotations={**base.annotations, "daily_net_flow_usd": flows})
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -198,7 +197,7 @@ def test_an_unmet_volatility_burst_is_noted(scenario_panels):
     src, _ = scenario_panels["h3-confirm"]
     annotations = dict(src.annotations, volatility_1h=[
         dict(row, value=1e-9) for row in src.annotations["volatility_1h"]])
-    v = evaluate_h3(_series(dataclasses.replace(src, annotations=annotations)))
+    v = evaluate_h3(_series(src._replace(annotations=annotations)))
     assert v.outcome == NOT_EVALUABLE
     assert [s.met for s in v.signals] == [True, False, True, True]
     assert v.notes == ("signal intrabar_volatility_burst unmet",)

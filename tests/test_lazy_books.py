@@ -21,6 +21,8 @@ from rangegov.liquidity import latest_valid_books
 from rangegov.model import Books, BookSnapshot
 from rangegov.synth import Scenario, Segment, generate, load_builtin_scenario
 
+from conftest import filled
+
 ANALYTIC = ("metrics", "hypotheses", "regime")
 
 
@@ -134,7 +136,7 @@ def test_only_the_snapshot_a_kernel_sums_whole_is_decoded_whole(
     assert _run(command, path, tmp_path)[1] is not None
     capsys.readouterr()
     whole = _whole_side_reader(command, panel)
-    decoded = {s.time for s in read if {"bid_levels", "ask_levels"} & set(s.__dict__)}
+    decoded = {s.time for s in read if {"_bid_levels", "_ask_levels"} & filled(s)}
     assert decoded == ({whole} if whole is not None else set())
     if whole is not None:   # the tail was read
         assert len({s.time for s in read}) > DEFAULTS.depth_trend_snapshots

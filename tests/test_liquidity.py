@@ -20,6 +20,8 @@ from rangegov.liquidity import (
 )
 from rangegov.model import BookSnapshot, RangeDefinition, d12, levels_text
 
+from conftest import filled
+
 
 def book(bids, asks, t=0):
     return BookSnapshot(
@@ -249,7 +251,7 @@ def test_depth_equals_the_whole_side_reference(case):
     snap = BookSnapshot(0, bids, asks)
     assert depth_at_extremes(snap, rng, cfg) == whole_side_depth(BookSnapshot(0, bids, asks),
                                                                  rng, cfg)
-    assert "bid_levels" not in snap.__dict__ and "ask_levels" not in snap.__dict__
+    assert "_bid_levels" not in filled(snap) and "_ask_levels" not in filled(snap)
 
 
 class TestFillSlippage:

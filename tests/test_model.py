@@ -1,5 +1,6 @@
+import copy
+import pickle
 import statistics
-from dataclasses import replace
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 
 from rangegov.errors import DataError
 from rangegov.model import (
-    BAR_SECONDS, BookSnapshot, Candle4H, FundingRecord, LiquidationEvent,
+    BAR_SECONDS, BookSnapshot, Books, Candle4H, FundingRecord, LiquidationEvent,
     OpenInterestRecord, Panel, bar_index, d12, fmt_dec,
     funding_by_bar, iso, levels_text, median, oi_by_bar, validate_panel, validate_record,
 )
+from rangegov.structure import derive
+
+from conftest import filled
 
 T0 = 1609459200  # 2021-01-01T00:00:00Z, a 4H grid point
 
@@ -118,16 +122,109 @@ def make_panel(n=6):
 def test_panel_contiguity_checked():
     panel = make_panel()
     assert validate_panel(panel) == []
-    gapped = replace(panel, candles=panel.candles[:2] + panel.candles[3:])
+    gapped = panel._replace(candles=panel.candles[:2] + panel.candles[3:])
     assert any("contiguous" in v.reason for v in validate_panel(gapped))
 
 
 def test_panel_series_span_and_order():
     panel = make_panel()
-    late = replace(panel, funding=[FundingRecord(panel.end_time + 1, d12("0.0001"))])
+    late = panel._replace(funding=[FundingRecord(panel.end_time + 1, d12("0.0001"))])
     assert any(v.field == "funding" for v in validate_panel(late))
-    unordered = replace(panel, books=[book(T0 + 7200), book(T0 + 3600)])
+    unordered = panel._replace(books=[book(T0 + 7200), book(T0 + 3600)])
     assert any(v.field == "books" for v in validate_panel(unordered))
+
+
+PANEL_FIELDS = ("instrument", "candles", "funding", "open_interest", "books",
+                "liquidations", "annotations")
+
+
+def test_panel_takes_its_fields_by_position_or_keyword_with_empty_defaults():
+    assert Panel._fields == PANEL_FIELDS
+    bare = Panel("TEST-PERP")
+    assert (bare.candles, bare.funding, bare.open_interest, bare.liquidations) == ((),) * 4
+    assert type(bare.books) is Books and len(bare.books) == 0
+    assert bare.annotations == {} and bare.annotations is not Panel("TEST-PERP").annotations
+    candles = [good_candle(T0 + i * BAR_SECONDS) for i in range(3)]
+    funding = [FundingRecord(T0, d12("0.0001"))]
+    oi = [OpenInterestRecord(T0, d12(500))]
+    liquidations = [LiquidationEvent(T0, d12(100), d12(5000), "long")]
+    by_position = Panel("TEST-PERP", candles, funding, oi, [book()], liquidations, {"a": 1})
+    by_keyword = Panel(annotations={"a": 1}, liquidations=liquidations, books=[book()],
+                       open_interest=oi, funding=funding, candles=candles,
+                       instrument="TEST-PERP")
+    assert by_position == by_keyword
+    assert by_position.candles == tuple(candles) and by_position.books[0] == book()
+    assert by_position != by_position._replace(annotations={"a": 2})
+    assert by_position != tuple(getattr(by_position, name) for name in PANEL_FIELDS)
+
+
+def test_panel_and_snapshot_repr_keep_the_field_form():
+    assert repr(book(bids=(("99", "5"),), asks=(("101", "5"),))) == \
+        "BookSnapshot(time=%d, bids='99:5', asks='101:5')" % T0
+    assert repr(Panel("TEST-PERP")).startswith(
+        "Panel(instrument='TEST-PERP', candles=(), funding=(), open_interest=(), books=<")
+    assert repr(Panel("TEST-PERP")).endswith(">, liquidations=(), annotations={})")
+
+
+def test_replace_coerces_through_the_constructor():
+    panel = make_panel(3)
+    changed = panel._replace(candles=list(panel.candles[:2]), funding=[], books=[book()],
+                             liquidations=[])
+    assert type(changed.candles) is tuple and len(changed.candles) == 2
+    assert changed.funding == () and changed.liquidations == ()
+    assert type(changed.books) is Books and list(changed.books) == [book()]
+    assert changed.instrument == panel.instrument and changed.annotations is panel.annotations
+    snap = book()
+    later = snap._replace(time=T0 + 60)
+    assert (later.time, later.bids, later.asks) == (T0 + 60, snap.bids, snap.asks)
+    with pytest.raises(TypeError):
+        panel._replace(candle=())
+
+
+@pytest.mark.parametrize("value, name", [
+    (make_panel(3), "candles"), (make_panel(3), "annotations"), (make_panel(3), "_derived"),
+    (book(), "time"), (book(), "bids"), (book(), "_checked"),
+])
+def test_no_field_can_be_assigned_or_deleted(value, name):
+    with pytest.raises(AttributeError):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_a_decoded_snapshot_equals_and_hashes_like_an_undecoded_one():
+    decoded, fresh = book(), book()
+    decoded.bid_levels, decoded.ask_levels, decoded.mid, decoded.checked
+    assert filled(decoded) == {"_bid_levels", "_ask_levels", "_best_bid", "_best_ask",
+                               "_checked"}
+    assert filled(fresh) == set()
+    assert decoded == fresh and hash(decoded) == hash(fresh)
+    assert hash(book()) == hash((T0, book().bids, book().asks))
+    assert book() != book(time=T0 + 1) and book() != book(bids=(("99", "6"),))
+    with pytest.raises(TypeError):
+        hash(make_panel(3))
+
+
+CLONES = {"pickle": lambda v: pickle.loads(pickle.dumps(v, pickle.HIGHEST_PROTOCOL)),
+          "copy": copy.copy, "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+def test_a_clone_is_equal_and_carries_no_memo(clone):
+    snap = book()
+    snap.checked, snap.bid_levels
+    thawed = clone(snap)
+    assert thawed == snap and filled(thawed) == set()
+    assert thawed.checked == snap.checked and thawed.bid_levels == snap.bid_levels
+    panel = make_panel(6)._replace(books=[book(T0 + 3600)], annotations={"a": [1]})
+    derive(panel)
+    assert filled(panel) == {"_derived"}
+    thawed = clone(panel)
+    assert thawed == panel and filled(thawed) == set() and thawed._derived is None
+    assert type(thawed.books) is Books and type(thawed.candles) is tuple
+    assert (thawed.annotations is panel.annotations) == (clone is copy.copy)
 
 
 def test_bar_index_boundaries():
@@ -140,14 +237,14 @@ def test_bar_index_boundaries():
 
 
 def test_asof_alignment_uses_latest_at_or_before_bar_close():
-    panel = replace(make_panel(3), funding=[
+    panel = make_panel(3)._replace(funding=[
         FundingRecord(T0 + BAR_SECONDS, d12("0.0001")),        # close of bar 0
         FundingRecord(T0 + 3 * BAR_SECONDS, d12("0.0002")),    # close of bar 2
     ])
     rates = [r.rate_8h if r else None for r in funding_by_bar(panel)]
     assert rates == [Decimal("0.0001"), Decimal("0.0001"), Decimal("0.0002")]
 
-    panel = replace(panel, open_interest=[OpenInterestRecord(T0 + 2 * BAR_SECONDS, d12(500))])
+    panel = panel._replace(open_interest=[OpenInterestRecord(T0 + 2 * BAR_SECONDS, d12(500))])
     ois = oi_by_bar(panel)
     assert ois[0] is None and ois[1].oi_usd == 500 and ois[2].oi_usd == 500
 
@@ -172,7 +269,7 @@ def test_iso_over_a_year_of_the_4h_grid():
 def test_asof_walk_on_unsorted_records_is_the_plain_pointer_walk():
     times = [T0 + 3 * BAR_SECONDS, T0 + BAR_SECONDS, T0 + 5 * BAR_SECONDS,
              T0 + 2 * BAR_SECONDS, T0 + 6 * BAR_SECONDS]
-    panel = replace(make_panel(6), open_interest=[OpenInterestRecord(t, d12(i + 1))
+    panel = make_panel(6)._replace(open_interest=[OpenInterestRecord(t, d12(i + 1))
                                                   for i, t in enumerate(times)])
     expected, j = [], -1
     for c in panel.candles:

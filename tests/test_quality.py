@@ -1,4 +1,3 @@
-from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -25,7 +24,7 @@ def candle(open_time, close="100", volume="10", o=None, h=None, lo=None):
 
 def test_timestamp_tolerance_band():
     # 29 s and 30 s off the hour stay put; only 31 s is snapped and flagged
-    panel = replace(clean_panel(), books=[book(T0 + 3600 + 29), book(T0 + 2 * 3600 + 30),
+    panel = clean_panel()._replace(books=[book(T0 + 3600 + 29), book(T0 + 2 * 3600 + 30),
                                           book(T0 + 3 * 3600 + 31)])
     cleaned, report = run_pipeline(panel)
     flags = [f for f in report.flags if f.check == "timestamp_alignment"]
@@ -166,7 +165,7 @@ def test_pipeline_fixes_then_stays_quiet():
     books.insert(0, book(T0 + 1800 + 3600, bid="99", ask="101.5"))
     books.sort(key=lambda b: b.time)
     del candles[5]
-    panel = replace(panel, candles=candles, books=books)
+    panel = panel._replace(candles=candles, books=books)
     cleaned, report = run_pipeline(panel)
     checks = {f.check for f in report.flags}
     assert "gap_fill" in checks and "book_integrity" in checks
@@ -181,7 +180,7 @@ def test_pipeline_fixes_then_stays_quiet():
 def test_pipeline_reject_on_funding_bound_drops_record():
     panel = clean_panel()
     bad = FundingRecord(panel.funding[-1].settle_time + 28800, d12("0.05"))
-    panel = replace(panel, funding=panel.funding + (bad,))
+    panel = panel._replace(funding=panel.funding + (bad,))
     cleaned, report = run_pipeline(panel)
     assert not report.passed
     assert all(r.rate_8h != Decimal("0.05") for r in cleaned.funding)
@@ -194,7 +193,7 @@ def test_pipeline_keeps_in_bound_record_sharing_a_settle_time():
     panel = clean_panel()
     t = panel.funding[-1].settle_time + 28800
     kept = FundingRecord(t, d12("0.0001"))
-    panel = replace(panel, funding=panel.funding + (FundingRecord(t, d12("0.05")), kept))
+    panel = panel._replace(funding=panel.funding + (FundingRecord(t, d12("0.05")), kept))
     cleaned, report = run_pipeline(panel)
     assert [f.location for f in report.flags] == ["funding@" + iso(t)]
     assert cleaned.funding == panel.funding[:-2] + (kept,)

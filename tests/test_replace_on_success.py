@@ -8,7 +8,6 @@ is refused as `open` refuses it, a symlink's target is replaced, and a target
 that is not a regular file (a FIFO) or is under /dev or /proc (`/dev/stdout`,
 whatever stdout is) is written in place.
 """
-import dataclasses
 import errno
 import os
 import stat
@@ -51,7 +50,7 @@ def test_a_failing_report_write_keeps_the_old_file(tmp_path):
 
 def test_a_failing_panel_save_keeps_the_old_file(tmp_path, scenario_panels):
     panel, _ = scenario_panels["h4-confirm"]
-    bad = dataclasses.replace(panel, annotations={**panel.annotations, "z": Decimal("1.5")})
+    bad = panel._replace(annotations={**panel.annotations, "z": Decimal("1.5")})
     path = _old_file(tmp_path, "panel.json")
     with pytest.raises(TypeError):
         formats.save_panel(str(path), bad)

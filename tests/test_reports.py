@@ -1,7 +1,6 @@
 """Report builders, their published schemas, and the SVG/CSV plot layer."""
 
 import csv
-import dataclasses
 import io
 import re
 
@@ -178,7 +177,7 @@ def test_plot_unknown_kind(rich_panel):
 
 
 def test_plot_missing_series(rich_panel):
-    bare = dataclasses.replace(rich_panel, books=[], liquidations=[])
+    bare = rich_panel._replace(books=[], liquidations=[])
     doc = metrics_report(bare, DEFAULTS)
     with pytest.raises(MissingSeriesError):
         render_plot(doc, "depth")

@@ -4,7 +4,6 @@ work. A panel's records cannot be edited; a panel built with other records, a
 replaced annotation or another config derives afresh. Nothing of it outlives
 the panel or travels with a copy."""
 import copy
-import dataclasses
 import gc
 import hashlib
 import pickle
@@ -19,7 +18,7 @@ from rangegov.hypotheses import evaluate_all
 from rangegov.model import BAR_SECONDS
 from rangegov.structure import PanelSeries, derive
 
-from conftest import SCENARIO_NAMES
+from conftest import SCENARIO_NAMES, filled
 from test_golden import DIGESTS
 
 REPORTS = (reports.metrics_report, reports.hypotheses_report, reports.regime_report)
@@ -30,7 +29,7 @@ EVALUATORS = ("evaluate_h1", "evaluate_h2", "evaluate_h3", "evaluate_h4")
 
 def _fresh(panel):
     """An equal panel that has derived nothing yet, with its own annotations."""
-    return dataclasses.replace(panel, annotations=dict(panel.annotations))
+    return panel._replace(annotations=dict(panel.annotations))
 
 
 @pytest.fixture
@@ -129,15 +128,15 @@ EDITS = {
     "replace an annotation": lambda panel: panel.annotations.update(basis=[]),
 }
 # what each in-place edit of a record raises: the series are tuples, the
-# panel a frozen dataclass
+# panel's fields read-only
 RAISES = {
     "replace a candle": TypeError,
     "append a candle": AttributeError,
     "pop a candle": AttributeError,
-    "reassign funding": dataclasses.FrozenInstanceError,
-    "reassign open interest": dataclasses.FrozenInstanceError,
-    "reassign books": dataclasses.FrozenInstanceError,
-    "reassign liquidations": dataclasses.FrozenInstanceError,
+    "reassign funding": AttributeError,
+    "reassign open interest": AttributeError,
+    "reassign books": AttributeError,
+    "reassign liquidations": AttributeError,
 }
 
 
@@ -178,7 +177,7 @@ def test_a_panel_with_one_changed_candle_derives_afresh(scenario_panels, calls):
         report(panel)
     c = panel.candles[-1]
     assert c.close != c.high
-    changed = dataclasses.replace(panel, candles=panel.candles[:-1] + (
+    changed = panel._replace(candles=panel.candles[:-1] + (
         c._replace(close=c.high),))
     series = derive(changed, DEFAULTS)
     assert calls["map_swings"] == 2 and changed._derived is not panel._derived
@@ -223,7 +222,7 @@ def test_a_copy_carries_no_memo(scenario_panels, calls, clone):
     panel = _fresh(scenario_panels["h1-confirm"][0])
     evaluate_all(panel, DEFAULTS)
     thawed = clone(panel)
-    assert thawed == panel and "_derived" not in vars(thawed)
+    assert thawed == panel and "_derived" not in filled(thawed)
     assert thawed._derived is None
     evaluate_all(thawed, DEFAULTS)
     assert calls["map_swings"] == 2 and calls["evaluate_h1"] == 2

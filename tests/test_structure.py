@@ -398,6 +398,24 @@ def test_derive_holds_what_each_function_computes(scenario_panels):
     assert list(series.funding_bias) == funding_bias_duration(rates)
 
 
+def test_resolve_range_quantizes_each_range_threshold_once(scenario_panels, monkeypatch):
+    """One `derive` of packaged h4-confirm tries 12 anchors. Each once
+    quantized both range thresholds: 24 `d12` calls, now 2."""
+    quantized, anchors = [], []
+
+    def counted_d12(value):
+        quantized.append(value)
+        return d12(value)
+
+    range_at = structure._range_at
+    monkeypatch.setattr(structure, "d12", counted_d12)
+    monkeypatch.setattr(structure, "_range_at",
+                        lambda *args: anchors.append(args[3]) or range_at(*args))
+    series = derive(scenario_panels["h4-confirm"][0]._replace(), DEFAULTS)
+    assert series.resolved is not None and len(anchors) == 12
+    assert quantized == [DEFAULTS.range_min_width, DEFAULTS.range_touch_tolerance]
+
+
 def test_derived_series_is_frozen(scenario_panels):
     series = derive(scenario_panels["h1-confirm"][0], DEFAULTS)
     with pytest.raises(AttributeError):

@@ -19,7 +19,6 @@ Table check: each record kind's table names every field of its record
 class, so a field added to a record but not to its table fails here instead
 of being dropped from every file it is written to.
 """
-import dataclasses
 import hashlib
 import json
 import os
@@ -126,7 +125,7 @@ RECORDS = {"candles": Candle4H, "funding": FundingRecord,
 
 def test_every_record_series_has_a_table():
     series = [key for key, _, _ in formats._SERIES]
-    assert series == [f.name for f in dataclasses.fields(Panel)][1:-1]
+    assert series == list(Panel._fields[1:-1])
     assert sorted(key for key, fields, _ in formats._SERIES if fields) == sorted(RECORDS)
 
 
