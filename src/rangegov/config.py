@@ -47,7 +47,7 @@ class Config(NamedTuple):
     realized_vol_window: int = 20              # log returns per estimate
     wick_baseline_window: int = 20
     wick_recent_window: int = 5
-    range_window: int = 30                     # bars considered by derive_range
+    range_window: int = 30                     # bars resolve_range considers per anchor
     range_touch_tolerance: float = 0.005
     range_min_touches: int = 2
     range_min_width: float = 0.001             # upper/lower - 1 must exceed this

@@ -9,7 +9,6 @@ not-evaluable with notes saying why.
 from __future__ import annotations
 
 import math
-from decimal import Decimal
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -21,7 +20,6 @@ from .model import (
     BAR_SECONDS,
     BARS_PER_DAY,
     Panel,
-    RangeDefinition,
     bar_index,
     d12,
     parse_iso,
@@ -67,32 +65,24 @@ def _verdict(name: str, window: tuple, signals: tuple, notes, evidence: dict,
 
 def oi_rotation_event(records: Sequence, cfg: Config) -> tuple:
     """(`classify_oi_event` over the OI records of a window, None), else
-    (None, why) when a record is missing or the window starts at zero OI."""
+    (None, why) when a record is missing or the window starts at zero OI.
+    The event reads only the window's ends: their OI as held and their long
+    shares at 12 places."""
     if any(r is None for r in records) or len(records) < 2:
         return None, "OI missing around the break"
-    values = [float(r.oi_usd) for r in records]
-    if values[0] == 0:
+    ends = (records[0], records[-1])
+    if ends[0].oi_usd == 0:
         return None, "OI zero at the start of the window: change undefined"
-    shares = [None if r.long_share is None else float(r.long_share) for r in records]
-    return classify_oi_event(values, shares, cfg), None
+    shares = [None if r.long_share is None else d12(r.long_share) for r in ends]
+    return classify_oi_event([r.oi_usd for r in ends], shares, cfg), None
 
 
-def _beyond(close: Decimal, rng: RangeDefinition) -> int:
-    """+1 above the range, -1 below, 0 inside (boundaries count as inside)."""
-    if close > rng.upper:
-        return 1
-    if close < rng.lower:
-        return -1
-    return 0
-
-
-def _first_shift(candles: Sequence, rng: RangeDefinition, start: int,
-                 stop: int) -> Optional[int]:
+def _first_shift(side: Sequence[int], start: int, stop: int) -> Optional[int]:
     """The first bar i in [start, stop) whose close and the next bar's close
-    are both beyond the same boundary (a structural shift), else None."""
+    are both beyond the same boundary (a structural shift), else None; `side`
+    is `PanelSeries.side`."""
     for i in range(start, stop):
-        side = _beyond(candles[i].close, rng)
-        if side != 0 and side == _beyond(candles[i + 1].close, rng):
+        if side[i] != 0 and side[i] == side[i + 1]:
             return i
     return None
 
@@ -201,7 +191,7 @@ def evaluate_h1(series: PanelSeries) -> HypothesisVerdict:
                 "tap_bars": taps, "tap_oi_drops": drops}
 
     # falsification: >=2 consecutive closes beyond a boundary on rising volatility
-    expansion = _first_shift(panel.candles, rng, start, n - 1) is not None
+    expansion = _first_shift(series.side, start, n - 1) is not None
     if expansion and vol_slope is not None and vol_slope > 0:
         notes.append("sustained expansion despite persistent funding bias")
         outcome = FALSIFIED
@@ -214,16 +204,12 @@ def evaluate_h1(series: PanelSeries) -> HypothesisVerdict:
 
 # ------------------------------------------------------------------------ H2
 
-def find_breakout_candidates(panel: Panel, rng: RangeDefinition) -> list:
-    """(bar index, side) for bars whose close first moves beyond a boundary.
-    A break needs a prior close, so bar 0 is never one."""
-    out = []
-    closes = [c.close for c in panel.candles]
-    for i in range(1, len(closes)):
-        side = _beyond(closes[i], rng)
-        if side != 0 and _beyond(closes[i - 1], rng) != side:
-            out.append((i, "up" if side > 0 else "down"))
-    return out
+def find_breakout_candidates(side: Sequence[int]) -> list:
+    """(bar index, side) for bars whose close first moves beyond a boundary,
+    from `PanelSeries.side`. A break needs a prior close, so bar 0 is never one."""
+    return [(i, "up" if cur > 0 else "down")
+            for i, (prev, cur) in enumerate(zip(side, side[1:]), 1)
+            if cur != 0 and cur != prev]
 
 
 def evaluate_h2(series: PanelSeries) -> HypothesisVerdict:
@@ -236,7 +222,7 @@ def evaluate_h2(series: PanelSeries) -> HypothesisVerdict:
     tail = (max(n - 1, 0), max(n - 1, 0))
     if rng is None:
         return _not_evaluable(name, tail, ["no established range"])
-    candidates = find_breakout_candidates(panel, rng)
+    candidates = find_breakout_candidates(series.side)
     if not candidates:
         return _not_evaluable(name, tail, ["no breakout candidate bar"])
     breakout_bar, side = candidates[-1]
@@ -296,14 +282,14 @@ def evaluate_h2(series: PanelSeries) -> HypothesisVerdict:
     signals = (s1, s2, s3)
     evidence = {"breakout_bar": breakout_bar, "side": side}
     # when every signal aligned, the verdict rides on whether the break sustains
-    post = panel.candles[breakout_bar + 1: breakout_bar + 1 + cfg.h2_sustain_closes]
+    post = series.side[breakout_bar + 1: breakout_bar + 1 + cfg.h2_sustain_closes]
     want = 1 if side == "up" else -1
     if not all(s.met for s in signals):
         outcome = NOT_EVALUABLE
     elif len(post) < cfg.h2_sustain_closes:
         notes.append("sustainment unverified (%d post-break bars)" % len(post))
         outcome = CONFIRMED
-    elif all(_beyond(c.close, rng) == want for c in post):
+    elif all(s == want for s in post):
         outcome = CONFIRMED
     else:
         notes.append("aligned break failed to sustain %d closes beyond"
@@ -351,7 +337,7 @@ def evaluate_h3(series: PanelSeries) -> HypothesisVerdict:
     notes = []
 
     # structural shift kills the condition: >=2 consecutive closes outside
-    shift = _first_shift(panel.candles, rng, s, min(s + cfg.h3_reversion_max_bars, n - 1))
+    shift = _first_shift(series.side, s, min(s + cfg.h3_reversion_max_bars, n - 1))
     if shift is not None:
         return _not_evaluable(
             name, window,
@@ -393,11 +379,10 @@ def evaluate_h3(series: PanelSeries) -> HypothesisVerdict:
         notes.append("no 1H volatility annotation: signal not measured")
 
     # closes stay inside the range through the reversion window
-    post = panel.candles[s + 1: min(s + 1 + cfg.h3_reversion_max_bars, n)]
+    post = series.side[s + 1: s + 1 + cfg.h3_reversion_max_bars]
     if post:
-        inside = all(_beyond(c.close, rng) == 0 for c in post)
-        s2 = Signal("closes_inside_range", inside, float(sum(
-            1 for c in post if _beyond(c.close, rng) == 0)), "all post-spike closes inside")
+        s2 = Signal("closes_inside_range", not any(post), float(post.count(0)),
+                    "all post-spike closes inside")
     else:
         s2 = Signal("closes_inside_range", None, None, "all post-spike closes inside")
         notes.append("no post-spike bars")

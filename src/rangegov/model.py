@@ -294,9 +294,6 @@ class Books(Sequence):
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, Books) else NotImplemented
 
-    def __add__(self, other) -> tuple:
-        return (*self, *other)
-
     def __reduce__(self):
         return Books, (list(self),)
 

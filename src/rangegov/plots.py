@@ -72,28 +72,27 @@ class _Canvas:
     def sy(self, y: float) -> float:
         return _H - _PAD_B - (y - self.y_lo) / self.y_span * (_H - _PAD_T - _PAD_B)
 
-    def polyline(self, xs, ys, color=_SERIES, dash=None):
+    def polyline(self, xs, ys, color=_SERIES):
         pts = " ".join("%s,%s" % (_fmt(self.sx(x)), _fmt(self.sy(y)))
                        for x, y in zip(xs, ys))
-        extra = ' stroke-dasharray="%s"' % dash if dash else ""
         self.parts.append(
-            '<polyline points="%s" fill="none" stroke="%s" stroke-width="1.5"%s/>'
-            % (pts, color, extra))
+            '<polyline points="%s" fill="none" stroke="%s" stroke-width="1.5"/>'
+            % (pts, color))
 
-    def hline(self, y: float, color=_GUIDE, dash="4 3", label=None):
+    def hline(self, y: float, dash="4 3", label=None):
         sy = _fmt(self.sy(y))
         self.parts.append(
             '<line x1="%d" y1="%s" x2="%d" y2="%s" stroke="%s" '
-            'stroke-dasharray="%s"/>' % (_PAD_L, sy, _W - _PAD_R, sy, color, dash))
+            'stroke-dasharray="%s"/>' % (_PAD_L, sy, _W - _PAD_R, sy, _GUIDE, dash))
         if label:
             self.text(_W - _PAD_R - 4, self.sy(y) - 4, label, anchor="end")
 
-    def vline(self, x: float, color=_SECOND, label=None, peak=None):
+    def vline(self, x: float, label=None, peak=None):
         sx = _fmt(self.sx(x))
         attr = ' data-peak-price="%.12g"' % peak if peak is not None else ""
         self.parts.append(
             '<line x1="%s" y1="%d" x2="%s" y2="%d" stroke="%s"%s/>'
-            % (sx, _PAD_T, sx, _H - _PAD_B, color, attr))
+            % (sx, _PAD_T, sx, _H - _PAD_B, _SECOND, attr))
         if label:
             self.text(self.sx(x) + 4, _PAD_T + 12, label)
 

@@ -40,9 +40,6 @@ class LiquidationDensity(NamedTuple):
     total_usd: float
     flagged_empty: bool = False
 
-    def integral(self) -> float:
-        return trapezoid(self.density, self.prices)
-
 
 def oi_rotation(oi: Sequence[float], volatility: Sequence[float]) -> list:
     """OI first derivative (fractional) normalized by realized volatility.
@@ -63,10 +60,11 @@ def oi_rotation(oi: Sequence[float], volatility: Sequence[float]) -> list:
     return out
 
 
-def classify_oi_event(oi_window: Sequence[float],
-                      long_shares: Optional[Sequence[float]] = None,
+def classify_oi_event(oi_window: Sequence[Decimal],
+                      long_shares: Optional[Sequence[Optional[Decimal]]] = None,
                       cfg: Config = DEFAULTS) -> OiEvent:
-    """Rotation vs collapse over a breakout window.
+    """Rotation vs collapse over a breakout window of `Decimal` OI notionals
+    and long shares, taken as they are.
 
     Collapse: total OI declines more than 5%. Rotation: long/short mix shifts
     by at least 5 percentage points while the decline stays within 5%. With no
@@ -75,12 +73,12 @@ def classify_oi_event(oi_window: Sequence[float],
     if len(oi_window) < 2 or oi_window[0] == 0:
         raise ValueError("need at least two OI observations with nonzero start")
     # Decimal so "exactly 5%" lands on the documented side of each threshold
-    change = d12(oi_window[-1]) / d12(oi_window[0]) - 1
+    change = oi_window[-1] / oi_window[0] - 1
     decline = -change
     shift = None
     if long_shares is not None and len(long_shares) >= 2 \
             and long_shares[0] is not None and long_shares[-1] is not None:
-        shift = d12(long_shares[-1]) - d12(long_shares[0])
+        shift = long_shares[-1] - long_shares[0]
     if decline > d12(cfg.oi_collapse_decline):
         return OiEvent(COLLAPSE, float(change), None if shift is None else float(shift))
     if shift is None:
@@ -90,20 +88,12 @@ def classify_oi_event(oi_window: Sequence[float],
     return OiEvent(NEITHER, float(change), float(shift))
 
 
-def default_density_grid(events: Sequence[LiquidationEvent], bandwidth: float,
-                         points: int = 512) -> np.ndarray:
-    prices = np.array([float(e.price) for e in events])
-    lo = prices.min() - 5.0 * bandwidth
-    hi = prices.max() + 5.0 * bandwidth
-    return np.linspace(lo, hi, points)
-
-
 def liquidation_density(events: Sequence[LiquidationEvent],
-                        eval_grid: Optional[Sequence[float]] = None,
                         cfg: Config = DEFAULTS) -> LiquidationDensity:
     """Gaussian KDE over liquidation prices, USD-weighted, bandwidth 1% of the
-    size-weighted mean price, renormalized so the trapezoid integral over the
-    evaluation grid is 1."""
+    size-weighted mean price, evaluated on 512 evenly spaced prices from 5
+    bandwidths below the lowest price to 5 above the highest, and renormalized
+    so the trapezoid integral over that grid is 1."""
     if not events:
         return LiquidationDensity((), (), 0.0, 0.0, flagged_empty=True)
     prices = np.array([float(e.price) for e in events])
@@ -118,10 +108,7 @@ def liquidation_density(events: Sequence[LiquidationEvent],
     h = cfg.kde_bandwidth_frac * mean_price
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    if eval_grid is None:
-        grid = default_density_grid(events, h)
-    else:
-        grid = np.asarray(eval_grid, dtype=float)
+    grid = np.linspace(prices.min() - 5.0 * h, prices.max() + 5.0 * h, 512)
     z = (grid[:, None] - prices[None, :]) / h
     kernel = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     raw = (kernel * weights[None, :]).sum(axis=1) / (total * h)

@@ -15,7 +15,6 @@ runs.
 """
 from __future__ import annotations
 
-from datetime import datetime, timezone
 from decimal import Decimal
 from typing import NamedTuple, Optional, Sequence
 
@@ -108,15 +107,12 @@ def check_oi_sanity(oi_records: Sequence, liquidations: Sequence,
     if not daily_net_flow_usd:
         return QualityReport(1, [], ["oi_sanity: not evaluated (no trade-flow series)"])
 
-    def day(ts: int) -> str:
-        return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%d")
-
     last_by_day: dict = {}
     for r in oi_records:
-        last_by_day[day(r.time)] = r
+        last_by_day[iso(r.time)[:10]] = r   # the UTC date, as 'YYYY-MM-DD'
     liq_by_day: dict = {}
     for e in liquidations:
-        key = day(e.time)
+        key = iso(e.time)[:10]
         liq_by_day[key] = liq_by_day.get(key, Decimal(0)) + e.size_usd
 
     days = sorted(last_by_day)

@@ -129,7 +129,7 @@ def structural_report(series: PanelSeries) -> dict:
                        for a in footprints],
     }
     if series.range is not None:
-        doc["persistence_bars"] = range_persistence(candles, series.range)
+        doc["persistence_bars"] = range_persistence(series.side)
     return doc
 
 

@@ -77,24 +77,6 @@ def map_swings(candles: Sequence[Candle4H], lookback: int) -> list:
     return out
 
 
-def derive_range(candles: Sequence[Candle4H], swings: Sequence[SwingPoint],
-                 cfg: Config = DEFAULTS, end: Optional[int] = None):
-    """Range over the trailing window ending at bar `end` (default: last).
-
-    Boundaries come from confirmed swing extremes inside the window; each
-    boundary needs `range_min_touches` bars whose extreme lands within the
-    touch tolerance, and the width must strictly exceed `range_min_width`.
-    Returns None when no range validates.
-    """
-    n = len(candles)
-    if end is None:
-        end = n - 1
-    if end < 0 or end >= n:
-        raise DataError("anchor outside the panel")
-    return _range_at(candles, swings, cfg, end,
-                     d12(cfg.range_min_width), d12(cfg.range_touch_tolerance))
-
-
 def resolve_range(candles: Sequence[Candle4H], swings: Sequence[SwingPoint],
                   cfg: Config = DEFAULTS):
     """Most recent anchor where a range derives, walking back from the end.
@@ -113,8 +95,13 @@ def resolve_range(candles: Sequence[Candle4H], swings: Sequence[SwingPoint],
 
 
 def _range_at(candles, swings, cfg: Config, end: int, min_width: Decimal, tol: Decimal):
-    """`derive_range` at bar `end` of the candles, with `cfg.range_min_width`
-    and `cfg.range_touch_tolerance` already quantized."""
+    """The range over the trailing `cfg.range_window` bars ending at bar `end`.
+
+    Boundaries come from confirmed swing extremes inside the window; each
+    boundary needs `range_min_touches` bars whose extreme lands within the
+    touch tolerance `tol`, and the width must strictly exceed `min_width`
+    (both quantized by the caller). Returns None when no range validates.
+    """
     start = max(0, end - cfg.range_window + 1)
     confirmed = end - cfg.swing_lookback
     sw_high = [s for s in swings if s.kind == "high" and start <= s.index <= confirmed]
@@ -262,14 +249,13 @@ def absorption_footprints(candles: Sequence[Candle4H], cfg: Config = DEFAULTS) -
     return out
 
 
-def range_persistence(candles: Sequence[Candle4H], rng: RangeDefinition) -> int:
-    """Trailing run of closes inside [lower, upper] (inclusive)."""
+def range_persistence(side: Sequence[int]) -> int:
+    """Trailing run of closes inside the range, from `PanelSeries.side`."""
     count = 0
-    for c in reversed(candles):
-        if rng.lower <= c.close <= rng.upper:
-            count += 1
-        else:
+    for s in reversed(side):
+        if s:
             break
+        count += 1
     return count
 
 
@@ -298,6 +284,7 @@ class PanelSeries(NamedTuple):
     wick_down: np.ndarray
     swings: tuple              # map_swings at cfg.swing_lookback
     resolved: Optional[tuple]  # resolve_range: (range, anchor bar) or None
+    side: tuple                # per close: +1 above the range, -1 below, 0 inside; () if none
     funding_by_bar: tuple      # as-of funding record per bar, None before coverage
     oi_by_bar: tuple           # as-of open-interest record per bar
     funding_spikes: tuple      # funding_spike flag per settlement
@@ -341,6 +328,12 @@ def _compute(panel: Panel, cfg: Config) -> dict:
     swings = map_swings(candles, cfg.swing_lookback)
     wick_up, wick_down = wick_series(candles)
     rates = [f.rate_8h for f in panel.funding]
+    resolved = resolve_range(candles, swings, cfg)
+    side = ()
+    if resolved is not None:
+        lower, upper = resolved[0].lower, resolved[0].upper
+        # a close on a boundary is inside
+        side = tuple(1 if c.close > upper else -1 if c.close < lower else 0 for c in candles)
     return dict(
         close=_frozen([float(c.close) for c in candles]),
         high=_frozen([float(c.high) for c in candles]),
@@ -350,7 +343,8 @@ def _compute(panel: Panel, cfg: Config) -> dict:
         wick_up=_frozen(wick_up),
         wick_down=_frozen(wick_down),
         swings=tuple(swings),
-        resolved=resolve_range(candles, swings, cfg),
+        resolved=resolved,
+        side=side,
         funding_by_bar=tuple(funding_by_bar(panel)),
         oi_by_bar=tuple(oi_by_bar(panel)),
         funding_spikes=tuple(funding_spike(rates, cfg)),

@@ -1,8 +1,10 @@
 import importlib.resources as resources
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from rangegov import structure
 from rangegov.model import (
     BookSnapshot,
     Candle4H,
@@ -47,6 +49,13 @@ def profile_columns(candles) -> tuple:
     reads, as `structure.derive` holds them."""
     return tuple(np.array([float(getattr(c, name)) for c in candles])
                  for name in ("close", "low", "high", "volume"))
+
+
+def side_of(candles, rng) -> tuple:
+    """`structure.derive(...).side` of a panel of the candles whose range
+    resolves to `rng`, so a test can place closes against a range it chose."""
+    with mock.patch.object(structure, "resolve_range", lambda *args: (rng, len(candles) - 1)):
+        return structure.derive(Panel("TEST", candles)).side
 
 
 def scenario_to_dict(s: Scenario) -> dict:

@@ -272,15 +272,15 @@ def _check_kde(rng):
     total = sum(weights)
     mean = sum(p * w for p, w in zip(prices, weights)) / total
     h = DEFAULTS.kde_bandwidth_frac * mean
-    grid = np.linspace(min(prices) - 3 * h, max(prices) + 3 * h, 10)
-    got = liquidation_density(events, eval_grid=grid)
+    got = liquidation_density(events)
+    grid = got.prices
     raw = []
     for x in grid:
         acc = sum(w * math.exp(-0.5 * ((x - p) / h) ** 2)
                   for p, w in zip(prices, weights))
         raw.append(acc / (total * h * math.sqrt(2 * math.pi)))
     area = sum((raw[j] + raw[j + 1]) * (grid[j + 1] - grid[j])
-               for j in range(9)) / 2
+               for j in range(len(grid) - 1)) / 2
     want = [r / area for r in raw]
     assert _close(got.bandwidth, h)
     for a, b in zip(got.density, want):

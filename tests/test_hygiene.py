@@ -5,7 +5,8 @@ No module writes past a built value's fields, no module imports
 `dataclasses`, only the functions listed below build a hypothesis verdict
 or classify an OI window, every error class is raised somewhere, only
 `formats.replacing` opens a file for writing, only `formats` reads one,
-and no `d12` quantizes what is already quantized."""
+no `d12` quantizes what is already quantized, and every parameter default
+is passed by some call under `src/` or `bench/`."""
 import ast
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted((SRC / "rangegov").glob("*.py"))
+BENCH = sorted((SRC.parent / "bench").glob("*.py"))
 
 # Module-level names nothing under src/ refers to, each kept for a reader outside it
 SERVED_OUTSIDE = {
@@ -25,8 +27,6 @@ SERVED_OUTSIDE = {
     "formats.panel_to_dict",             # the panel document as one dict, for library users
                                          # and the tests: the reference `save_panel` streams
     "schemas.REPORT_SCHEMAS",            # the report schemas, for the tests that check reports
-    "structure.derive_range",            # the range at one anchor, for library users and the
-                                         # tests: `resolve_range` walks the anchors itself
     "synth.load_builtin_scenario",       # a packaged scenario by name, for library users
 }
 
@@ -406,3 +406,98 @@ def test_a_planted_requantization_fails(source):
 ])
 def test_a_single_quantization_passes(source):
     assert _requantized("cost", ast.parse(source)) == []
+
+
+# Parameter defaults no call under src/ or bench/ passes, each kept because
+# the call that passes it is one the AST cannot follow
+DEFAULTS_PASSED_OUTSIDE = {
+    "formats.book_from_line.where",        # `Books` builds each snapshot through `_build`,
+    "formats.book_from_line.time",         # which `_decode_books` binds to `book_from_line`
+    "formats.read_books.stamps",           # `ingest_manifest` reads each side file through
+    "formats.read_oi_csv.stamps",          # its local `side`, which passes its timestamp memo
+    "formats.read_liquidations_csv.stamps",
+}
+
+
+def _defaulted(stem: str, tree: ast.Module) -> list:
+    """(qualified name, function name, parameter, position or None) of each
+    parameter with a default, of each function and non-dunder method. The
+    position is where a call passes it by position (a method's leaves out
+    `self`); None for a keyword-only parameter."""
+    out = []
+
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    args = child.args
+                    positional = args.posonlyargs + args.args
+                    first = len(positional) - len(args.defaults)
+                    skip = in_class and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                                for d in child.decorator_list)
+                    named = [(a, i - skip) for i, a in enumerate(positional) if i >= first]
+                    named += [(a, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                              if d is not None]
+                    out.extend((".".join([stem] + scope + [child.name, a.arg]), child.name,
+                                a.arg, at) for a, at in named)
+                visit(child, scope + [child.name], False)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], True)
+            else:
+                visit(child, scope, in_class)
+
+    visit(tree, [], False)
+    return out
+
+
+def _unpassed_defaults(trees: dict, callers: list) -> list:
+    """The qualified name of each parameter default of `trees` that no call
+    in `callers` to a function of that name passes, by keyword or by position."""
+    calls: dict = {}
+    for tree in callers:
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is not None:
+                calls.setdefault(name, []).append(node)
+
+    def passed(name, param, at):
+        return any(any(kw.arg == param for kw in call.keywords)
+                   or at is not None and sum(not isinstance(a, ast.Starred)
+                                             for a in call.args) > at
+                   for call in calls.get(name, ()))
+
+    return sorted(qualified for stem, tree in trees.items()
+                  for qualified, name, param, at in _defaulted(stem, tree)
+                  if not passed(name, param, at))
+
+
+def test_every_parameter_default_is_passed_somewhere():
+    trees = {path.stem: _tree(path) for path in MODULES}
+    unpassed = _unpassed_defaults(trees, list(trees.values()) + [_tree(p) for p in BENCH])
+    assert [name for name in unpassed if name not in DEFAULTS_PASSED_OUTSIDE] == []
+    assert sorted(DEFAULTS_PASSED_OUTSIDE) == unpassed, "an allowlisted default is now passed"
+
+
+@pytest.mark.parametrize("source", [
+    "def derive_range(candles, swings, cfg=None, end=None):\n    return end\n\n"
+    "RANGE = derive_range([], [], None)\n",
+    "class Canvas:\n    def hline(self, y, color='#888'):\n        return color\n\n"
+    "def draw(canvas):\n    canvas.hline(0.0)\n",
+    "def density(events, *, points=512):\n    return points\n\nGRID = density([], 512)\n",
+])
+def test_a_planted_unpassed_default_fails(source):
+    tree = ast.parse(source)
+    assert _unpassed_defaults({"positioning": tree}, [tree]) != []
+
+
+@pytest.mark.parametrize("source", [
+    "def derive_range(candles, swings, cfg=None, end=None):\n    return end\n\n"
+    "RANGE = derive_range([], [], None, end=3)\n",
+    "class Canvas:\n    def hline(self, y, color='#888'):\n        return color\n\n"
+    "def draw(canvas):\n    canvas.hline(0.0, '#000')\n",
+    "def density(events, *, points=512):\n    return points\n\nGRID = density([], points=64)\n",
+])
+def test_a_passed_default_passes(source):
+    tree = ast.parse(source)
+    assert _unpassed_defaults({"positioning": tree}, [tree]) == []

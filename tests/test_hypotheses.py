@@ -169,7 +169,7 @@ def test_h1_not_evaluable_without_funding(scenario_panels):
 def test_h2_not_evaluable_without_breakout(scenario_panels):
     src, _ = scenario_panels["h1-confirm"]   # ranging panel, closes inside
     series = _series(src)
-    assert find_breakout_candidates(src, series.range) == []
+    assert find_breakout_candidates(series.side) == []
     v = evaluate_h2(series)
     assert v.outcome == NOT_EVALUABLE
 

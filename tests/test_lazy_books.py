@@ -200,5 +200,5 @@ def test_a_loaded_panel_is_the_value_of_its_eager_twin(panels, sides):
     part = fresh.books[10:20]
     assert list(part) == list(twin.books[10:20]) and part.times == twin.books.times[10:20]
     assert fresh.books[15] is part[5] and len(sides) == 10   # a slice shares builds
-    assert fresh.books[:10] + part == tuple(twin.books[:20]) and len(sides) == 20
+    assert (*fresh.books[:10], *part) == tuple(twin.books[:20]) and len(sides) == 20
     assert set(sides.values()) == {2}

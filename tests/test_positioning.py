@@ -12,11 +12,11 @@ from rangegov.positioning import (
     boundary_cluster_share,
     classify_oi_event,
     concentration_gini,
-    default_density_grid,
     leverage_summary,
     liquidation_density,
     long_short_ratio,
     oi_rotation,
+    trapezoid,
 )
 
 
@@ -57,42 +57,47 @@ class TestOiRotation:
             oi_rotation([1, 2], [0.01])
 
 
+def decs(*values) -> list:
+    """The values as the 12-place `Decimal`s a record holds."""
+    return [d12(v) for v in values]
+
+
 class TestOiEvent:
     def test_mix_shift_with_small_decline_is_rotation(self):
-        out = classify_oi_event([100.0, 99.0, 98.0], [0.55, 0.58, 0.62])
+        out = classify_oi_event(decs(100.0, 99.0, 98.0), decs(0.55, 0.58, 0.62))
         assert out.label == ROTATION
         assert out.mix_shift_pp == pytest.approx(0.07)
         assert not out.partial
 
     def test_large_decline_is_collapse(self):
-        out = classify_oi_event([100.0, 92.0], [0.5, 0.5])
+        out = classify_oi_event(decs(100.0, 92.0), decs(0.5, 0.5))
         assert out.label == COLLAPSE
 
     def test_flat_mix_flat_oi_is_neither(self):
-        out = classify_oi_event([100.0, 101.0], [0.5, 0.5])
+        out = classify_oi_event(decs(100.0, 101.0), decs(0.5, 0.5))
         assert out.label == NEITHER
 
     def test_decline_boundary_is_strict(self):
         # exactly -5% is not a collapse; rotation still decidable
-        out = classify_oi_event([100.0, 95.0], [0.50, 0.56])
+        out = classify_oi_event(decs(100.0, 95.0), decs(0.50, 0.56))
         assert out.label == ROTATION
 
     def test_mix_boundary_is_inclusive(self):
-        out = classify_oi_event([100.0, 100.0], [0.50, 0.55])
+        out = classify_oi_event(decs(100.0, 100.0), decs(0.50, 0.55))
         assert out.label == ROTATION
 
     def test_missing_mix_marks_partial(self):
-        out = classify_oi_event([100.0, 99.0])
+        out = classify_oi_event(decs(100.0, 99.0))
         assert out.label == NEITHER
         assert out.partial
-        collapse = classify_oi_event([100.0, 90.0])
+        collapse = classify_oi_event(decs(100.0, 90.0))
         assert collapse.label == COLLAPSE
 
     def test_rejects_degenerate_window(self):
         with pytest.raises(ValueError):
-            classify_oi_event([100.0])
+            classify_oi_event(decs(100.0))
         with pytest.raises(ValueError):
-            classify_oi_event([0.0, 10.0])
+            classify_oi_event(decs(0.0, 10.0))
 
 
 def manual_trapezoid(y, x):
@@ -121,18 +126,19 @@ class TestLiquidationDensity:
         step = dens.prices[1] - dens.prices[0]
         peak = dens.prices[int(np.argmax(dens.density))]
         assert abs(peak - 50000) <= step
-        assert dens.integral() == pytest.approx(1.0, abs=1e-3)
-        # explicit grid containing the price exactly
-        grid = np.linspace(45000, 55000, 1001)
-        exact = liquidation_density(events, grid)
-        assert grid[int(np.argmax(exact.density))] == pytest.approx(50000, abs=1e-9)
+        assert trapezoid(dens.density, dens.prices) == pytest.approx(1.0, abs=1e-3)
+        # the grid is symmetric about the price, so the two nodes either side
+        # of it share the peak
+        d = np.array(dens.density)
+        assert int(np.argmax(d)) in (255, 256)
+        assert d[255] == pytest.approx(d[256], rel=1e-9)
 
     def test_two_equal_clusters_are_symmetric(self):
         events = [ev(100, 1e6), ev(110, 1e6)]
-        grid = np.linspace(95, 115, 801)
-        dens = liquidation_density(events, grid)
+        dens = liquidation_density(events)
+        grid = np.array(dens.prices)
         d = np.array(dens.density)
-        peaks = [float(grid[i]) for i in range(1, 800)
+        peaks = [float(grid[i]) for i in range(1, len(d) - 1)
                  if d[i] > d[i - 1] and d[i] > d[i + 1]]
         assert len(peaks) == 2
         assert peaks[0] == pytest.approx(100, abs=0.1)
@@ -147,7 +153,7 @@ class TestLiquidationDensity:
                   for p, w in zip(rng.uniform(900, 1100, size=500),
                                   rng.uniform(1e4, 1e7, size=500))]
         dens = liquidation_density(events)
-        assert dens.integral() == pytest.approx(1.0, abs=1e-3)
+        assert trapezoid(dens.density, dens.prices) == pytest.approx(1.0, abs=1e-3)
         prices = [float(e.price) for e in events]
         weights = [float(e.size_usd) for e in events]
         oracle = direct_kde(prices, weights, dens.bandwidth, list(dens.prices))
@@ -157,18 +163,16 @@ class TestLiquidationDensity:
 
     def test_size_scaling_leaves_density_unchanged(self):
         events = [ev(100, 5e5), ev(103, 2e6), ev(107, 8e5)]
-        grid = np.linspace(95, 112, 200)
-        base = liquidation_density(events, grid)
+        base = liquidation_density(events)
         doubled = liquidation_density(
-            [ev(float(e.price), float(e.size_usd) * 2) for e in events], grid)
+            [ev(float(e.price), float(e.size_usd) * 2) for e in events])
+        assert base.prices == doubled.prices
         for a, b in zip(base.density, doubled.density):
             assert a == pytest.approx(b, rel=1e-9)
 
     def test_reordering_is_invariant(self):
         events = [ev(100, 5e5), ev(103, 2e6), ev(107, 8e5)]
-        grid = np.linspace(95, 112, 50)
-        assert liquidation_density(events, grid).density == \
-            liquidation_density(list(reversed(events)), grid).density
+        assert liquidation_density(events) == liquidation_density(list(reversed(events)))
 
     def test_empty_events_flagged(self):
         dens = liquidation_density([])

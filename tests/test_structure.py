@@ -12,12 +12,11 @@ from rangegov.config import DEFAULTS
 from rangegov.errors import DataError
 from rangegov.model import BAR_SECONDS, Candle4H, RangeDefinition, d12
 from rangegov.structure import (
-    PROFILE_MAX_BINS, absorption_footprints, derive, derive_range, map_swings,
-    range_persistence, realized_volatility, resolve_range, volume_nodes, wick_series,
-    wick_to_body,
+    PROFILE_MAX_BINS, absorption_footprints, derive, map_swings, range_persistence,
+    realized_volatility, resolve_range, volume_nodes, wick_series, wick_to_body,
 )
 
-from conftest import profile_columns
+from conftest import profile_columns, side_of
 
 T0 = 1609459200
 
@@ -113,27 +112,27 @@ def oscillation(n=40, lo=100.0, hi=104.0, period=8):
     return candles
 
 
-def test_derive_range_finds_boundaries_and_touches():
+def test_resolve_range_finds_boundaries_and_touches():
     candles = oscillation()
     swings = map_swings(candles, 5)
-    rng = derive_range(candles, swings)
-    assert rng is not None
+    rng, anchor = resolve_range(candles, swings)
+    assert anchor == len(candles) - 1
     assert float(rng.lower) == pytest.approx(100.0, abs=0.5)
     assert float(rng.upper) == pytest.approx(104.0, abs=0.5)
     assert rng.touch_count_lower >= 2 and rng.touch_count_upper >= 2
     assert rng.established_at >= T0
 
 
-def test_derive_range_rejects_trend():
+def test_resolve_range_rejects_trend():
     candles = bars_from_closes([100 * 1.01 ** i for i in range(40)])
     swings = map_swings(candles, 5)
-    assert derive_range(candles, swings) is None
+    assert resolve_range(candles, swings) is None
 
 
-def test_derive_range_rejects_zero_width():
+def test_resolve_range_rejects_zero_width():
     candles = [flat_bar(i, "100") for i in range(40)]
     swings = map_swings(candles, 5)
-    assert derive_range(candles, swings) is None
+    assert resolve_range(candles, swings) is None
 
 
 def test_resolve_range_sees_through_unconfirmed_tail():
@@ -365,11 +364,11 @@ def test_range_persistence_counts_trailing_inside():
     rng = RangeDefinition(d12("100"), d12("104"), T0)
     closes = [102, 103, 105, 102, 101, 103]  # breakout at index 2
     candles = bars_from_closes([float(x) for x in closes])
-    assert range_persistence(candles, rng) == 3
-    assert range_persistence(bars_from_closes([105.0, 102.0]), rng) == 1
-    assert range_persistence(bars_from_closes([102.0, 105.0]), rng) == 0
+    assert range_persistence(side_of(candles, rng)) == 3
+    assert range_persistence(side_of(bars_from_closes([105.0, 102.0]), rng)) == 1
+    assert range_persistence(side_of(bars_from_closes([102.0, 105.0]), rng)) == 0
     # boundary close counts as inside
-    assert range_persistence(bars_from_closes([104.0]), rng) == 1
+    assert range_persistence(side_of(bars_from_closes([104.0]), rng)) == 1
 
 
 # --- derived series --------------------------------------------------------------
