@@ -24,7 +24,7 @@ from .model import (
     d12,
     parse_iso,
 )
-from .positioning import ROTATION, boundary_cluster_share, classify_oi_event
+from .positioning import ROTATION, oi_rotation_event
 from .structure import PanelSeries, derive, ols_slope
 
 CONFIRMED = "confirmed"
@@ -63,20 +63,6 @@ def _verdict(name: str, window: tuple, signals: tuple, notes, evidence: dict,
     return HypothesisVerdict(name, window, True, signals, outcome, tuple(notes), evidence)
 
 
-def oi_rotation_event(records: Sequence, cfg: Config) -> tuple:
-    """(`classify_oi_event` over the OI records of a window, None), else
-    (None, why) when a record is missing or the window starts at zero OI.
-    The event reads only the window's ends: their OI as held and their long
-    shares at 12 places."""
-    if any(r is None for r in records) or len(records) < 2:
-        return None, "OI missing around the break"
-    ends = (records[0], records[-1])
-    if ends[0].oi_usd == 0:
-        return None, "OI zero at the start of the window: change undefined"
-    shares = [None if r.long_share is None else d12(r.long_share) for r in ends]
-    return classify_oi_event([r.oi_usd for r in ends], shares, cfg), None
-
-
 def _first_shift(side: Sequence[int], start: int, stop: int) -> Optional[int]:
     """The first bar i in [start, stop) whose close and the next bar's close
     are both beyond the same boundary (a structural shift), else None; `side`
@@ -96,9 +82,7 @@ def evaluate_h1(series: PanelSeries) -> HypothesisVerdict:
     name = "H1"
     panel, rng, cfg = series.panel, series.range, series.cfg
     n = len(panel.candles)
-    tail = (max(n - 1, 0), max(n - 1, 0))
-    if rng is None:
-        return _not_evaluable(name, tail, ["no established range"])
+    tail = (n - 1, n - 1)
     if len(panel.funding) < cfg.funding_bias_min_periods:
         return _not_evaluable(name, tail, ["fewer than %d funding settlements"
                                            % cfg.funding_bias_min_periods])
@@ -142,9 +126,9 @@ def evaluate_h1(series: PanelSeries) -> HypothesisVerdict:
 
     # signal 2: recent wick-to-body above its prior baseline
     combined = series.wick_up + series.wick_down
-    recent = combined[n - cfg.wick_recent_window:]
-    prior = combined[n - cfg.wick_recent_window - cfg.wick_baseline_window:
-                     n - cfg.wick_recent_window]
+    cut = max(0, n - cfg.wick_recent_window)   # a negative start would wrap round
+    recent = combined[cut:]
+    prior = combined[max(0, cut - cfg.wick_baseline_window):cut]
     recent_mean = float(np.nanmean(recent)) if np.any(~np.isnan(recent)) else None
     prior_mean = float(np.nanmean(prior)) if np.any(~np.isnan(prior)) else None
     if recent_mean is None or prior_mean is None:
@@ -219,9 +203,7 @@ def evaluate_h2(series: PanelSeries) -> HypothesisVerdict:
     name = "H2"
     panel, rng, cfg = series.panel, series.range, series.cfg
     n = len(panel.candles)
-    tail = (max(n - 1, 0), max(n - 1, 0))
-    if rng is None:
-        return _not_evaluable(name, tail, ["no established range"])
+    tail = (n - 1, n - 1)
     candidates = find_breakout_candidates(series.side)
     if not candidates:
         return _not_evaluable(name, tail, ["no breakout candidate bar"])
@@ -319,9 +301,7 @@ def evaluate_h3(series: PanelSeries) -> HypothesisVerdict:
     name = "H3"
     panel, rng, cfg = series.panel, series.range, series.cfg
     n = len(panel.candles)
-    tail = (max(n - 1, 0), max(n - 1, 0))
-    if rng is None:
-        return _not_evaluable(name, tail, ["no established range"])
+    tail = (n - 1, n - 1)
     spike_idx = [i for i, f in enumerate(series.funding_spikes) if f]
     if not spike_idx:
         why = "no funding spike detected" \
@@ -432,12 +412,10 @@ def evaluate_h4(series: PanelSeries) -> HypothesisVerdict:
     name = "H4"
     panel, rng, cfg = series.panel, series.range, series.cfg
     n = len(panel.candles)
-    tail = (max(n - 1, 0), max(n - 1, 0))
-    if rng is None:
-        return _not_evaluable(name, tail, ["no established range"])
-    if not panel.liquidations:
+    tail = (n - 1, n - 1)
+    if series.cluster is None:
         return _not_evaluable(name, tail, ["no liquidation events"])
-    share, clustered = boundary_cluster_share(panel.liquidations, rng, cfg)
+    share, clustered = series.cluster
     s_cluster = Signal("liquidation_cluster_share", clustered, share,
                        ">= %.2f" % cfg.boundary_cluster_min_share)
     if not clustered:
@@ -520,19 +498,23 @@ def evaluate_all(panel: Panel, cfg: Config = DEFAULTS,
     """The verdicts of the requested hypotheses (default: all four), in a new
     dict on each call, over `derive(panel, cfg)`.
 
-    Each evaluator runs at most once per derived series: its verdict is kept
+    Without an established range no evaluator runs: each verdict is
+    not-evaluable at the last bar, noting "no established range". Otherwise
+    each evaluator runs at most once per derived series: its verdict is kept
     in `series.verdicts` under the evaluator function as bound at the call,
     and every `derive` of the unchanged panel shares that dict, so the
     hypotheses and regime reports of one panel evaluate it once.
     """
     series = derive(panel, cfg)
     kept = series.verdicts
+    last = max(len(panel.candles) - 1, 0)
     out = {}
     for name, evaluate in (("H1", evaluate_h1), ("H2", evaluate_h2),
                            ("H3", evaluate_h3), ("H4", evaluate_h4)):
         if only and name not in only:
             continue
         if evaluate not in kept:   # keyed by the function, as `derive` is
-            kept[evaluate] = evaluate(series)
+            kept[evaluate] = evaluate(series) if series.range is not None else \
+                _not_evaluable(name, (last, last), ["no established range"])
         out[name] = kept[evaluate]
     return out

@@ -88,6 +88,20 @@ def classify_oi_event(oi_window: Sequence[Decimal],
     return OiEvent(NEITHER, float(change), float(shift))
 
 
+def oi_rotation_event(records: Sequence, cfg: Config) -> tuple:
+    """(`classify_oi_event` over the OI records of a window, None), else
+    (None, why) when a record is missing or the window starts at zero OI.
+    The event reads only the window's ends: their OI as held and their long
+    shares at 12 places."""
+    if any(r is None for r in records) or len(records) < 2:
+        return None, "OI missing around the break"
+    ends = (records[0], records[-1])
+    if ends[0].oi_usd == 0:
+        return None, "OI zero at the start of the window: change undefined"
+    shares = [None if r.long_share is None else d12(r.long_share) for r in ends]
+    return classify_oi_event([r.oi_usd for r in ends], shares, cfg), None
+
+
 def liquidation_density(events: Sequence[LiquidationEvent],
                         cfg: Config = DEFAULTS) -> LiquidationDensity:
     """Gaussian KDE over liquidation prices, USD-weighted, bandwidth 1% of the

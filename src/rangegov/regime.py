@@ -8,13 +8,13 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .config import Config, DEFAULTS
-from .cost import ELEVATED, NEUTRAL as MAG_NEUTRAL, magnitude_classifier
+from .cost import ELEVATED, NEUTRAL as MAG_NEUTRAL
 from .errors import InsufficientInputsError
-from .hypotheses import CONFIRMED, FALSIFIED, oi_rotation_event
+from .hypotheses import CONFIRMED, FALSIFIED
 from .liquidity import latest_valid_books, shelf_migration
 from .model import (ANNUALIZE_PCT, BARS_PER_DAY, SETTLEMENTS_PER_DAY, Panel,
                     RangeDefinition, d12)
-from .positioning import COLLAPSE, ROTATION, boundary_cluster_share
+from .positioning import COLLAPSE, ROTATION
 from .structure import PanelSeries, absorption_footprints, derive, ols_slope
 
 ACCUMULATION = "accumulation"
@@ -58,7 +58,7 @@ def classify_regime(panel: Panel, cfg: Config = DEFAULTS) -> RegimeLabel:
     evidence = []
 
     # shared measurements
-    vol_slope = ols_slope(list(series.realized_vol[n - w:]))
+    vol_slope = series.trailing_vol_slope
     volume_slope = ols_slope(list(series.volume[n - w:]))
     oi_records = series.oi_by_bar[n - w:]
     oi_vals = [float(r.oi_usd) if r is not None else None for r in oi_records]
@@ -73,7 +73,7 @@ def classify_regime(panel: Panel, cfg: Config = DEFAULTS) -> RegimeLabel:
         if len(moves) else 0.0
     dir_met = directional >= cfg.trend_directional_frac
     evidence.append(("directional_close_share", directional, dir_met))
-    event, _ = oi_rotation_event(series.oi_by_bar[n - w:], cfg)
+    event = series.trailing_rotation
     rotation_met = event is not None and event.label == ROTATION
     evidence.append(("oi_rotation", None if event is None else event.oi_change_frac,
                      rotation_met))
@@ -86,7 +86,7 @@ def classify_regime(panel: Panel, cfg: Config = DEFAULTS) -> RegimeLabel:
     volume_down = volume_slope is not None and volume_slope < 0
     evidence.append(("volume_slope", volume_slope, volume_down))
     ups = series.wick_up[n - w:]
-    recent_ups = ups[w - cfg.wick_recent_window:]
+    recent_ups = ups[max(0, w - cfg.wick_recent_window):]   # a negative start would wrap
     wick_rising = bool(np.any(~np.isnan(recent_ups)) and np.any(~np.isnan(ups))
                        and np.nanmean(recent_ups) > np.nanmean(ups))
     evidence.append(("upper_wick_rise", float(np.nanmean(recent_ups))
@@ -156,12 +156,9 @@ def assemble_trigger_states(series: PanelSeries) -> dict:
     """
     panel, rng, cfg = series.panel, series.range, series.cfg
     states: dict = {}
-    if panel.funding:
-        mag = magnitude_classifier(cfg)(panel.funding[-1].rate_8h)
-        states["funding"] = ALIGNED if mag == MAG_NEUTRAL else \
-            DIVERGENT if mag == ELEVATED else NEUTRAL
-    else:
-        states["funding"] = None
+    mag = None if series.funding_state is None else series.funding_state.magnitude_class
+    states["funding"] = None if mag is None else ALIGNED if mag == MAG_NEUTRAL else \
+        DIVERGENT if mag == ELEVATED else NEUTRAL
 
     latest, _ = latest_valid_books(panel.books)
     if latest and rng is not None:
@@ -171,23 +168,16 @@ def assemble_trigger_states(series: PanelSeries) -> dict:
     else:
         states["shelf_migration"] = None
 
-    n = len(panel.candles)
-    event, _ = oi_rotation_event(series.oi_by_bar[max(0, n - cfg.regime_window):], cfg)
-    if event is None:
-        states["oi_rotation"] = None
-    else:
-        states["oi_rotation"] = ALIGNED if event.label == ROTATION else \
-            DIVERGENT if event.label == COLLAPSE else NEUTRAL
+    event = series.trailing_rotation
+    states["oi_rotation"] = None if event is None else ALIGNED if event.label == ROTATION \
+        else DIVERGENT if event.label == COLLAPSE else NEUTRAL
 
-    slope = ols_slope(list(series.realized_vol[max(0, n - cfg.regime_window):]))
+    slope = series.trailing_vol_slope
     states["volatility_compression"] = None if slope is None else \
         (ALIGNED if slope < 0 else NEUTRAL)
 
-    if panel.liquidations and rng is not None:
-        share, clustered = boundary_cluster_share(panel.liquidations, rng, cfg)
-        states["liquidation_cluster"] = ALIGNED if clustered else NEUTRAL
-    else:
-        states["liquidation_cluster"] = None
+    states["liquidation_cluster"] = None if series.cluster is None else \
+        (ALIGNED if series.cluster[1] else NEUTRAL)
     return states
 
 

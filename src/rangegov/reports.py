@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULTS, FAMILIES, Config
-from .cost import FUNDING_WINDOW_7D, build_funding_state, magnitude_classifier
+from .cost import FUNDING_WINDOW_7D, magnitude_classifier
 from .errors import InsufficientInputsError
 from .hypotheses import evaluate_all
 from .ingestion import annualize_funding, basis_spread
@@ -30,7 +30,6 @@ from .liquidity import (
 )
 from .model import Panel, bar_index, d12, fmt_dec, iso
 from .positioning import (
-    boundary_cluster_share,
     concentration_gini,
     leverage_summary,
     liquidation_density,
@@ -138,7 +137,7 @@ def cost_report(series: PanelSeries) -> dict:
     records = panel.funding
     rates = [r.rate_8h for r in records]
     durations = series.funding_bias
-    state = build_funding_state(records, durations, cfg)
+    state = series.funding_state
     magnitude = magnitude_classifier(cfg)
     dislocation = d12(cfg.basis_dislocation_abs)
     rows = []
@@ -201,11 +200,8 @@ def positioning_report(series: PanelSeries) -> dict:
     } for i, r in enumerate(records)]
 
     density = liquidation_density(panel.liquidations, cfg=cfg)
-    cluster = None
-    if series.range is not None and panel.liquidations:
-        share, clustered = boundary_cluster_share(panel.liquidations,
-                                                  series.range, cfg)
-        cluster = {"share": share, "clustered": clustered}
+    cluster = None if series.cluster is None else \
+        {"share": series.cluster[0], "clustered": series.cluster[1]}
 
     latest = records[-1] if records else None
     ratio = None
@@ -360,10 +356,9 @@ def regime_report(panel: Panel, cfg: Config = DEFAULTS) -> dict:
     states = assemble_trigger_states(series)
     matrix = build_trigger_matrix(states, cfg)
     verdicts = evaluate_all(panel, cfg)
-    state = build_funding_state(panel.funding, series.funding_bias, cfg)
     position = range_position(panel.candles[-1].close if panel.candles else None,
                               series.range, cfg)
-    action = recommend_action(regime, position, state, verdicts, cfg)
+    action = recommend_action(regime, position, series.funding_state, verdicts, cfg)
     try:
         platform = _jsonable(advise_platform_parameters(list(series.realized_vol),
                                                         cfg))

@@ -11,10 +11,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import Config, DEFAULTS
-from .cost import funding_bias_duration, funding_spike
+from .cost import FundingState, build_funding_state, funding_bias_duration, funding_spike
 from .errors import DataError
 from .model import (Candle4H, Panel, RangeDefinition, d12, funding_by_bar, median,
                     oi_by_bar)
+from .positioning import OiEvent, boundary_cluster_share, oi_rotation_event
 
 
 # Most bins in a volume profile; a power of two, so widened bins divide the span exactly
@@ -270,8 +271,9 @@ class PanelSeries(NamedTuple):
 
     Built only by `derive`, once per panel: every later `derive` of the same
     panel under an equal config shares the fields of the first (see
-    `derive`). Arrays are read-only and per-bar lists are tuples;
-    `verdicts` is where `evaluate_all` keeps each verdict it computes.
+    `derive`), so a read several reports share is made once. Arrays are
+    read-only and per-bar lists are tuples; `verdicts` is where
+    `evaluate_all` keeps each verdict it computes.
     """
     panel: Panel
     cfg: Config
@@ -289,6 +291,10 @@ class PanelSeries(NamedTuple):
     oi_by_bar: tuple           # as-of open-interest record per bar
     funding_spikes: tuple      # funding_spike flag per settlement
     funding_bias: tuple        # funding_bias_duration run length per settlement
+    funding_state: Optional[FundingState]   # build_funding_state; None without funding
+    cluster: Optional[tuple]   # boundary_cluster_share; None without range or liquidations
+    trailing_rotation: Optional[OiEvent]   # oi_rotation_event of the last regime_window bars
+    trailing_vol_slope: Optional[float]    # ols_slope of realized_vol over those bars
     verdicts: dict             # evaluator -> verdict, filled by evaluate_all
 
     @property
@@ -315,7 +321,8 @@ def derive(panel: Panel, cfg: Config = DEFAULTS) -> PanelSeries:
     A panel's records cannot change, so only its annotations, a dict, are
     compared (with `==`, which takes an identical value as equal)."""
     memo = panel._derived
-    computed_by = (map_swings, resolve_range, realized_volatility)
+    computed_by = (map_swings, resolve_range, realized_volatility,
+                   boundary_cluster_share, build_funding_state, oi_rotation_event)
     if memo is None or memo.cfg != cfg or memo.computed_by != computed_by \
             or memo.annotations != panel.annotations:
         memo = _Derived(cfg, computed_by, dict(panel.annotations), _compute(panel, cfg))
@@ -334,20 +341,29 @@ def _compute(panel: Panel, cfg: Config) -> dict:
         lower, upper = resolved[0].lower, resolved[0].upper
         # a close on a boundary is inside
         side = tuple(1 if c.close > upper else -1 if c.close < lower else 0 for c in candles)
+    realized_vol = _frozen(realized_volatility(candles, cfg.realized_vol_window))
+    oi = tuple(oi_by_bar(panel))
+    bias = tuple(funding_bias_duration(rates))
+    trailing = max(0, len(candles) - cfg.regime_window)
     return dict(
         close=_frozen([float(c.close) for c in candles]),
         high=_frozen([float(c.high) for c in candles]),
         low=_frozen([float(c.low) for c in candles]),
         volume=_frozen([float(c.volume) for c in candles]),
-        realized_vol=_frozen(realized_volatility(candles, cfg.realized_vol_window)),
+        realized_vol=realized_vol,
         wick_up=_frozen(wick_up),
         wick_down=_frozen(wick_down),
         swings=tuple(swings),
         resolved=resolved,
         side=side,
         funding_by_bar=tuple(funding_by_bar(panel)),
-        oi_by_bar=tuple(oi_by_bar(panel)),
+        oi_by_bar=oi,
         funding_spikes=tuple(funding_spike(rates, cfg)),
-        funding_bias=tuple(funding_bias_duration(rates)),
+        funding_bias=bias,
+        funding_state=build_funding_state(panel.funding, bias, cfg),
+        cluster=boundary_cluster_share(panel.liquidations, resolved[0], cfg)
+        if resolved is not None and panel.liquidations else None,
+        trailing_rotation=oi_rotation_event(oi[trailing:], cfg)[0],
+        trailing_vol_slope=ols_slope(list(realized_vol[trailing:])),
         verdicts={},
     )

@@ -71,10 +71,15 @@ def test_a_named_tuple_record_passes():
 
 
 # The only functions that may call each name: every verdict is built by one of
-# two builders, and every OI window is read for rotation by one reader.
+# two builders, every OI window is read for rotation by one reader, and each
+# read that several reports share is made once per panel, by `derive`'s
+# `_compute` (H2 reads rotation over its own pre-break window).
 CALLS_ALLOWED = {
     "HypothesisVerdict": {"hypotheses._verdict", "hypotheses._not_evaluable"},
-    "classify_oi_event": {"hypotheses.oi_rotation_event"},
+    "classify_oi_event": {"positioning.oi_rotation_event"},
+    "boundary_cluster_share": {"structure._compute"},
+    "build_funding_state": {"structure._compute"},
+    "oi_rotation_event": {"structure._compute", "hypotheses.evaluate_h2"},
 }
 
 
@@ -213,6 +218,14 @@ def test_listed_calls_only_where_listed():
     ("hypotheses", "def evaluate_h2(series):\n"
                    "    return classify_oi_event([1.0, 2.0], None, series.cfg)\n"),
     ("regime", "EVENT = positioning.classify_oi_event([1.0, 2.0])\n"),
+    ("hypotheses", "def evaluate_h4(series):\n"
+                   "    return boundary_cluster_share(series.panel.liquidations, series.range)\n"),
+    ("reports", "def cost_report(series):\n"
+                "    return build_funding_state(series.panel.funding, series.funding_bias)\n"),
+    ("regime", "def assemble_trigger_states(series):\n"
+               "    return oi_rotation_event(series.oi_by_bar, series.cfg)\n"),
+    ("hypotheses", "def evaluate_h3(series):\n"
+                   "    return oi_rotation_event(series.oi_by_bar, series.cfg)\n"),
 ])
 def test_a_planted_listed_call_fails(stem, source):
     assert _unlisted_calls({stem: ast.parse(source)}) != []

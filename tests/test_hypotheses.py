@@ -1,6 +1,10 @@
 
+import hashlib
+
+import numpy as np
 import pytest
 
+from rangegov import formats, hypotheses, reports
 from rangegov.config import DEFAULTS
 from rangegov.hypotheses import (
     evaluate_all,
@@ -13,6 +17,7 @@ from rangegov.hypotheses import (
 from rangegov.formats import panel_from_dict, panel_to_dict
 from rangegov.model import BAR_SECONDS, Candle4H, Panel, d12, iso
 from rangegov.structure import derive
+from rangegov.synth import generate, scenario_from_dict
 
 from conftest import SCENARIO_NAMES, scale_panel
 
@@ -158,6 +163,25 @@ def test_everything_not_evaluable_without_a_range():
         assert any("range" in n for n in v.notes)
 
 
+# the hypotheses report of TREND_60, as the evaluators wrote it when each one
+# checked for a range itself
+TREND_60_SHA = "2a6d07dbc395ebf77066e5d9c0787796da7cafe64731b2aa5a36c6262e29638f"
+
+
+def test_without_a_range_no_evaluator_runs(monkeypatch):
+    panel, _ = generate(scenario_from_dict({
+        "name": "trend-60", "seed": 1, "segments": [{"template": "trend", "length": 60}]}))
+    assert len(panel.candles) == 60 and derive(panel, DEFAULTS).range is None
+    for name in ("evaluate_h1", "evaluate_h2", "evaluate_h3", "evaluate_h4"):
+        monkeypatch.setattr(hypotheses, name, lambda series, _name=name: pytest.fail(_name))
+    verdicts = evaluate_all(panel, DEFAULTS)
+    assert list(verdicts) == ["H1", "H2", "H3", "H4"]
+    for name, v in verdicts.items():
+        assert v == (name, (59, 59), False, (), NOT_EVALUABLE, ("no established range",), {})
+    doc = formats.dump_json(reports.hypotheses_report(panel))
+    assert hashlib.sha256(doc.encode()).hexdigest() == TREND_60_SHA
+
+
 def test_h1_not_evaluable_without_funding(scenario_panels):
     src, _ = scenario_panels["h1-confirm"]
     panel = Panel(src.instrument, src.candles, [], src.open_interest,
@@ -246,3 +270,19 @@ def test_signal_threshold_text_follows_the_config(scenario_panels):
     [override] = _threshold(evaluate_all(h1, cfg)["H1"], "wick_ratio_rise")
     assert default.endswith("(prior 20-bar mean)")
     assert override.endswith("(prior 10-bar mean)")
+
+
+@pytest.mark.parametrize("baseline, text", [
+    (20, "> 147.819970 (prior 20-bar mean)"),
+    # longer than the 575 bars before the recent window: the prior window is
+    # every one of them, not a slice that wraps round to the last 20
+    (600, "> 20.146019 (prior 600-bar mean)"),
+])
+def test_the_wick_baseline_stops_at_the_first_bar(scenario_panels, baseline, text):
+    panel = scenario_panels["h1-confirm"][0]
+    cfg = DEFAULTS.replace(wick_baseline_window=baseline)
+    assert _threshold(evaluate_all(panel, cfg)["H1"], "wick_ratio_rise") == [text]
+    if baseline > len(panel.candles):
+        series = derive(panel, cfg)
+        combined = (series.wick_up + series.wick_down)[:-cfg.wick_recent_window]
+        assert text == "> %.6f (prior 600-bar mean)" % np.nanmean(combined)

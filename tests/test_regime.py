@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from rangegov.config import DEFAULTS
@@ -19,6 +20,7 @@ from rangegov.regime import (
     range_position,
     recommend_action,
 )
+from rangegov.structure import derive
 from rangegov.synth import generate, scenario_from_dict
 
 from conftest import scale_panel
@@ -79,6 +81,20 @@ def test_classification_is_price_scale_invariant():
 
 
 # --- trigger matrix --------------------------------------------------------------
+
+@pytest.mark.parametrize("window, recent, met", [
+    (20, 5, True),
+    # shorter than wick_recent_window: the recent wicks are the whole window,
+    # not its last bar, so their mean cannot rise above the window's
+    (4, 4, False),
+])
+def test_the_recent_wicks_stop_at_the_window_start(scenario_panels, window, recent, met):
+    panel = scenario_panels["h1-confirm"][0]
+    cfg = DEFAULTS.replace(regime_window=window)
+    evidence = {c: (v, m) for c, v, m in classify_regime(panel, cfg).evidence}
+    ups = derive(panel, cfg).wick_up
+    assert evidence["upper_wick_rise"] == (float(np.nanmean(ups[-recent:])), met)
+
 
 def test_matrix_requires_four_evaluated_metrics():
     states = {"funding": ALIGNED, "shelf_migration": ALIGNED,

@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from rangegov import formats, hypotheses, reports, structure, synth
+from rangegov import cost, formats, hypotheses, positioning, regime, reports, structure, synth
 from rangegov.config import DEFAULTS
 from rangegov.hypotheses import evaluate_all
 from rangegov.model import BAR_SECONDS
@@ -25,6 +25,7 @@ REPORTS = (reports.metrics_report, reports.hypotheses_report, reports.regime_rep
 KINDS = ("metrics", "hypotheses", "regime")
 COMPUTED = ("map_swings", "resolve_range", "realized_volatility")
 EVALUATORS = ("evaluate_h1", "evaluate_h2", "evaluate_h3", "evaluate_h4")
+SHARED = ("boundary_cluster_share", "build_funding_state", "oi_rotation_event")
 
 
 def _fresh(panel):
@@ -85,6 +86,60 @@ def test_backtest_derives_and_evaluates_each_panel_once(scenario_panels, calls):
     assert calls == {name: len(panels) for name in COMPUTED + EVALUATORS}
 
 
+@pytest.fixture
+def shared_reads(monkeypatch):
+    """Counts the calls of each read several reports share, under the name of
+    the module whose binding the caller went through."""
+    counts = {}
+    for mod in (cost, positioning, structure, hypotheses, regime, reports, synth):
+        for name in SHARED:
+            if hasattr(mod, name):
+                def wrapper(*args, _fn=getattr(mod, name),
+                            _key="%s.%s" % (mod.__name__.split(".")[-1], name), **kwargs):
+                    counts[_key] = counts.get(_key, 0) + 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(mod, name, wrapper)
+    return counts
+
+
+def _once_per_panel(panels) -> dict:
+    """The shared reads of the panels' reports or backtest, once each, when
+    made: the cluster needs a range and liquidations, and H2 reads rotation
+    only when its condition held. Call it after the panels were reported."""
+    want = {
+        "structure.boundary_cluster_share": sum(derive(p, DEFAULTS).cluster is not None
+                                                for p in panels),
+        "structure.build_funding_state": len(panels),
+        "structure.oi_rotation_event": len(panels),
+        "hypotheses.oi_rotation_event": sum(
+            any(s.name == "oi_rotation" for s in evaluate_all(p, DEFAULTS)["H2"].signals)
+            for p in panels),
+    }
+    return {key: count for key, count in want.items() if count}
+
+
+@pytest.mark.parametrize("scenario, h2_reads", [("h4-confirm", 0), ("h2-confirm", 1)])
+def test_three_reports_read_each_shared_series_once(scenario_panels, shared_reads,
+                                                    scenario, h2_reads):
+    """The boundary cluster, the funding state and the trailing OI rotation are
+    decided once, by `derive`; H2 reads rotation over its own window."""
+    panel = _fresh(scenario_panels[scenario][0])
+    for report in REPORTS:
+        report(panel)
+    assert shared_reads == _once_per_panel([panel])
+    assert shared_reads.get("hypotheses.oi_rotation_event", 0) == h2_reads
+    series = derive(panel, DEFAULTS)
+    assert (series.cluster is not None) == (scenario == "h4-confirm")
+    assert series.funding_state == cost.build_funding_state(
+        panel.funding, series.funding_bias, DEFAULTS)
+
+
+def test_backtest_reads_each_shared_series_once_per_panel(scenario_panels, shared_reads):
+    panels = [_fresh(scenario_panels[name][0]) for name in SCENARIO_NAMES]
+    assert _sha(synth.backtest(panels)) == DIGESTS["backtest"]
+    assert shared_reads == _once_per_panel(panels)
+
+
 def test_a_rebound_function_computes_afresh(scenario_panels, monkeypatch):
     """A wrapper installed after the panel was derived (a span tracer, a
     counter) sees one call of each function, and the reports do not change."""
@@ -99,6 +154,20 @@ def test_a_rebound_function_computes_afresh(scenario_panels, monkeypatch):
             monkeypatch.setattr(mod, name, wrapper)
     assert [formats.dump_json(report(panel)) for report in REPORTS] == plain
     assert counts == {name: 1 for name in COMPUTED + EVALUATORS}
+
+
+def test_a_rebound_shared_read_computes_afresh(scenario_panels, monkeypatch):
+    """As above, with only the shared reads rebound: `derive` keys on them too."""
+    panel = _fresh(scenario_panels["h4-confirm"][0])   # it makes every shared read
+    plain = [formats.dump_json(report(panel)) for report in REPORTS]
+    counts = {}
+    for name in SHARED:
+        def wrapper(*args, _fn=getattr(structure, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(structure, name, wrapper)
+    assert [formats.dump_json(report(panel)) for report in REPORTS] == plain
+    assert counts == {name: 1 for name in SHARED}
 
 
 def _replace_candle(panel):
